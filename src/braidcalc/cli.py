@@ -19,7 +19,6 @@ from .braids import (
     BraidWord,
     BudgetExceededError,
     Perm,
-    braids_equal,
     is_pure,
     perm_of,
 )
@@ -34,12 +33,12 @@ from .cohen import (
     is_generalized_cohen,
     is_trivial,
     is_unary,
+    same_braid,
     unary_factor,
 )
 from .combing import (
     DEFAULT_COMPONENT_BUDGET,
     PureAWord,
-    aword_equal,
     coface_on_aword,
     comb,
     face_on_aword,
@@ -75,6 +74,13 @@ from .lifting import (
 __all__ = ["main", "run"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="braidcalc",
@@ -99,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine readable output")
         sp.add_argument("--verify", action="store_true",
                         help="enable inline oracle assertions where supported")
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_positive_int, default=None,
                         help="resource cap in letters for oracle and combing work")
         return sp
 
@@ -129,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("expr", metavar="EXPR")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--verify", action="store_true")
-        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--budget", type=_positive_int, default=None)
     add("decompose", "Brunnian layers of a pure Cohen braid")
     add("solve", "braid on n strands whose every face is the given braid "
         "(EXPR is parsed on n-1 strands)")
@@ -137,8 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rp2.add_argument("verb", choices=["enumerate", "verify"])
     rp2.add_argument("--json", action="store_true")
     rp2.add_argument("--verify", action="store_true")
-    rp2.add_argument("--budget", type=int, default=None)
+    rp2.add_argument("--budget", type=_positive_int, default=None)
     return p
+
+
+# argparse only reads the parser while parsing, so one instance serves every run().
+_PARSER = _build_parser()
 
 
 def _fmt(b: Braidlike) -> str:
@@ -159,12 +169,6 @@ def _as_braid(b: Braidlike) -> BraidWord:
     return b.to_braid() if isinstance(b, PureAWord) else b
 
 
-def _equal(a: Braidlike, b: Braidlike, budget: int) -> bool:
-    if isinstance(a, PureAWord) and isinstance(b, PureAWord):
-        return aword_equal(a, b)
-    return braids_equal(_as_braid(a), _as_braid(b), budget=budget)
-
-
 def _parse_blocks(spec: str, n: int) -> StrandPartition:
     blocks = []
     for chunk in spec.split(";"):
@@ -177,9 +181,8 @@ def _parse_blocks(spec: str, n: int) -> StrandPartition:
 
 def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
     """Execute a command line; returns (exit status, report payload)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return (code if code != 0 else 0), {
@@ -219,8 +222,8 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
 
 def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
     cmd = args.command
-    budget = args.budget or DEFAULT_LETTER_BUDGET
-    comp_budget = args.budget or DEFAULT_COMPONENT_BUDGET
+    budget = DEFAULT_LETTER_BUDGET if args.budget is None else args.budget
+    comp_budget = DEFAULT_COMPONENT_BUDGET if args.budget is None else args.budget
     inputs = payload["inputs"]
 
     if cmd == "rp2":
@@ -274,7 +277,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         inputs["expr"] = [args.expr1, args.expr2]
         a, b = _read(args.expr1, n), _read(args.expr2, n)
         both_bands = isinstance(a, PureAWord) and isinstance(b, PureAWord)
-        equal = _equal(a, b, budget)
+        equal = same_braid(a, b, budget=budget)
         payload["result"] = equal
         payload["witnesses"]["method"] = "combing" if both_bands else "artin-action"
         return 0 if equal else 1
@@ -393,7 +396,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         out = solve_cohen_system(b, n, budget=budget)
         payload["result"] = _fmt(out)
         if args.verify:
-            faces_ok = all(_equal(f, b, budget) for f in all_faces(out))
+            faces_ok = all(same_braid(f, b, budget=budget) for f in all_faces(out))
             payload["witnesses"]["faces_equal_input"] = faces_ok
             if not faces_ok:
                 raise AssertionError("solver output failed face verification")
@@ -412,7 +415,7 @@ def cmd_hi_name(cmd: str) -> str:
 
 def _verify_faces_equal(b: Braidlike, budget: int) -> bool:
     faces = all_faces(b)
-    return all(_equal(faces[0], f, budget) for f in faces[1:])
+    return all(same_braid(faces[0], f, budget=budget) for f in faces[1:])
 
 
 def _render(payload: dict[str, Any]) -> str:

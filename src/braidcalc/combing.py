@@ -164,26 +164,32 @@ class PureAWord:
 def face_on_aword(w: PureAWord, i: int) -> PureAWord:
     """Delete strand i, letterwise on bands."""
     n = w.strands
-    target = a_alphabet(n - 1)
-    stack_letters: list[tuple[GenSym, int]] = []
-    for sym, exp in w.word.syllables:
-        image = face_on_pure_gen(i, (sym.index[0], sym.index[1]), n)
-        if image.syllables:
-            stack_letters.append((image.syllables[0][0], exp))
-    return PureAWord(n - 1, GroupWord.from_letters(target, stack_letters))
+    if not 1 <= i <= n:
+        raise ValueError(f"strand {i} out of range for {n} strands")
+    image: dict[GenSym, GenSym | None] = {}
+    for sym in {sym for sym, _ in w.word.syllables}:
+        faced = face_on_pure_gen(i, sym.index, n).syllables
+        image[sym] = faced[0][0] if faced else None
+    return PureAWord(n - 1, GroupWord.from_letters(a_alphabet(n - 1), (
+        (image[sym], exp) for sym, exp in w.word.syllables if image[sym] is not None
+    )))
 
 
 def coface_on_aword(w: PureAWord, i: int) -> PureAWord:
-    """Insert a trivial strand at position i, letterwise on bands."""
+    """Insert a trivial strand at position i, letterwise on bands.
+
+    The map is injective on bands, so reduced syllables copy straight across.
+    """
     n = w.strands
     if not 1 <= i <= n + 1:
         raise ValueError(f"insertion position {i} out of range for {n} strands")
-    target = a_alphabet(n + 1)
-    letters = []
-    for sym, exp in w.word.syllables:
-        s2, t2 = coface_on_pure_gen(i, (sym.index[0], sym.index[1]))
-        letters.append((a_sym(s2, t2, n + 1), exp))
-    return PureAWord(n + 1, GroupWord.from_letters(target, letters))
+    image = {
+        sym: a_sym(*coface_on_pure_gen(i, sym.index), n + 1)
+        for sym in {sym for sym, _ in w.word.syllables}
+    }
+    return PureAWord(n + 1, GroupWord(a_alphabet(n + 1), tuple(
+        (image[sym], exp) for sym, exp in w.word.syllables
+    )))
 
 
 def same_band_word(a: PureAWord, b: PureAWord) -> bool:
@@ -220,10 +226,10 @@ class CombedForm:
         return self.components[k - 2]
 
     def as_single_word(self) -> PureAWord:
-        word = GroupWord.identity(a_alphabet(self.strands))
-        for comp in self.components:
-            word = word * comp
-        return PureAWord(self.strands, word)
+        return PureAWord(self.strands, GroupWord.from_letters(
+            a_alphabet(self.strands),
+            (syl for comp in self.components for syl in comp.syllables),
+        ))
 
     def expand(self) -> BraidWord:
         return self.as_single_word().to_braid()

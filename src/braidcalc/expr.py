@@ -240,10 +240,9 @@ def _aword(expr: Expression, n: int) -> GroupWord:
     if isinstance(expr, Power):
         return _aword(expr.base, n) ** expr.exp
     if isinstance(expr, Concat):
-        out = GroupWord.identity(a_alphabet(n))
-        for p in expr.parts:
-            out = out * _aword(p, n)
-        return out
+        return GroupWord.from_letters(
+            a_alphabet(n), (syl for p in expr.parts for syl in _aword(p, n).syllables)
+        )
     return commutator(_aword(expr.left, n), _aword(expr.right, n))
 
 

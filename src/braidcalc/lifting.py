@@ -19,6 +19,7 @@ Order conventions (pinned by worked examples in the test suite):
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -89,10 +90,10 @@ def cohen_lift(w: PureAWord, check: bool = True) -> PureAWord:
     _require_last_column(w.word, n)
     if check and not is_brunnian(w):
         raise ValueError("cohen_lift requires a Brunnian input")
-    word = w.embed(n + 1).word
-    for i in range(1, n + 1):
-        word = word * apply_skip(w.word, i, n)
-    return PureAWord(n + 1, word)
+    factors = [w.embed(n + 1).word] + [apply_skip(w.word, i, n) for i in range(1, n + 1)]
+    return PureAWord(n + 1, GroupWord.from_letters(
+        f"A{n + 1}", (syl for f in factors for syl in f.syllables)
+    ))
 
 
 def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
@@ -110,15 +111,15 @@ def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
     _require_last_column(w.word, m)
     if check and not is_brunnian(w):
         raise ValueError("tau_spread requires a Brunnian input")
-    result = GroupWord.identity(f"A{k}")
+    factors = []
     for indices in combinations(range(1, k), k - m):
         factor = w.word
-        rank = m
-        for i in indices:
+        for rank, i in enumerate(indices, start=m):
             factor = apply_skip(factor, i, rank)
-            rank += 1
-        result = result * factor
-    return PureAWord(k, result)
+        factors.append(factor)
+    return PureAWord(k, GroupWord.from_letters(
+        f"A{k}", (syl for f in factors for syl in f.syllables)
+    ))
 
 
 def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
@@ -131,10 +132,10 @@ def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
         raise ValueError("need 2 <= m <= n")
     if check and not is_brunnian(w):
         raise ValueError("full_lift requires a Brunnian input")
-    word = GroupWord.identity(f"A{n}")
-    for k in range(m, n + 1):
-        word = word * tau_spread(m, k, w, check=False).embed(n).word
-    return PureAWord(n, word)
+    factors = [tau_spread(m, k, w, check=False).embed(n).word for k in range(m, n + 1)]
+    return PureAWord(n, GroupWord.from_letters(
+        f"A{n}", (syl for f in factors for syl in f.syllables)
+    ))
 
 
 def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
@@ -154,20 +155,14 @@ def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
         combinations(range(1, n + 1), n - k), key=lambda t: tuple(reversed(t))
     )
     if isinstance(b, PureAWord):
-        word = GroupWord.identity(f"A{n}")
-        for indices in ordered:
-            factor = b
-            for i in indices:
-                factor = coface_on_aword(factor, i)
-            word = word * factor.word
-        return PureAWord(n, word)
-    letters: list[tuple[int, int]] = []
-    for indices in ordered:
-        factor = b
-        for i in indices:
-            factor = insert_strand(factor, i)
-        letters.extend(factor.letters)
-    return BraidWord(n, tuple(letters))
+        return PureAWord(n, GroupWord.from_letters(f"A{n}", (
+            syl
+            for indices in ordered
+            for syl in reduce(coface_on_aword, indices, b).word.syllables
+        )))
+    return BraidWord(n, tuple(
+        letter for indices in ordered for letter in reduce(insert_strand, indices, b).letters
+    ))
 
 
 def _identity_like(b: Braidlike, strands: int) -> Braidlike:

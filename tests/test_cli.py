@@ -73,6 +73,16 @@ class TestStructureQueries:
         assert payload["result"] == "error"
         assert "out of range" in payload["witnesses"]["reason"]
 
+    def test_delete_index_out_of_range_for_every_word_kind(self):
+        # the empty band word has no band to reject the index, so the
+        # face must check it up front, as strand deletion does
+        for index in ("0", "7"):
+            for expr in ("e", "a1.2", "s1"):
+                code, payload = run(["del", "-n", "3", index, expr])
+                assert code == 2, (index, expr)
+                assert payload["result"] == "error"
+                assert f"strand {index} out of range" in payload["witnesses"]["reason"]
+
 
 class TestPredicates:
     def test_cohen_accepts_full_twist(self):
@@ -205,6 +215,35 @@ class TestUsageErrors:
     def test_missing_argument(self):
         code, payload = run(["eq", "-n", "3", "s1"])
         assert code == 2
+
+    def test_nonpositive_budget_is_a_usage_error(self):
+        for budget in ("0", "-5"):
+            code, payload = run(["comb", "-n", "3", "a1.3 a1.2", "--budget", budget])
+            assert code == 2
+            assert payload["result"] == "usage"
+
+    def test_small_budget_is_honoured(self):
+        code, payload = run(["comb", "-n", "3", "a1.3 a1.2", "--budget", "1"])
+        assert code == 2
+        assert payload["result"] == "resource limit"
+
+    def test_usage_error_leaves_no_state_for_the_next_call(self):
+        bad = ["solve", "-n", "3", "--verify", "--budget", "0", "a1.2"]
+        good = ["solve", "-n", "3", "a1.2"]
+        in_turn = [run(bad), run(good)]
+        fresh = []
+        for argv in (bad, good):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import json, sys; from braidcalc.cli import run; "
+                 "print(json.dumps(run(sys.argv[1:])))", *argv],
+                capture_output=True,
+                text=True,
+            )
+            code, payload = json.loads(proc.stdout)
+            fresh.append((code, payload))
+        assert in_turn == fresh
+        assert "faces_equal_input" not in in_turn[1][1]["witnesses"]
 
     def test_parse_error_carries_offset_message(self):
         code, payload = run(["eq", "-n", "3", "s0", "e"])
