@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How much does the factor order inside a spread matter?
 
-The spread of a word multiplies one skip image per ascending index
+The spread of a word multiplies one coface image per ascending index
 tuple.  This script recomputes the product under permuted factor
 orders and asks the complete band-word oracle two questions: does the
 reordered product still equal the shipped one as a group element, and
@@ -21,24 +21,20 @@ Usage: python3 scripts/tau_order_experiment.py [--word l,m] [--orders N]
 import argparse
 import random
 import sys
+from functools import reduce
 from itertools import combinations
 
 from braidcalc.cohen import band_commutator
 from braidcalc.combing import PureAWord, aword_equal, face_on_aword
-from braidcalc.lifting import apply_skip, tau_spread
+from braidcalc.lifting import tau_spread
 
 
 def spread_factors(m, k, w):
-    """The skip images whose ordered product is tau_spread(m, k, w)."""
-    factors = []
-    for indices in combinations(range(1, k), k - m):
-        image = w.word
-        rank = m
-        for i in indices:
-            image = apply_skip(image, i, rank)
-            rank += 1
-        factors.append(image)
-    return factors
+    """The coface images whose ordered product is tau_spread(m, k, w)."""
+    return [
+        reduce(PureAWord.coface, indices, w).word
+        for indices in combinations(range(1, k), k - m)
+    ]
 
 
 def check(order, factors, dst_rank, shipped, lower):

@@ -32,6 +32,7 @@ the images) and raise BudgetExceededError rather than thrash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .words import GroupWord, _extend, _freeze, _pow, x_alphabet, x_sym
 
@@ -61,7 +62,11 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the Artin generators of B_n; letters are (index, sign)."""
+    """A word in the Artin generators of B_n; letters are (index, sign).
+
+    Shares its members with the band words of combing.PureAWord:
+    strands, identity, product, *, inverse, face, coface, to_braid, perm.
+    """
 
     strands: int
     letters: tuple[tuple[int, int], ...] = ()
@@ -81,19 +86,89 @@ class BraidWord:
     def identity(cls, strands: int) -> BraidWord:
         return cls(strands, ())
 
+    @classmethod
+    def product(cls, strands: int, factors: Iterable[BraidWord]) -> BraidWord:
+        """The ordered product of the factors, concatenated in one pass."""
+        letters: list[tuple[int, int]] = []
+        for f in factors:
+            if f.strands != strands:
+                raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
+            letters.extend(f.letters)
+        return cls(strands, tuple(letters))
+
     def __len__(self) -> int:
         return len(self.letters)
 
+    def __mul__(self, other: BraidWord) -> BraidWord:
+        """Concatenation: self happens first, then other."""
+        if self.strands != other.strands:
+            raise ValueError(f"strand mismatch: {self.strands} vs {other.strands}")
+        return BraidWord(self.strands, self.letters + other.letters)
 
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Concatenation: a happens first, then b."""
-    if a.strands != b.strands:
-        raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
+    def inverse(self) -> BraidWord:
+        return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
+
+    def to_braid(self) -> BraidWord:
+        return self
+
+    def perm(self) -> Perm:
+        """Strand permutation; crossings swap regardless of sign."""
+        n = self.strands
+        strand_at = list(range(n + 1))  # strand_at[pos], 1-based positions
+        for i, _sign in self.letters:
+            strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+        images = [0] * n
+        for pos in range(1, n + 1):
+            images[strand_at[pos] - 1] = pos
+        return Perm(tuple(images))
+
+    def face(self, i: int) -> BraidWord:
+        """Remove the strand starting at position i; result lives in B_{n-1}.
+
+        Walks the word once, tracking the deleted strand's current
+        position p: a crossing involving it is dropped (and p updated),
+        any other crossing is kept, shifted down when it sits above p.
+        """
+        n = self.strands
+        if not 1 <= i <= n:
+            raise ValueError(f"strand {i} out of range for {n} strands")
+        p = i
+        out = []
+        for j, sign in self.letters:
+            if j == p:
+                p += 1
+            elif j == p - 1:
+                p -= 1
+            elif j > p:
+                out.append((j - 1, sign))
+            else:
+                out.append((j, sign))
+        return BraidWord(n - 1, tuple(out))
+
+    def coface(self, i: int) -> BraidWord:
+        """Insert a trivial strand at position i (1 <= i <= n+1).
+
+        Letterwise: s_j -> s_j for j < i-1, s_{i-1} -> s_i s_{i-1} s_i^{-1},
+        and s_j -> s_{j+1} for j > i-1.
+        """
+        n = self.strands
+        if not 1 <= i <= n + 1:
+            raise ValueError(f"insertion position {i} out of range for {n} strands")
+        out = []
+        for j, sign in self.letters:
+            if j < i - 1:
+                out.append((j, sign))
+            elif j == i - 1:
+                # s_{i-1} -> s_i s_{i-1} s_i^{-1}, respecting the letter sign
+                out.extend([(i, 1), (i - 1, sign), (i, -1)])
+            else:
+                out.append((j + 1, sign))
+        return BraidWord(n + 1, tuple(out))
 
 
-def invert_braid(a: BraidWord) -> BraidWord:
-    return BraidWord(a.strands, tuple((i, -s) for i, s in reversed(a.letters)))
+compose = BraidWord.__mul__
+invert_braid = BraidWord.inverse
+perm_of = BraidWord.perm
 
 
 def braid_pow(a: BraidWord, k: int) -> BraidWord:
@@ -170,20 +245,9 @@ class Perm:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
 
-def perm_of(braid: BraidWord) -> Perm:
-    """Strand permutation; crossings swap regardless of sign."""
-    n = braid.strands
-    strand_at = list(range(n + 1))  # strand_at[pos], 1-based positions
-    for i, _sign in braid.letters:
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    images = [0] * n
-    for pos in range(1, n + 1):
-        images[strand_at[pos] - 1] = pos
-    return Perm(tuple(images))
-
-
 def is_pure(braid: BraidWord) -> bool:
-    return perm_of(braid).is_identity()
+    """The strand permutation is the identity; a band word always is."""
+    return braid.perm().is_identity()
 
 
 @dataclass(frozen=True)
@@ -241,11 +305,6 @@ class FreeEndo:
                 )
             new_images.append(word)
         return FreeEndo(self.rank, tuple(new_images))
-
-    def apply(self, word: GroupWord) -> GroupWord:
-        """Image of a word over the x-alphabet under this endomorphism."""
-        mapping = {x_sym(i, self.rank): img for i, img in enumerate(self.images, start=1)}
-        return word.substitute(mapping, alphabet=x_alphabet(self.rank))
 
     # The two structural facts the Artin image always satisfies; used by
     # tests and by --verify mode, not rechecked on every construction.

@@ -14,14 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .braids import (
-    DEFAULT_LETTER_BUDGET,
-    BraidWord,
-    BudgetExceededError,
-    Perm,
-    is_pure,
-    perm_of,
-)
+from .braids import DEFAULT_LETTER_BUDGET, BudgetExceededError, Perm, is_pure
 from .cohen import (
     Braidlike,
     NotCohenError,
@@ -30,19 +23,14 @@ from .cohen import (
     all_faces,
     common_face,
     is_brunnian,
+    is_cohen,
     is_generalized_cohen,
     is_trivial,
     is_unary,
     same_braid,
     unary_factor,
 )
-from .combing import (
-    DEFAULT_COMPONENT_BUDGET,
-    PureAWord,
-    coface_on_aword,
-    comb,
-    face_on_aword,
-)
+from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb
 from .expr import (
     NotAWordError,
     ParseError,
@@ -53,7 +41,6 @@ from .expr import (
     to_braid,
     uses_only_bands,
 )
-from .faces import delete_strand, insert_strand
 from .finite_models import (
     build_p2_rp2,
     build_p3_s2,
@@ -165,10 +152,6 @@ def _read(text: str, n: int) -> Braidlike:
     return to_braid(expr, n)
 
 
-def _as_braid(b: Braidlike) -> BraidWord:
-    return b.to_braid() if isinstance(b, PureAWord) else b
-
-
 def _parse_blocks(spec: str, n: int) -> StrandPartition:
     blocks = []
     for chunk in spec.split(";"):
@@ -253,9 +236,10 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd in ("tau", "bigT", "hopf"):
-        lo = args.m if cmd in ("tau", "bigT") else args.k
-        hi = args.k if cmd == "tau" else args.n
-        inputs.update({"expr": args.expr, cmd_lo_name(cmd): lo, cmd_hi_name(cmd): hi})
+        ranks = {key: getattr(args, key) for key in ("m", "k", "n") if hasattr(args, key)}
+        inputs["expr"] = args.expr
+        inputs.update(ranks)
+        lo, hi = ranks.values()
         if cmd == "hopf":
             b = _read(args.expr, lo)
             result = james_hopf(lo, hi, b)
@@ -267,7 +251,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             result = tau_spread(lo, hi, w) if cmd == "tau" else full_lift(lo, hi, w)
         payload["result"] = _fmt(result)
         if args.verify:
-            payload["witnesses"]["faces_checked"] = _verify_faces_equal(result, budget)
+            payload["witnesses"]["faces_checked"] = is_cohen(result, budget=budget)
         return 0
 
     n = args.strands
@@ -284,7 +268,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     inputs["expr"] = args.expr
     if cmd == "perm":
-        pm = perm_of(_as_braid(_read(args.expr, n)))
+        pm = _read(args.expr, n).perm()
         payload["result"] = list(pm.images)
         if pm.is_identity():
             payload["witnesses"]["class"] = "identity"
@@ -295,17 +279,14 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "pure":
-        value = is_pure(_as_braid(_read(args.expr, n)))
+        value = is_pure(_read(args.expr, n))
         payload["result"] = value
         return 0 if value else 1
 
     if cmd in ("del", "ins"):
         inputs["index"] = args.index
         b = _read(args.expr, n)
-        if isinstance(b, PureAWord):
-            out = face_on_aword(b, args.index) if cmd == "del" else coface_on_aword(b, args.index)
-        else:
-            out = delete_strand(b, args.index) if cmd == "del" else insert_strand(b, args.index)
+        out = b.face(args.index) if cmd == "del" else b.coface(args.index)
         payload["result"] = _fmt(out)
         payload["witnesses"]["strands"] = out.strands
         return 0
@@ -346,7 +327,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0 if value else 1
 
     if cmd == "unary":
-        b = _as_braid(_read(args.expr, n))
+        b = _read(args.expr, n).to_braid()
         value = is_unary(b, budget=budget)
         payload["result"] = value
         if value:
@@ -378,12 +359,12 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         out = cohen_lift(w, check=False)
         payload["result"] = _fmt(out)
         if args.verify:
-            payload["witnesses"]["faces_checked"] = _verify_faces_equal(out, budget)
+            payload["witnesses"]["faces_checked"] = is_cohen(out, budget=budget)
         return 0
 
     if cmd == "decompose":
         b = _read(args.expr, n)
-        if isinstance(b, BraidWord) and not is_pure(b):
+        if not is_pure(b):
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "decomposition needs a pure braid"
             return 1
@@ -403,19 +384,6 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     raise ValueError(f"unknown command {cmd}")
-
-
-def cmd_lo_name(cmd: str) -> str:
-    return {"tau": "m", "bigT": "m", "hopf": "k"}[cmd]
-
-
-def cmd_hi_name(cmd: str) -> str:
-    return {"tau": "k", "bigT": "n", "hopf": "n"}[cmd]
-
-
-def _verify_faces_equal(b: Braidlike, budget: int) -> bool:
-    faces = all_faces(b)
-    return all(same_braid(faces[0], f, budget=budget) for f in faces[1:])
 
 
 def _render(payload: dict[str, Any]) -> str:

@@ -2,9 +2,10 @@
 
 A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
-a BraidWord (faces via delete_strand, equality via the Artin-image
-oracle) or a PureAWord (faces letterwise on bands, equality via combing,
-which is complete and far cheaper on commutator-heavy words).
+a BraidWord or a PureAWord and take faces through their shared face
+member.  Equality is decided by combing when both sides are band words
+(complete, and far cheaper on commutator-heavy words) and by the
+Artin-image oracle otherwise.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
@@ -17,24 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .braids import (
-    DEFAULT_LETTER_BUDGET,
-    BraidWord,
-    braid_pow,
-    braids_equal,
-    compose,
-    invert_braid,
-    is_pure,
-    perm_of,
-)
-from .combing import (
-    PureAWord,
-    aword_equal,
-    aword_trivial,
-    comb,
-    face_on_aword,
-)
-from .faces import delete_strand
+from .braids import DEFAULT_LETTER_BUDGET, BraidWord, braids_equal, is_pure
+from .combing import PureAWord, aword_equal, aword_trivial, comb
 from .words import GroupWord, a_sym, commutator
 
 __all__ = [
@@ -86,24 +71,18 @@ def same_braid(a: Braidlike, b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) 
     """Equality dispatch: combing for A-words, Artin oracle for letter words."""
     if isinstance(a, PureAWord) and isinstance(b, PureAWord):
         return aword_equal(a, b)
-    if isinstance(a, PureAWord):
-        a = a.to_braid()
-    if isinstance(b, PureAWord):
-        b = b.to_braid()
-    return braids_equal(a, b, budget=budget)
+    return braids_equal(a.to_braid(), b.to_braid(), budget=budget)
 
 
 def is_trivial(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
     if isinstance(b, PureAWord):
         return aword_trivial(b)
-    return braids_equal(b, BraidWord(b.strands, ()), budget=budget)
+    return braids_equal(b, b.identity(b.strands), budget=budget)
 
 
 def all_faces(b: Braidlike) -> list[Braidlike]:
     """The strand-deletion images d_1(b), ..., d_n(b)."""
-    if isinstance(b, PureAWord):
-        return [face_on_aword(b, i) for i in range(1, b.strands + 1)]
-    return [delete_strand(b, i) for i in range(1, b.strands + 1)]
+    return [b.face(i) for i in range(1, b.strands + 1)]
 
 
 def is_cohen(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
@@ -173,9 +152,9 @@ def is_generalized_cohen(
 def is_unary(b: BraidWord, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
     """Strand 1 ends at position n and deleting it leaves the trivial braid."""
     n = b.strands
-    if perm_of(b)(1) != n:
+    if b.perm()(1) != n:
         return False
-    return is_trivial(delete_strand(b, 1), budget=budget)
+    return is_trivial(b.face(1), budget=budget)
 
 
 def unary_factor(b: BraidWord, budget: int = DEFAULT_LETTER_BUDGET) -> BraidWord:
@@ -184,7 +163,7 @@ def unary_factor(b: BraidWord, budget: int = DEFAULT_LETTER_BUDGET) -> BraidWord
         raise NotUnaryError("not a unary braid")
     n = b.strands
     staircase = BraidWord(n, tuple((i, 1) for i in range(1, n)))
-    factor = compose(b, invert_braid(staircase))
+    factor = b * staircase.inverse()
     if not is_pure(factor):
         raise AssertionError("unary factor failed the purity check")
     return factor

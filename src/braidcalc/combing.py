@@ -23,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .braids import (
     DEFAULT_LETTER_BUDGET,
     BraidWord,
     BudgetExceededError,
+    Perm,
     band_power_letters,
     braids_equal,
 )
@@ -107,7 +109,11 @@ def conj_rule(g_sym: GenSym, g_sign: int, h_sym: GenSym) -> GroupWord:
 
 @dataclass(frozen=True)
 class PureAWord:
-    """A word over the band alphabet of B_n, representing a pure braid."""
+    """A word over the band alphabet of B_n, representing a pure braid.
+
+    Has the members of braids.BraidWord: strands, identity, product, *,
+    inverse, face, coface, to_braid, perm.
+    """
 
     strands: int
     word: GroupWord
@@ -132,8 +138,19 @@ class PureAWord:
         letters = [(a_sym(i, j, strands), e) for i, j, e in pairs]
         return cls(strands, GroupWord.from_letters(a_alphabet(strands), letters))
 
+    @classmethod
+    def product(cls, strands: int, factors: Iterable[PureAWord]) -> PureAWord:
+        """The ordered product of the factors, freely reduced in one pass."""
+        return cls(strands, GroupWord.from_letters(
+            a_alphabet(strands), (syl for f in factors for syl in f.word.syllables)
+        ))
+
     def is_identity(self) -> bool:
         return self.word.is_identity()
+
+    def perm(self) -> Perm:
+        """The identity: a band word is pure, so nothing is expanded."""
+        return Perm.identity(self.strands)
 
     def to_braid(self) -> BraidWord:
         letters: list[tuple[int, int]] = []
@@ -160,36 +177,38 @@ class PureAWord:
         ]
         return PureAWord(strands, GroupWord.from_letters(alphabet, letters))
 
+    def face(self, i: int) -> PureAWord:
+        """Delete strand i, letterwise on bands."""
+        n = self.strands
+        if not 1 <= i <= n:
+            raise ValueError(f"strand {i} out of range for {n} strands")
+        image: dict[GenSym, GenSym | None] = {}
+        for sym in {sym for sym, _ in self.word.syllables}:
+            faced = face_on_pure_gen(i, sym.index, n).syllables
+            image[sym] = faced[0][0] if faced else None
+        return PureAWord(n - 1, GroupWord.from_letters(a_alphabet(n - 1), (
+            (image[sym], exp) for sym, exp in self.word.syllables if image[sym] is not None
+        )))
 
-def face_on_aword(w: PureAWord, i: int) -> PureAWord:
-    """Delete strand i, letterwise on bands."""
-    n = w.strands
-    if not 1 <= i <= n:
-        raise ValueError(f"strand {i} out of range for {n} strands")
-    image: dict[GenSym, GenSym | None] = {}
-    for sym in {sym for sym, _ in w.word.syllables}:
-        faced = face_on_pure_gen(i, sym.index, n).syllables
-        image[sym] = faced[0][0] if faced else None
-    return PureAWord(n - 1, GroupWord.from_letters(a_alphabet(n - 1), (
-        (image[sym], exp) for sym, exp in w.word.syllables if image[sym] is not None
-    )))
+    def coface(self, i: int) -> PureAWord:
+        """Insert a trivial strand at position i, letterwise on bands.
+
+        The map is injective on bands, so reduced syllables copy straight across.
+        """
+        n = self.strands
+        if not 1 <= i <= n + 1:
+            raise ValueError(f"insertion position {i} out of range for {n} strands")
+        image = {
+            sym: a_sym(*coface_on_pure_gen(i, sym.index), n + 1)
+            for sym in {sym for sym, _ in self.word.syllables}
+        }
+        return PureAWord(n + 1, GroupWord(a_alphabet(n + 1), tuple(
+            (image[sym], exp) for sym, exp in self.word.syllables
+        )))
 
 
-def coface_on_aword(w: PureAWord, i: int) -> PureAWord:
-    """Insert a trivial strand at position i, letterwise on bands.
-
-    The map is injective on bands, so reduced syllables copy straight across.
-    """
-    n = w.strands
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"insertion position {i} out of range for {n} strands")
-    image = {
-        sym: a_sym(*coface_on_pure_gen(i, sym.index), n + 1)
-        for sym in {sym for sym, _ in w.word.syllables}
-    }
-    return PureAWord(n + 1, GroupWord(a_alphabet(n + 1), tuple(
-        (image[sym], exp) for sym, exp in w.word.syllables
-    )))
+face_on_aword = PureAWord.face
+coface_on_aword = PureAWord.coface
 
 
 def same_band_word(a: PureAWord, b: PureAWord) -> bool:
@@ -288,12 +307,10 @@ def comb(
 def _verify_conj(
     g_sym: GenSym, g_sign: int, h_sym: GenSym, image: GroupWord, n: int, budget: int
 ) -> None:
-    from .braids import compose, invert_braid  # local import keeps startup light
-
     g_letters = band_power_letters(g_sym.index[0], g_sym.index[1], g_sign)
     g = BraidWord(n, g_letters)
     h = BraidWord(n, band_power_letters(h_sym.index[0], h_sym.index[1], 1))
-    target = compose(compose(invert_braid(g), h), g)
+    target = g.inverse() * h * g
     got = PureAWord(n, image).to_braid()
     if not braids_equal(got, target, budget=budget):
         raise AssertionError(f"conj_rule image for {g_sym}^{g_sign} on {h_sym} is wrong")
@@ -321,12 +338,7 @@ def aword_equal(
     component_budget: int | None = DEFAULT_COMPONENT_BUDGET,
 ) -> bool:
     """Complete equality test for pure braids given as A-words."""
-    if a.strands != b.strands:
-        raise ValueError("strand mismatch")
-    return aword_trivial(
-        PureAWord(a.strands, a.word * b.word.inverse()),
-        component_budget=component_budget,
-    )
+    return aword_trivial(a * b.inverse(), component_budget=component_budget)
 
 
 def is_harmonic(w: PureAWord, component_budget: int | None = DEFAULT_COMPONENT_BUDGET) -> bool:
@@ -339,7 +351,7 @@ def is_harmonic(w: PureAWord, component_budget: int | None = DEFAULT_COMPONENT_B
     n = w.strands
     for i in range(3, n + 1):
         upper = PureAWord(n, form.component(i))
-        faced = face_on_aword(upper, 1)
+        faced = upper.face(1)
         lower = PureAWord(n, form.component(i - 1))
         if not same_band_word(faced, lower):
             return False

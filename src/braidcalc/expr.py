@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .braids import BraidWord, band_power_letters, braid_pow, compose, half_twist, invert_braid
+from .braids import BraidWord, band_power_letters, braid_pow, half_twist
 from .combing import PureAWord
 from .words import GroupWord, a_alphabet, a_sym, commutator
 
@@ -219,12 +219,9 @@ def to_braid(expr: Expression, n: int) -> BraidWord:
     if isinstance(expr, Power):
         return braid_pow(to_braid(expr.base, n), expr.exp)
     if isinstance(expr, Concat):
-        out = BraidWord(n, ())
-        for p in expr.parts:
-            out = compose(out, to_braid(p, n))
-        return out
+        return BraidWord.product(n, (to_braid(p, n) for p in expr.parts))
     left, right = to_braid(expr.left, n), to_braid(expr.right, n)
-    return compose(compose(invert_braid(left), invert_braid(right)), compose(left, right))
+    return BraidWord.product(n, (left.inverse(), right.inverse(), left, right))
 
 
 def to_aword(expr: Expression, n: int) -> PureAWord:

@@ -1,15 +1,9 @@
 """Strand deletion (faces) and trivial-strand insertion (cofaces).
 
-Deleting strand i from an n-strand braid word walks the word once,
-tracking the deleted strand's current position p: a crossing involving
-the tracked strand is dropped (and p updated), any other crossing is
-kept with its index shifted down when it sits above the tracked strand.
-
-Inserting a trivial strand at position i maps letterwise:
-
-    s_j -> s_j              (j < i-1)
-    s_{i-1} -> s_i s_{i-1} s_i^{-1}
-    s_j -> s_{j+1}          (j > i-1)
+On crossing words the two maps are BraidWord.face and BraidWord.coface,
+exported here under their public names delete_strand and insert_strand.
+This module adds the permutation face and the rules on single band
+generators, which combing.PureAWord applies letterwise.
 
 Both maps are homomorphisms on words by construction; the simplicial-
 style identities they satisfy are exercised by the test suite through
@@ -30,40 +24,8 @@ __all__ = [
 ]
 
 
-def delete_strand(braid: BraidWord, i: int) -> BraidWord:
-    """Remove the strand starting at position i; result lives in B_{n-1}."""
-    n = braid.strands
-    if not 1 <= i <= n:
-        raise ValueError(f"strand {i} out of range for {n} strands")
-    p = i
-    out = []
-    for j, sign in braid.letters:
-        if j == p:
-            p += 1
-        elif j == p - 1:
-            p -= 1
-        elif j > p:
-            out.append((j - 1, sign))
-        else:
-            out.append((j, sign))
-    return BraidWord(n - 1, tuple(out))
-
-
-def insert_strand(braid: BraidWord, i: int) -> BraidWord:
-    """Insert a trivial strand at position i (1 <= i <= n+1)."""
-    n = braid.strands
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"insertion position {i} out of range for {n} strands")
-    out = []
-    for j, sign in braid.letters:
-        if j < i - 1:
-            out.append((j, sign))
-        elif j == i - 1:
-            # s_{i-1} -> s_i s_{i-1} s_i^{-1}, respecting the letter sign
-            out.extend([(i, 1), (i - 1, sign), (i, -1)])
-        else:
-            out.append((j + 1, sign))
-    return BraidWord(n + 1, tuple(out))
+delete_strand = BraidWord.face
+insert_strand = BraidWord.coface
 
 
 def perm_face(perm: Perm, i: int) -> Perm:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "FiniteGroupModel",
-    "P3_RP2_NOTES",
     "build_p1_rp2",
     "build_p2_rp2",
     "build_p3_s2",
@@ -259,14 +258,3 @@ def derive_rp2_face_assignments() -> list[tuple[str, str]]:
             if ok:
                 survivors.append((k1, k2))
     return survivors
-
-
-# The 3-strand projective-plane group has known normal-form strings for
-# its torsion elements, but no rewriting rules small enough to table.
-# They are recorded for documentation only; nothing computes with them.
-P3_RP2_NOTES: dict[str, str] = {
-    "torsion_normal_form": "(r u w)^k",
-    "status": "fixture only; no multiplication table is modeled",
-    "sphere_4_strand": "the Cohen subgroup of the 4-strand sphere group "
-    "splits as Z/2 x Brunnian part; recorded as a documented claim",
-}

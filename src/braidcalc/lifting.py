@@ -1,14 +1,14 @@
 """Raising Brunnian braids to Cohen braids on more strands.
 
-The constructions here all follow one mechanism: push a word in the
-last-column bands of P_m through strand-insertion index maps and
-multiply the images in a fixed order.  One insertion gives the
-one-strand lift whose every face is the original word; iterating over
-all index combinations gives the multi-strand spread and the full lift;
-the James-Hopf product plays the same game with coface maps on whole
-braids.  On top of these sit the Hopf decomposition of a pure Cohen
-braid into Brunnian layers and the solver for the face system
-d_1(beta) = ... = d_n(beta) = alpha.
+The constructions here all follow one mechanism: push a word through
+coface (trivial-strand insertion) maps and multiply the images in a
+fixed order with one product call.  One insertion of a word in the
+last-column bands of P_m gives the one-strand lift whose every face is
+the original word; iterating over all index combinations gives the
+multi-strand spread and the full lift; the James-Hopf product plays the
+same game on any braid, crossing word or band word.  On top of these
+sit the Hopf decomposition of a pure Cohen braid into Brunnian layers
+and the solver for the face system d_1(beta) = ... = d_n(beta) = alpha.
 
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
@@ -23,39 +23,20 @@ from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
-from .braids import (
-    DEFAULT_LETTER_BUDGET,
-    BraidWord,
-    Perm,
-    compose,
-    half_twist,
-    invert_braid,
-    is_pure,
-    perm_of,
-)
+from .braids import DEFAULT_LETTER_BUDGET, Perm, half_twist, is_pure
 from .cohen import Braidlike, common_face, is_brunnian
-from .combing import PureAWord, coface_on_aword
-from .faces import insert_strand
-from .words import GroupWord, a_sym
+from .combing import PureAWord
+from .words import GroupWord
 
 __all__ = [
-    "apply_skip",
     "cohen_lift",
     "full_lift",
     "hopf_decompose",
     "james_hopf",
     "reassemble",
-    "skip_map",
     "solve_cohen_system",
     "tau_spread",
 ]
-
-
-def skip_map(i: int, n: int) -> tuple[int, ...]:
-    """The injection {1..n} -> {1..n+1} that skips the value i."""
-    if not 1 <= i <= n:
-        raise ValueError(f"skip index {i} out of range for {n}")
-    return tuple(k if k < i else k + 1 for k in range(1, n + 1))
 
 
 def _require_last_column(word: GroupWord, n: int) -> None:
@@ -66,23 +47,8 @@ def _require_last_column(word: GroupWord, n: int) -> None:
             )
 
 
-def apply_skip(word: GroupWord, i: int, n: int) -> GroupWord:
-    """Substitute A_(k,n) by A_(f(k),n+1) for the skip map f omitting i.
-
-    Defined for words in the last-column bands of P_n; the image lives
-    in the last-column bands of P_{n+1}.
-    """
-    _require_last_column(word, n)
-    f = skip_map(i, n)
-    letters = [
-        (a_sym(f[sym.index[0] - 1], n + 1, n + 1), exp)
-        for sym, exp in word.syllables
-    ]
-    return GroupWord.from_letters(f"A{n + 1}", letters)
-
-
 def cohen_lift(w: PureAWord, check: bool = True) -> PureAWord:
-    """One-strand lift w w^(f_1) .. w^(f_n); every face equals w.
+    """One-strand lift d^(n+1)(w) d^1(w) .. d^n(w); every face equals w.
 
     Input must be a Brunnian word in the last-column bands of P_n.
     """
@@ -90,14 +56,11 @@ def cohen_lift(w: PureAWord, check: bool = True) -> PureAWord:
     _require_last_column(w.word, n)
     if check and not is_brunnian(w):
         raise ValueError("cohen_lift requires a Brunnian input")
-    factors = [w.embed(n + 1).word] + [apply_skip(w.word, i, n) for i in range(1, n + 1)]
-    return PureAWord(n + 1, GroupWord.from_letters(
-        f"A{n + 1}", (syl for f in factors for syl in f.syllables)
-    ))
+    return PureAWord.product(n + 1, (w.coface(i) for i in (n + 1, *range(1, n + 1))))
 
 
 def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
-    """Product of iterated skip images of w over index combinations.
+    """Product of iterated coface images of w over index combinations.
 
     Factors run over 1 <= i_1 < ... < i_(k-m) <= k-1 in lexicographic
     order (leftmost most significant); within a factor the leftmost
@@ -111,14 +74,8 @@ def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
     _require_last_column(w.word, m)
     if check and not is_brunnian(w):
         raise ValueError("tau_spread requires a Brunnian input")
-    factors = []
-    for indices in combinations(range(1, k), k - m):
-        factor = w.word
-        for rank, i in enumerate(indices, start=m):
-            factor = apply_skip(factor, i, rank)
-        factors.append(factor)
-    return PureAWord(k, GroupWord.from_letters(
-        f"A{k}", (syl for f in factors for syl in f.syllables)
+    return PureAWord.product(k, (
+        reduce(PureAWord.coface, indices, w) for indices in combinations(range(1, k), k - m)
     ))
 
 
@@ -132,9 +89,8 @@ def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
         raise ValueError("need 2 <= m <= n")
     if check and not is_brunnian(w):
         raise ValueError("full_lift requires a Brunnian input")
-    factors = [tau_spread(m, k, w, check=False).embed(n).word for k in range(m, n + 1)]
-    return PureAWord(n, GroupWord.from_letters(
-        f"A{n}", (syl for f in factors for syl in f.syllables)
+    return PureAWord.product(n, (
+        tau_spread(m, k, w, check=False).embed(n) for k in range(m, n + 1)
     ))
 
 
@@ -154,43 +110,16 @@ def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
     ordered = sorted(
         combinations(range(1, n + 1), n - k), key=lambda t: tuple(reversed(t))
     )
-    if isinstance(b, PureAWord):
-        return PureAWord(n, GroupWord.from_letters(f"A{n}", (
-            syl
-            for indices in ordered
-            for syl in reduce(coface_on_aword, indices, b).word.syllables
-        )))
-    return BraidWord(n, tuple(
-        letter for indices in ordered for letter in reduce(insert_strand, indices, b).letters
-    ))
-
-
-def _identity_like(b: Braidlike, strands: int) -> Braidlike:
-    if isinstance(b, PureAWord):
-        return PureAWord.identity(strands)
-    return BraidWord(strands, ())
-
-
-def _mul(a: Braidlike, b: Braidlike) -> Braidlike:
-    if isinstance(a, PureAWord):
-        return a * b
-    return compose(a, b)
-
-
-def _inv(a: Braidlike) -> Braidlike:
-    if isinstance(a, PureAWord):
-        return a.inverse()
-    return invert_braid(a)
+    return b.product(n, (reduce(type(b).coface, indices, b) for indices in ordered))
 
 
 def reassemble(
     deltas: Sequence[Braidlike], n: int
 ) -> Braidlike:
     """Product of james_hopf(k, n, delta_k) for k = 1 .. len(deltas)."""
-    result = _identity_like(deltas[0], n)
-    for k, d in enumerate(deltas, start=1):
-        result = _mul(result, james_hopf(k, n, d, check=False))
-    return result
+    return deltas[0].product(n, (
+        james_hopf(k, n, d, check=False) for k, d in enumerate(deltas, start=1)
+    ))
 
 
 def hopf_decompose(
@@ -203,17 +132,17 @@ def hopf_decompose(
     after dividing out their James-Hopf images.  Reassembling the
     layers reproduces a, and each layer is Brunnian (asserted).
     """
-    if isinstance(a, BraidWord) and not is_pure(a):
+    if not is_pure(a):
         raise ValueError("hopf_decompose requires a pure braid")
     n = a.strands
     if n <= 1:
         return (a,)
     if n == 2:
-        return (_identity_like(a, 1), a)
+        return (a.identity(1), a)
     shared = common_face(a, budget=budget)
     lower = hopf_decompose(shared, budget=budget)
     partial = reassemble(lower, n)
-    top = _mul(_inv(partial), a)
+    top = partial.inverse() * a
     if not is_brunnian(top, budget=budget):
         raise AssertionError("residual top layer is not Brunnian")
     return (*lower, top)
@@ -232,13 +161,13 @@ def solve_cohen_system(
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
     common_face(a, budget=budget)  # raises NotCohenError on disagreement
-    if isinstance(a, PureAWord) or is_pure(a):
+    pm = a.perm()
+    if pm.is_identity():
         deltas = hopf_decompose(a, budget=budget)
         return reassemble(deltas, n)
-    pm = perm_of(a)
     if pm != Perm.order_reversal(a.strands):
         raise AssertionError(
             "a Cohen braid permutation must be the identity or the reversal"
         )
-    gamma = solve_cohen_system(compose(half_twist(a.strands), a), n, budget=budget)
-    return compose(invert_braid(half_twist(n)), gamma)
+    gamma = solve_cohen_system(half_twist(a.strands) * a, n, budget=budget)
+    return half_twist(n).inverse() * gamma

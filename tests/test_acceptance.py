@@ -1,9 +1,10 @@
 """Acceptance gate: end-to-end identities the library must satisfy.
 
 Each test pins one headline property at zero tolerance (oracle
-equality, never approximate).  Tests run in numeric order; tests 3
-through 11 deposit every Cohen element they certify into REGISTRY so
-the final test can check closure properties over the whole population.
+equality, never approximate).  The Cohen elements that tests 3 through
+12 certify are built once per session by the ``certified`` fixture;
+those tests check what it built, and the final test checks closure
+properties over the whole population, so every test also runs alone.
 
 Known red: test_05 asserts that the combed three-strand commutator
 matches a published reference word letter for letter.  The computed
@@ -27,7 +28,6 @@ from braidcalc.braids import (
     braids_equal,
     compose,
     half_twist,
-    invert_braid,
     is_pure,
     perm_of,
 )
@@ -42,6 +42,7 @@ from braidcalc.cohen import (
     delta_square_word,
     is_brunnian,
     is_cohen,
+    same_braid,
     split_power_word,
 )
 from braidcalc.combing import (
@@ -71,13 +72,6 @@ from braidcalc.lifting import (
 from braidcalc.words import GroupWord, a_sym, commutator
 
 RNG_SEED = 0xACCE
-REGISTRY: list[tuple[str, object]] = []
-
-
-def remember(x) -> None:
-    """Deposit a certified Cohen element for the closure test."""
-    kind = "aword" if isinstance(x, PureAWord) else "braid"
-    REGISTRY.append((kind, x))
 
 
 def random_braid(rng, n, max_len=30):
@@ -112,6 +106,161 @@ def gamma_word(n: int) -> PureAWord:
     return PureAWord(
         n, commutator(split_power_word(n, 2).word, split_power_word(n, 3).word)
     )
+
+
+def _build_lifts():
+    """(l, m, alpha, one-strand lift, full lift to five strands)."""
+    out = []
+    for l, m in [(1, 1), (2, 3)]:
+        alpha = band_commutator(l, m)
+        out.append((l, m, alpha, cohen_lift(alpha), full_lift(3, 5, alpha)))
+    return out
+
+
+def _build_generator_lifts():
+    """Twenty sampled Brunnian generators (conjugators of length at most
+    two) on four and five strands, each with its one-strand lift."""
+    rng = random.Random(RNG_SEED + 8)
+    out = []
+    for n in (4, 5):
+        alphabet_syms = [a_sym(i, n, n) for i in range(1, n)]
+        for _ in range(10):
+            order = list(range(1, n))
+            rng.shuffle(order)
+            conjugators = []
+            for _ in range(n - 1):
+                u = GroupWord.identity(f"A{n}")
+                for _ in range(rng.randint(0, 2)):
+                    u = u * GroupWord.single(rng.choice(alphabet_syms), rng.choice((1, -1)))
+                conjugators.append(u)
+            w = brunnian_generator(n, perm=order, conjugators=conjugators)
+            out.append((w, cohen_lift(w)))
+    return out
+
+
+def _build_hopf_images():
+    """(k, n, w, james_hopf(k, n, w)) over Brunnian samples on k strands."""
+    samples = {
+        2: [PureAWord.from_pairs(2, [(1, 2, 1)]),
+            PureAWord.from_pairs(2, [(1, 2, -2)])],
+        3: [band_commutator(1, 1), band_commutator(2, -1)],
+        4: [brunnian_generator(4), brunnian_generator(4, perm=(2, 1, 3))],
+    }
+    return [
+        (k, n, w, james_hopf(k, n, w))
+        for k, ws in samples.items()
+        for n in range(k + 1, 6)
+        for w in ws
+    ]
+
+
+def _build_planted():
+    """Fifty (layers, reassembled braid) pairs on four strands."""
+    rng = random.Random(RNG_SEED + 10)
+    last_col = [a_sym(i, 4, 4) for i in (1, 2, 3)]
+    out = []
+    for _ in range(50):
+        d1 = PureAWord.identity(1)
+        d2 = PureAWord.from_pairs(2, [(1, 2, rng.randint(-2, 2))])
+        l = rng.choice((1, -1, 2))
+        m = rng.choice((1, -1, 2))
+        d3 = band_commutator(l, m)
+        conjugators = []
+        for _ in range(3):
+            u = GroupWord.identity("A4")
+            if rng.random() < 0.5:
+                u = GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
+            conjugators.append(u)
+        d4 = brunnian_generator(4, conjugators=conjugators)
+        planted = (d1, d2, d3, d4)
+        out.append((planted, reassemble(planted, 4)))
+    return out
+
+
+def _build_solved_pure():
+    """Eighteen (pure Cohen 3-braid, solver answer on four strands)."""
+    rng = random.Random(RNG_SEED + 11)
+    out = []
+    for _ in range(18):
+        alpha = delta_square_word(3, rng.randint(1, 2))
+        alpha = alpha * band_commutator(rng.choice((1, 2)), rng.choice((1, -1)))
+        if rng.random() < 0.5:
+            alpha = alpha * band_commutator(1, 1).inverse()
+        out.append((alpha, solve_cohen_system(alpha, 4)))
+    return out
+
+
+def _build_solved_nonpure():
+    """Seven (non-pure Cohen 3-braid, solver answer on four strands).
+
+    Non-pure inputs stay short: oracle verification of the faces costs
+    exponentially in word length, and these sizes already exercise the
+    half-twist reduction for positive, negative, and higher odd powers.
+    """
+    tails = [
+        BraidWord(3, ()),
+        delta_square_word(3, 1).to_braid(),
+        band_commutator(1, 1).to_braid(),
+    ]
+    nonpure = [compose(braid_pow(half_twist(3), odd), tails[0]) for odd in (1, -1, 3)]
+    nonpure += [compose(braid_pow(half_twist(3), odd), tails[1]) for odd in (1, -1)]
+    nonpure += [compose(braid_pow(half_twist(3), odd), tails[2]) for odd in (1, -1)]
+    return [(alpha, solve_cohen_system(alpha, 4)) for alpha in nonpure]
+
+
+def _build_p3_words():
+    """Ten (k, full twist to the k times a commutator) on three strands."""
+    rng = random.Random(RNG_SEED + 12)
+    last_col = [a_sym(1, 3, 3), a_sym(2, 3, 3)]
+    out = []
+    for _ in range(10):
+        u = GroupWord.identity("A3")
+        v = GroupWord.identity("A3")
+        for _ in range(rng.randint(1, 3)):
+            u = u * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
+            v = v * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
+        gamma = commutator(u, v)
+        k = rng.randint(0, 2)
+        out.append((k, delta_square_word(3, k) * PureAWord(3, gamma)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def certified():
+    """What tests 3 through 12 build, built once per session.
+
+    "population" lists every Cohen element among them, in test order;
+    test_14 checks closure properties over it.
+    """
+    built = {
+        "twists": [(n, k, delta_square_word(n, k)) for n in (3, 4, 5) for k in (1, 2)],
+        "splits": [split_power_word(4, k) for k in (1, 2, 3)],
+        "gammas": (gamma_word(3), gamma_word(4)),
+        "lifts": _build_lifts(),
+        "generator_lifts": _build_generator_lifts(),
+        "hopf_images": _build_hopf_images(),
+        "planted": _build_planted(),
+        "solved_pure": _build_solved_pure(),
+        "solved_nonpure": _build_solved_nonpure(),
+        "p3_words": _build_p3_words(),
+    }
+    built["population"] = [
+        *(word for _, _, word in built["twists"]),
+        *built["splits"],
+        *built["gammas"],
+        *(x for _, _, _, tilde, beta in built["lifts"] for x in (tilde, beta)),
+        *(lifted for _, lifted in built["generator_lifts"]),
+        *(image for _, _, _, image in built["hopf_images"]),
+        *(a for trial, (_, a) in enumerate(built["planted"]) if trial % 7 == 0),
+        *(
+            x
+            for trial, pair in enumerate(built["solved_pure"])
+            for x in (pair if trial < 5 else pair[:1])
+        ),
+        *(alpha for alpha, _ in built["solved_nonpure"]),
+        *(b for _, b in built["p3_words"]),
+    ]
+    return built
 
 
 def test_01_bidelta_identity_suite():
@@ -209,18 +358,13 @@ def test_02_oracle_soundness_and_twisted_rule():
         assert lhs.letters == rhs.letters or braids_equal(lhs, rhs)
 
 
-def test_03_full_twist_product_formula():
+def test_03_full_twist_product_formula(certified):
     """Even powers of the half twist expand into the ordered band
     product, and the split power words are Cohen."""
-    for n in (3, 4, 5):
-        for k in (1, 2):
-            word = delta_square_word(n, k)
-            assert braids_equal(braid_pow(half_twist(n), 2 * k), word.to_braid())
-            remember(word)
-    for k in (1, 2, 3):
-        word = split_power_word(4, k)
+    for n, k, word in certified["twists"]:
+        assert braids_equal(braid_pow(half_twist(n), 2 * k), word.to_braid())
+    for word in certified["splits"]:
         assert is_cohen(word)
-        remember(word)
 
 
 def test_04_half_twist_conjugate_faces():
@@ -270,27 +414,22 @@ def test_05_three_strand_commutator_normal_form():
     assert aword_equal(computed, reference)
 
 
-def test_06_four_strand_certificate():
+def test_06_four_strand_certificate(certified):
     """All four faces of [c2, c3] on four strands are the three-strand
     value, which is nontrivial: a Cohen braid that is not Brunnian."""
-    gamma3 = gamma_word(3)
-    gamma4 = gamma_word(4)
+    gamma3, gamma4 = certified["gammas"]
     for i in range(1, 5):
         assert aword_equal(face_on_aword(gamma4, i), gamma3)
     assert not aword_trivial(gamma3)
     assert is_cohen(gamma4)
     assert not is_brunnian(gamma4)
-    remember(gamma3)
-    remember(gamma4)
 
 
-def test_07_lifting_identities():
+def test_07_lifting_identities(certified):
     """One-strand lifts match their printed commutator products letter
     for letter, every face of the four-strand lift is the input, and
     every face of the five-strand lift is the four-strand lift."""
-    for l, m in [(1, 1), (2, 3)]:
-        alpha = band_commutator(l, m)
-        tilde = cohen_lift(alpha)
+    for l, m, alpha, tilde, beta in certified["lifts"]:
         expected4 = comm_band(
             [((1, 3), (2, 3)), ((2, 4), (3, 4)), ((1, 4), (3, 4)), ((1, 4), (2, 4))],
             l, m, 4,
@@ -299,7 +438,6 @@ def test_07_lifting_identities():
         for i in range(1, 5):
             assert aword_equal(face_on_aword(tilde, i), alpha)
 
-        beta = full_lift(3, 5, alpha)
         tail = comm_band(
             [((3, 5), (4, 5)), ((2, 5), (4, 5)), ((2, 5), (3, 5)),
              ((1, 5), (4, 5)), ((1, 5), (3, 5)), ((1, 5), (2, 5))],
@@ -308,124 +446,57 @@ def test_07_lifting_identities():
         assert beta.word == tilde.embed(5).word * tail
         for i in range(1, 6):
             assert aword_equal(face_on_aword(beta, i), tilde)
-        remember(tilde)
-        remember(beta)
 
 
-def test_08_lifting_lemma_samples():
+def test_08_lifting_lemma_samples(certified):
     """Lifting twenty sampled Brunnian generators (conjugators of
     length at most two) gives words whose every face is the input."""
-    rng = random.Random(RNG_SEED + 8)
-    for n in (4, 5):
-        alphabet_syms = [a_sym(i, n, n) for i in range(1, n)]
-        for _ in range(10):
-            order = list(range(1, n))
-            rng.shuffle(order)
-            conjugators = []
-            for _ in range(n - 1):
-                u = GroupWord.identity(f"A{n}")
-                for _ in range(rng.randint(0, 2)):
-                    u = u * GroupWord.single(rng.choice(alphabet_syms), rng.choice((1, -1)))
-                conjugators.append(u)
-            w = brunnian_generator(n, perm=order, conjugators=conjugators)
-            lifted = cohen_lift(w)
-            assert lifted.strands == n + 1
-            for i in range(1, n + 2):
-                assert aword_equal(face_on_aword(lifted, i), w)
-            remember(lifted)
+    for w, lifted in certified["generator_lifts"]:
+        n = w.strands
+        assert lifted.strands == n + 1
+        for i in range(1, n + 2):
+            assert aword_equal(face_on_aword(lifted, i), w)
 
 
-def test_09_james_hopf_example_and_face_law():
+def test_09_james_hopf_example_and_face_law(certified):
     """H_{2,4} of the two-strand band is the fixed six-band product,
     and faces step the operation down one rank on Brunnian input."""
     image = james_hopf(2, 4, PureAWord.from_pairs(2, [(1, 2, 1)]))
     assert str(image.word) == "A3,4 A2,4 A1,4 A2,3 A1,3 A1,2"
 
-    samples = {
-        2: [PureAWord.from_pairs(2, [(1, 2, 1)]),
-            PureAWord.from_pairs(2, [(1, 2, -2)])],
-        3: [band_commutator(1, 1), band_commutator(2, -1)],
-        4: [brunnian_generator(4), brunnian_generator(4, perm=(2, 1, 3))],
-    }
-    for k, ws in samples.items():
-        for n in range(k + 1, 6):
-            for w in ws:
-                image = james_hopf(k, n, w)
-                lower = james_hopf(k, n - 1, w)
-                for i in range(1, n + 1):
-                    assert aword_equal(face_on_aword(image, i), lower)
-                remember(image)
+    for k, n, w, image in certified["hopf_images"]:
+        lower = james_hopf(k, n - 1, w)
+        for i in range(1, n + 1):
+            assert aword_equal(face_on_aword(image, i), lower)
 
 
-def test_10_hopf_decomposition_round_trip():
+def test_10_hopf_decomposition_round_trip(certified):
     """Fifty braids planted as products of layered operation images
     decompose back into the planted layers and reassemble exactly."""
-    rng = random.Random(RNG_SEED + 10)
-    last_col = [a_sym(i, 4, 4) for i in (1, 2, 3)]
-    for trial in range(50):
-        d1 = PureAWord.identity(1)
-        d2 = PureAWord.from_pairs(2, [(1, 2, rng.randint(-2, 2))])
-        l = rng.choice((1, -1, 2))
-        m = rng.choice((1, -1, 2))
-        d3 = band_commutator(l, m)
-        conjugators = []
-        for _ in range(3):
-            u = GroupWord.identity("A4")
-            if rng.random() < 0.5:
-                u = GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
-            conjugators.append(u)
-        d4 = brunnian_generator(4, conjugators=conjugators)
-        planted = (d1, d2, d3, d4)
-
-        a = reassemble(planted, 4)
+    for planted, a in certified["planted"]:
         got = hopf_decompose(a)
         assert len(got) == 4
         assert got[0].is_identity()
         for want, have in zip(planted[1:], got[1:]):
             assert aword_equal(want, have)
         assert aword_equal(reassemble(got, 4), a)
-        if trial % 7 == 0:
-            remember(a)
 
 
-def test_11_cohen_system_solver():
+def test_11_cohen_system_solver(certified):
     """The solver produces a braid one strand up whose every face is
     the given Cohen braid, for pure and non-pure inputs alike, and
     refuses non-Cohen input with a witness face pair."""
-    rng = random.Random(RNG_SEED + 11)
-
-    for trial in range(18):
-        alpha = delta_square_word(3, rng.randint(1, 2))
-        alpha = alpha * band_commutator(rng.choice((1, 2)), rng.choice((1, -1)))
-        if rng.random() < 0.5:
-            alpha = alpha * band_commutator(1, 1).inverse()
+    for alpha, beta in certified["solved_pure"]:
         assert is_cohen(alpha)
-        beta = solve_cohen_system(alpha, 4)
         for i in range(1, 5):
             assert aword_equal(face_on_aword(beta, i), alpha)
-        remember(alpha)
-        if trial < 5:
-            remember(beta)
 
-    # non-pure inputs stay short: oracle verification of the faces costs
-    # exponentially in word length, and these sizes already exercise the
-    # half-twist reduction for positive, negative, and higher odd powers
-    tails = [
-        BraidWord(3, ()),
-        delta_square_word(3, 1).to_braid(),
-        band_commutator(1, 1).to_braid(),
-    ]
-    nonpure = [compose(braid_pow(half_twist(3), odd), tails[0]) for odd in (1, -1, 3)]
-    nonpure += [compose(braid_pow(half_twist(3), odd), tails[1]) for odd in (1, -1)]
-    nonpure += [compose(braid_pow(half_twist(3), odd), tails[2]) for odd in (1, -1)]
-    assert len(nonpure) == 7
-    for alpha in nonpure:
+    assert len(certified["solved_nonpure"]) == 7
+    for alpha, beta in certified["solved_nonpure"]:
         assert not is_pure(alpha)
         assert is_cohen(alpha)
-        beta = solve_cohen_system(alpha, 4)
         for i in range(1, 5):
             assert braids_equal(delete_strand(beta, i), alpha)
-        remember(alpha)
 
     sour = PureAWord.from_pairs(3, [(1, 3, 1)])
     with pytest.raises(NotCohenError) as exc:
@@ -436,28 +507,17 @@ def test_11_cohen_system_solver():
     assert not aword_equal(face_i, face_j)
 
 
-def test_12_three_strand_cohen_structure():
+def test_12_three_strand_cohen_structure(certified):
     """Every central twist power times a commutator-subgroup element is
     accepted and reconstructed; pure band powers with mismatched
     exponents are refused with the leftover exponents as witnesses."""
-    rng = random.Random(RNG_SEED + 12)
-    last_col = [a_sym(1, 3, 3), a_sym(2, 3, 3)]
-    for _ in range(10):
-        u = GroupWord.identity("A3")
-        v = GroupWord.identity("A3")
-        for _ in range(rng.randint(1, 3)):
-            u = u * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
-            v = v * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
-        gamma = commutator(u, v)
-        k = rng.randint(0, 2)
-        b = delta_square_word(3, k) * PureAWord(3, gamma)
+    for k, b in certified["p3_words"]:
         form = cohen_p3_decompose(b)
         assert isinstance(form, P3CohenForm)
         assert form.k == k
         assert not form.gamma.abelianize()
         rebuilt = delta_square_word(3, form.k) * PureAWord(3, form.gamma)
         assert aword_equal(b, rebuilt)
-        remember(b)
 
     for k in range(-2, 3):
         for l in range(-2, 3):
@@ -492,39 +552,31 @@ def test_13_projective_plane_model():
     assert h_element_check(m, "r", "u")
 
 
-def test_14_cohen_subgroup_properties():
-    """Over every Cohen element deposited by the earlier tests:
+def test_14_cohen_subgroup_properties(certified):
+    """Over every Cohen element certified by the earlier tests:
     inverses stay Cohen, sampled products stay Cohen with the common
     face multiplying along, and permutations are the identity or the
     order reversal."""
-    assert len(REGISTRY) >= 60
+    population = certified["population"]
+    assert len(population) >= 60
 
-    for kind, x in REGISTRY:
-        inv = x.inverse() if kind == "aword" else invert_braid(x)
-        assert is_cohen(inv)
+    for x in population:
+        assert is_cohen(x.inverse())
 
-    for kind, x in REGISTRY:
-        braid = x if kind == "braid" else x.to_braid()
+    for x in population:
+        braid = x.to_braid()
         pm = perm_of(braid)
         assert pm == Perm.identity(braid.strands) or pm == Perm.order_reversal(
             braid.strands
         )
 
     rng = random.Random(RNG_SEED + 14)
-    groups: dict[tuple[str, int], list] = {}
-    for kind, x in REGISTRY:
-        groups.setdefault((kind, x.strands), []).append(x)
+    groups: dict[tuple[type, int], list] = {}
+    for x in population:
+        groups.setdefault((type(x), x.strands), []).append(x)
     keys = [k for k, xs in groups.items() if len(xs) >= 2]
     for _ in range(30):
-        kind, n = rng.choice(keys)
-        a, b = rng.sample(groups[(kind, n)], 2)
-        if kind == "aword":
-            prod = a * b
-            assert is_cohen(prod)
-            assert aword_equal(common_face(prod), common_face(a) * common_face(b))
-        else:
-            prod = compose(a, b)
-            assert is_cohen(prod)
-            assert braids_equal(
-                common_face(prod), compose(common_face(a), common_face(b))
-            )
+        a, b = rng.sample(groups[rng.choice(keys)], 2)
+        prod = a * b
+        assert is_cohen(prod)
+        assert same_braid(common_face(prod), common_face(a) * common_face(b))

@@ -154,6 +154,7 @@ class TestEquality:
 
 
 class TestFacesOnAWords:
+    @settings(deadline=None)
     @given(band_pairs, st.integers(1, 4))
     def test_face_matches_braid_level_deletion(self, pairs, i):
         from braidcalc.faces import delete_strand
@@ -163,6 +164,7 @@ class TestFacesOnAWords:
             face_on_aword(w, i).to_braid(), delete_strand(w.to_braid(), i)
         )
 
+    @settings(deadline=None)
     @given(band_pairs, st.integers(1, 5))
     def test_coface_matches_braid_level_insertion(self, pairs, i):
         from braidcalc.faces import insert_strand

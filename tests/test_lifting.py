@@ -1,4 +1,4 @@
-"""Skip maps, spreads, James-Hopf products, decomposition, and the solver."""
+"""Coface images, spreads, James-Hopf products, decomposition, and the solver."""
 
 import pytest
 
@@ -14,13 +14,11 @@ from braidcalc.cohen import (
 )
 from braidcalc.combing import PureAWord, aword_equal, face_on_aword
 from braidcalc.lifting import (
-    apply_skip,
     cohen_lift,
     full_lift,
     hopf_decompose,
     james_hopf,
     reassemble,
-    skip_map,
     solve_cohen_system,
     tau_spread,
 )
@@ -32,22 +30,14 @@ def aw(n, *pairs):
 
 
 class TestSkips:
-    def test_skip_map_values(self):
-        assert skip_map(1, 3) == (2, 3, 4)
-        assert skip_map(2, 3) == (1, 3, 4)
-        assert skip_map(3, 3) == (1, 2, 4)
-        with pytest.raises(ValueError):
-            skip_map(4, 3)
-
     def test_apply_skip_relabels_last_column(self):
         w = aw(3, (1, 3, 1), (2, 3, -1))
-        out = apply_skip(w.word, 2, 3)
+        out = w.coface(2).word
         assert str(out) == "A1,4 A3,4^-1"
 
     def test_apply_skip_rejects_early_columns(self):
-        w = aw(3, (1, 2, 1))
         with pytest.raises(ValueError):
-            apply_skip(w.word, 1, 3)
+            tau_spread(3, 4, aw(3, (1, 2, 1)), check=False)
 
 
 class TestCohenLift:
