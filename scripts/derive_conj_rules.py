@@ -6,11 +6,11 @@ result lies back in the free column group U_j, and up to the order
 pattern of (r, s, i) it is a conjugate of a single column generator by
 a short word in A_{r,j} and A_{s,j}.  This script searches that space
 of candidates (conjugators up to two syllables, exponents up to 2),
-keeps the candidates the braid equality oracle accepts, and prints the
+keeps the candidates that braids_equal accepts, and prints the
 shortest survivor for every (pattern, sign) case.  Each derived entry
 is then compared against the table frozen in braidcalc.combing, over
 several concrete instantiations of the roles, so a regression in
-either the table or the oracle is caught loudly.
+either the table or the equality test is caught loudly.
 
 The search is the honest expensive path; the frozen table is what the
 library ships.  Run time is a few seconds.
@@ -21,14 +21,8 @@ Usage: python3 scripts/derive_conj_rules.py [-v]
 import argparse
 import sys
 
-from braidcalc.braids import (
-    BraidWord,
-    BudgetExceededError,
-    braids_equal,
-    compose,
-    invert_braid,
-)
-from braidcalc.combing import _CONJ_TEMPLATES, _pattern, conj_rule
+from braidcalc.braids import BraidWord, braids_equal, compose, invert_braid
+from braidcalc.combing import _CONJ_TEMPLATES, conj_rule
 from braidcalc.words import GroupWord, a_sym
 
 # concrete role instantiations per order pattern: (r, s, i, j, ambient n)
@@ -38,10 +32,6 @@ INSTANCES = {
     "s=i": [(1, 3, 3, 5, 5), (2, 4, 4, 5, 5), (1, 2, 2, 4, 5)],
     "linked": [(1, 3, 2, 5, 5), (2, 4, 3, 5, 5), (1, 4, 2, 5, 5)],
 }
-
-# the genuine templates have tiny Artin images; a candidate that blows
-# this budget cannot be one of them, so rejection on blowup is sound
-SEARCH_BUDGET = 20000
 
 
 def band(i, j, n):
@@ -89,24 +79,13 @@ def candidates():
 
 
 def derive(pattern, sign, verbose=False):
-    """First (hence shortest) template the oracle accepts everywhere.
-
-    Wild candidates can push the Artin images past the letter budget;
-    the genuine templates stay tiny, so a budget blowup just means
-    "not this one".
-    """
+    """First (hence shortest) template braids_equal accepts everywhere."""
     for cand in candidates():
         ok = True
         for r, s, i, j, n in INSTANCES[pattern]:
             conj = band(r, s, n) if sign > 0 else invert_braid(band(r, s, n))
             target = compose(compose(invert_braid(conj), band(i, j, n)), conj)
-            try:
-                equal = braids_equal(
-                    realize(cand, r, s, i, j, n), target, budget=SEARCH_BUDGET
-                )
-            except BudgetExceededError:
-                equal = False
-            if not equal:
+            if not braids_equal(realize(cand, r, s, i, j, n), target):
                 ok = False
                 break
         if ok:

@@ -1,20 +1,18 @@
-"""Braid words, the Artin action on a free group, and the equality oracle.
+"""Braid words, strand permutations, and equality by Garside normal form.
 
 A braid on n strands is stored as a plain word in the Artin generators
-sigma_1 .. sigma_{n-1}.  No normal form is maintained on braid words;
-every equality question is answered by computing the induced
-automorphism of the free group F_n, which is a faithful, total
-invariant: two braid words are equal in B_n iff their automorphisms
-agree on every generator.
+sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; equality is
+decided by computing the left-greedy normal form Delta^k P_1 .. P_r of
+both sides (Garside 1969; ElRifai-Morton 1994; Epstein et al., Word
+Processing in Groups, ch. 9).  Here Delta is the half twist and the P_t
+are permutation braids, each pair left-weighted; the form is unique, so
+two words are equal in B_n exactly when their forms agree.  Computing it
+takes O(|w|^2 n) work, so no budget guards it.
 
 Conventions, pinned once and relied on everywhere:
 
- * the leftmost letter of a word acts first (time flows left to right);
- * sigma_i sends x_i -> x_i x_{i+1} x_i^{-1} and x_{i+1} -> x_i, fixing
-   the other generators; a word acts by applying its first letter's
-   substitution first, so x^(ab) = (x^a)^b (a right action).  This
-   composition order makes sigma_1^2 send x_2 to x_1 x_2 x_1^{-1}, which
-   is the orientation used by the band generators below;
+ * the leftmost letter of a word acts first (time flows left to right),
+   and a product a*b is a followed by b;
  * Perm.images[i-1] is the endpoint of the strand that starts at
    position i, and permutations compose diagrammatically:
    (p.then(q))(i) = q(p(i)).
@@ -24,9 +22,8 @@ s_{j-1}^{-1} (strand j swung over strands j-1..i+1, twisted around
 strand i and brought back) generates the pure braid group together with
 its fellows; the half twist Delta_n has Delta_n^2 central.
 
-Intermediate free-group images can grow; computations guard against
-runaway growth with a letter budget (default 10^6 letters summed over
-the images) and raise BudgetExceededError rather than thrash.
+BudgetExceededError is the refusal raised when a computation that is
+genuinely exponential, such as combing, outgrows its size cap.
 """
 
 from __future__ import annotations
@@ -34,30 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .words import GroupWord, _extend, _freeze, _pow, x_alphabet, x_sym
-
 __all__ = [
-    "DEFAULT_LETTER_BUDGET",
     "BudgetExceededError",
     "BraidWord",
-    "FreeEndo",
     "Perm",
     "a_gen",
-    "artin_endo",
     "braid_pow",
     "braids_equal",
     "compose",
     "half_twist",
     "invert_braid",
     "is_pure",
+    "left_normal_form",
     "perm_of",
 ]
 
-DEFAULT_LETTER_BUDGET = 10**6
-
 
 class BudgetExceededError(RuntimeError):
-    """An intermediate free word outgrew the configured letter budget."""
+    """An intermediate word outgrew the configured size budget."""
 
 
 @dataclass(frozen=True)
@@ -250,154 +241,121 @@ def is_pure(braid: BraidWord) -> bool:
     return braid.perm().is_identity()
 
 
-@dataclass(frozen=True)
-class FreeEndo:
-    """An endomorphism of F_rank recorded by its generator images."""
-
-    rank: int
-    images: tuple[GroupWord, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise ValueError("image count must equal the rank")
-        alphabet = x_alphabet(self.rank)
-        for img in self.images:
-            if img.alphabet != alphabet:
-                raise ValueError(f"image alphabet {img.alphabet} != {alphabet}")
-
-    @classmethod
-    def identity(cls, rank: int) -> FreeEndo:
-        return cls(
-            rank,
-            tuple(GroupWord.single(x_sym(i, rank)) for i in range(1, rank + 1)),
-        )
-
-    def is_identity(self) -> bool:
-        for i, img in enumerate(self.images, start=1):
-            if img.syllables != ((x_sym(i, self.rank), 1),):
-                return False
-        return True
-
-    def letter_size(self) -> int:
-        return sum(img.letter_count() for img in self.images)
-
-    def then(self, other: FreeEndo, budget: int | None = DEFAULT_LETTER_BUDGET) -> FreeEndo:
-        """Composite sending x to other(self(x)); diagrammatic order."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in endomorphism composition")
-        alphabet = x_alphabet(self.rank)
-        target = other.images
-        new_images = []
-        total = 0
-        for img in self.images:
-            stack: list[list] = []
-            for sym, exp in img.syllables:
-                image = target[sym.index[0] - 1].syllables
-                if exp == 1:
-                    _extend(stack, image)
-                else:
-                    _extend(stack, _pow(list(image), exp))
-            word = GroupWord(alphabet, _freeze(stack))
-            total += word.letter_count()
-            if budget is not None and total > budget:
-                raise BudgetExceededError(
-                    f"free-group images exceeded the {budget}-letter budget"
-                )
-            new_images.append(word)
-        return FreeEndo(self.rank, tuple(new_images))
-
-    # The two structural facts the Artin image always satisfies; used by
-    # tests and by --verify mode, not rechecked on every construction.
-
-    def preserves_boundary(self) -> bool:
-        """The product x_1 x_2 .. x_n must be fixed."""
-        alphabet = x_alphabet(self.rank)
-        boundary = GroupWord.from_letters(
-            alphabet, [(x_sym(i, self.rank), 1) for i in range(1, self.rank + 1)]
-        )
-        image = GroupWord.identity(alphabet)
-        for img in self.images:
-            image = image * img
-        return image == boundary
-
-    def is_permutation_conjugating(self) -> bool:
-        """Each image must reduce to w x_j w^{-1} with exponent +1 core."""
-        seen = set()
-        for img in self.images:
-            syl = img.syllables
-            if len(syl) % 2 == 0:
-                return False
-            mid = len(syl) // 2
-            sym, exp = syl[mid]
-            if exp != 1:
-                return False
-            for k in range(mid):
-                left, lexp = syl[k]
-                right, rexp = syl[len(syl) - 1 - k]
-                if left != right or lexp != -rexp:
-                    return False
-            seen.add(sym)
-        return len(seen) == self.rank
+# Permutation braids (the positive braids in which any two strands cross
+# at most once) are stored as arrangements: arr[p] is the strand, named
+# 0..n-1 by its starting position, that sits at position p at the end.
+# Appending sigma_i swaps arr[i-1] and arr[i].  The finishing set F(A)
+# holds the i with arr_A[i-1] > arr_A[i], the starting set S(B) the i
+# with inv_B[i-1] > inv_B[i], where inv_B[s] is the end position of s.
 
 
-def _letter_rule(n: int, i: int, sign: int) -> FreeEndo:
-    alphabet = x_alphabet(n)
-    images = []
-    for k in range(1, n + 1):
-        xk = x_sym(k, n)
-        if k == i:
-            if sign == 1:
-                xi, xj = x_sym(i, n), x_sym(i + 1, n)
-                images.append(GroupWord(alphabet, ((xi, 1), (xj, 1), (xi, -1))))
-            else:
-                images.append(GroupWord.single(x_sym(i + 1, n)))
-        elif k == i + 1:
-            if sign == 1:
-                images.append(GroupWord.single(x_sym(i, n)))
-            else:
-                xi, xj = x_sym(i, n), x_sym(i + 1, n)
-                images.append(GroupWord(alphabet, ((xj, -1), (xi, 1), (xj, 1))))
-        else:
-            images.append(GroupWord.single(xk))
-    return FreeEndo(n, tuple(images))
+def _left_weight(a: list[int], b: list[int]) -> bool:
+    """Move sigma_i from b to a while i is in S(b) but not in F(a).
 
-
-_LETTER_RULES: dict[tuple[int, int, int], FreeEndo] = {}
-
-
-def artin_endo(braid: BraidWord, budget: int | None = DEFAULT_LETTER_BUDGET) -> FreeEndo:
-    """The induced endomorphism of F_n; divide and conquer over the word.
-
-    Composing balanced halves keeps intermediate images close to their
-    reduced size, which is far cheaper than a letter-by-letter fold on
-    long structured words.
+    Both arrangements are rewritten in place so that a*b is unchanged
+    and S(b) lies in F(a); returns whether anything moved.
     """
-    n = braid.strands
-    letters = braid.letters
-    if not letters:
-        return FreeEndo.identity(n)
+    n = len(b)
+    inv = [0] * n
+    for p, s in enumerate(b):
+        inv[s] = p
+    moved = False
+    i = 1
+    while i < n:
+        if inv[i - 1] > inv[i] and a[i - 1] < a[i]:
+            a[i - 1], a[i] = a[i], a[i - 1]
+            # b becomes sigma_i^{-1} b: strands i-1 and i trade end positions
+            p, q = inv[i - 1], inv[i]
+            b[p], b[q] = i, i - 1
+            inv[i - 1], inv[i] = q, p
+            moved = True
+            # only the conditions at i-1 and i+1 can have changed
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    return moved
 
-    def rule(pos: int) -> FreeEndo:
-        key = (n, *letters[pos])
-        endo = _LETTER_RULES.get(key)
-        if endo is None:
-            endo = _letter_rule(n, *letters[pos])
-            _LETTER_RULES[key] = endo
-        return endo
 
-    def rec(lo: int, hi: int) -> FreeEndo:
-        if hi - lo == 1:
-            return rule(lo)
-        mid = (lo + hi) // 2
-        return rec(lo, mid).then(rec(mid, hi), budget=budget)
-
-    return rec(0, len(letters))
+def _tau(arr: list[int]) -> list[int]:
+    """Conjugation by Delta: sigma_j -> sigma_{n-j}."""
+    n = len(arr)
+    return [n - 1 - s for s in reversed(arr)]
 
 
-def braids_equal(
-    a: BraidWord, b: BraidWord, budget: int | None = DEFAULT_LETTER_BUDGET
-) -> bool:
-    """Faithful equality test in B_n via the Artin action."""
+def left_normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The left-greedy normal form Delta^k P_1 .. P_r of a braid word.
+
+    Returns (k, factors) with each P_t a permutation braid given by its
+    arrangement tuple, none of them Delta or the identity, and every
+    pair (P_t, P_{t+1}) left-weighted.  Two braid words are equal in B_n
+    exactly when their normal forms are equal.
+
+    The word is read letter by letter.  sigma_i is the factor sigma_i
+    and sigma_i^{-1} is Delta^{-1} (Delta sigma_i^{-1}); the Delta^{-1}
+    moves to the front across every factor, applying tau to each, which
+    is kept as one flag over the whole list instead.  After each factor
+    is appended, one backward pass of left-weighting restores the form,
+    stopping at the first pair that does not change.  Two shortcuts
+    give the same result with less work: a letter that the last factor
+    absorbs, or a sigma_i^{-1} that removes its last crossing, adds no
+    factor; and a factor that the pass turns into Delta goes straight
+    to the front.  Work is O(|b|^2 n) in the worst case.
+    """
+    n = b.strands
+    identity = list(range(n))
+    delta = identity[::-1]
+    k = 0
+    twisted = False  # the stored factors are tau of the true ones
+    factors: list[list[int]] = []
+    for i, sign in b.letters:
+        j = n - i if twisted else i
+        last = factors[-1] if factors else None
+        if sign > 0:
+            if last is not None and last[j - 1] < last[j]:
+                # sigma_j keeps the last factor a permutation braid
+                last[j - 1], last[j] = last[j], last[j - 1]
+                t = len(factors) - 1
+            else:
+                # S(sigma_j) = {j} lies in F(last): nothing to weight
+                f = identity[:]
+                f[j - 1], f[j] = f[j], f[j - 1]
+                factors.append(f)
+                t = 0
+        elif last is not None and last[j - 1] > last[j]:
+            # the last factor ends in sigma_j and loses it; a prefix of a
+            # factor starts with no more than the factor did
+            last[j - 1], last[j] = last[j], last[j - 1]
+            t = 0
+        else:
+            k -= 1
+            twisted = not twisted
+            j = n - j
+            f = delta[:]
+            f[j - 1], f[j] = f[j], f[j - 1]
+            factors.append(f)
+            t = len(factors) - 1
+        while t > 0 and _left_weight(factors[t - 1], factors[t]):
+            t -= 1
+            if factors[t] == delta:
+                # the rest of the pass would carry Delta to the front,
+                # applying tau to every factor it crosses
+                del factors[t]
+                factors[:t] = [_tau(f) for f in factors[:t]]
+                k += 1
+                break
+        while factors and factors[-1] == identity:
+            factors.pop()
+        while factors and factors[0] == delta:
+            factors.pop(0)
+            k += 1
+    if twisted:
+        factors = [_tau(f) for f in factors]
+    return k, tuple(tuple(f) for f in factors)
+
+
+def braids_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Equality in B_n: the left normal forms agree."""
     if a.strands != b.strands:
         raise ValueError(
             f"cannot compare braids on {a.strands} and {b.strands} strands"
@@ -406,4 +364,4 @@ def braids_equal(
         return True
     if perm_of(a) != perm_of(b):
         return False
-    return artin_endo(a, budget) == artin_endo(b, budget)
+    return left_normal_form(a) == left_normal_form(b)

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .braids import DEFAULT_LETTER_BUDGET, BudgetExceededError, Perm, is_pure
+from .braids import BudgetExceededError, Perm, is_pure
 from .cohen import (
     Braidlike,
     NotCohenError,
@@ -91,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(f"expr{k}", metavar="EXPR")
         sp.add_argument("--json", action="store_true", help="machine readable output")
         sp.add_argument("--verify", action="store_true",
-                        help="enable inline oracle assertions where supported")
+                        help="recheck the answer with braid equality where supported")
         sp.add_argument("--budget", type=_positive_int, default=None,
-                        help="resource cap in letters for oracle and combing work")
+                        help="cap in letters on one combed component")
         return sp
 
     add("eq", "are two braid expressions equal", exprs=2)
@@ -205,8 +205,6 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
 
 def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
     cmd = args.command
-    budget = DEFAULT_LETTER_BUDGET if args.budget is None else args.budget
-    comp_budget = DEFAULT_COMPONENT_BUDGET if args.budget is None else args.budget
     inputs = payload["inputs"]
 
     if cmd == "rp2":
@@ -251,7 +249,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             result = tau_spread(lo, hi, w) if cmd == "tau" else full_lift(lo, hi, w)
         payload["result"] = _fmt(result)
         if args.verify:
-            payload["witnesses"]["faces_checked"] = is_cohen(result, budget=budget)
+            payload["witnesses"]["faces_checked"] = is_cohen(result)
         return 0
 
     n = args.strands
@@ -261,9 +259,9 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         inputs["expr"] = [args.expr1, args.expr2]
         a, b = _read(args.expr1, n), _read(args.expr2, n)
         both_bands = isinstance(a, PureAWord) and isinstance(b, PureAWord)
-        equal = same_braid(a, b, budget=budget)
+        equal = same_braid(a, b)
         payload["result"] = equal
-        payload["witnesses"]["method"] = "combing" if both_bands else "artin-action"
+        payload["witnesses"]["method"] = "combing" if both_bands else "garside"
         return 0 if equal else 1
 
     inputs["expr"] = args.expr
@@ -294,7 +292,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
     if cmd == "cohen":
         b = _read(args.expr, n)
         try:
-            shared = common_face(b, budget=budget)
+            shared = common_face(b)
         except NotCohenError as e:
             payload["result"] = False
             i, j = e.witness_indices
@@ -312,7 +310,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         bad = [
             k
             for k, f in enumerate(all_faces(b), start=1)
-            if not is_trivial(f, budget=budget)
+            if not is_trivial(f)
         ]
         payload["result"] = not bad
         if bad:
@@ -322,16 +320,16 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
     if cmd == "gcohen":
         inputs["blocks"] = args.blocks
         partition = _parse_blocks(args.blocks, n)
-        value = is_generalized_cohen(_read(args.expr, n), partition, budget=budget)
+        value = is_generalized_cohen(_read(args.expr, n), partition)
         payload["result"] = value
         return 0 if value else 1
 
     if cmd == "unary":
         b = _read(args.expr, n).to_braid()
-        value = is_unary(b, budget=budget)
+        value = is_unary(b)
         payload["result"] = value
         if value:
-            payload["witnesses"]["pure_factor"] = format_braid(unary_factor(b, budget=budget))
+            payload["witnesses"]["pure_factor"] = format_braid(unary_factor(b))
         return 0 if value else 1
 
     if cmd == "comb":
@@ -339,8 +337,8 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         if not uses_only_bands(expr):
             raise NotAWordError("comb consumes band words only")
         w = to_aword(expr, n)
-        form = comb(w, component_budget=comp_budget, verify=args.verify,
-                    oracle_budget=budget)
+        budget = DEFAULT_COMPONENT_BUDGET if args.budget is None else args.budget
+        form = comb(w, component_budget=budget, verify=args.verify)
         payload["result"] = {
             f"u{k}": format_aword(form.component(k)) for k in range(2, n + 1)
         }
@@ -359,7 +357,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         out = cohen_lift(w, check=False)
         payload["result"] = _fmt(out)
         if args.verify:
-            payload["witnesses"]["faces_checked"] = is_cohen(out, budget=budget)
+            payload["witnesses"]["faces_checked"] = is_cohen(out)
         return 0
 
     if cmd == "decompose":
@@ -368,16 +366,16 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "decomposition needs a pure braid"
             return 1
-        deltas = hopf_decompose(b, budget=budget)
+        deltas = hopf_decompose(b)
         payload["result"] = {f"delta{k}": _fmt(d) for k, d in enumerate(deltas, start=1)}
         return 0
 
     if cmd == "solve":
         b = _read(args.expr, n - 1)
-        out = solve_cohen_system(b, n, budget=budget)
+        out = solve_cohen_system(b, n)
         payload["result"] = _fmt(out)
         if args.verify:
-            faces_ok = all(same_braid(f, b, budget=budget) for f in all_faces(out))
+            faces_ok = all(same_braid(f, b) for f in all_faces(out))
             payload["witnesses"]["faces_equal_input"] = faces_ok
             if not faces_ok:
                 raise AssertionError("solver output failed face verification")

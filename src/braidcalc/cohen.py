@@ -4,8 +4,10 @@ A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
 a BraidWord or a PureAWord and take faces through their shared face
 member.  Equality is decided by combing when both sides are band words
-(complete, and far cheaper on commutator-heavy words) and by the
-Artin-image oracle otherwise.
+and by the Garside normal form of braids.braids_equal otherwise.  Both
+are complete.  On band words combing is the cheap one: the faces the
+solver compares are short band words that expand into hundreds of
+crossings.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .braids import DEFAULT_LETTER_BUDGET, BraidWord, braids_equal, is_pure
+from .braids import BraidWord, braids_equal, is_pure
 from .combing import PureAWord, aword_equal, aword_trivial, comb
 from .words import GroupWord, a_sym, commutator
 
@@ -67,17 +69,17 @@ class NotUnaryError(ValueError):
     pass
 
 
-def same_braid(a: Braidlike, b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
-    """Equality dispatch: combing for A-words, Artin oracle for letter words."""
+def same_braid(a: Braidlike, b: Braidlike) -> bool:
+    """Equality dispatch: combing for two band words, normal form otherwise."""
     if isinstance(a, PureAWord) and isinstance(b, PureAWord):
         return aword_equal(a, b)
-    return braids_equal(a.to_braid(), b.to_braid(), budget=budget)
+    return braids_equal(a.to_braid(), b.to_braid())
 
 
-def is_trivial(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
+def is_trivial(b: Braidlike) -> bool:
     if isinstance(b, PureAWord):
         return aword_trivial(b)
-    return braids_equal(b, b.identity(b.strands), budget=budget)
+    return braids_equal(b, b.identity(b.strands))
 
 
 def all_faces(b: Braidlike) -> list[Braidlike]:
@@ -85,28 +87,28 @@ def all_faces(b: Braidlike) -> list[Braidlike]:
     return [b.face(i) for i in range(1, b.strands + 1)]
 
 
-def is_cohen(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
+def is_cohen(b: Braidlike) -> bool:
     """All faces of b agree.  Vacuously true for fewer than two strands."""
     if b.strands <= 1:
         return True
     faces = all_faces(b)
-    return all(same_braid(faces[0], f, budget=budget) for f in faces[1:])
+    return all(same_braid(faces[0], f) for f in faces[1:])
 
 
-def common_face(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> Braidlike:
+def common_face(b: Braidlike) -> Braidlike:
     """The shared face of a Cohen braid; raises NotCohenError with a witness."""
     faces = all_faces(b)
     for k, f in enumerate(faces[1:], start=2):
-        if not same_braid(faces[0], f, budget=budget):
+        if not same_braid(faces[0], f):
             raise NotCohenError(1, k, faces[0], f)
     if faces:
         return faces[0]
     raise ValueError("a braid on zero strands has no faces")
 
 
-def is_brunnian(b: Braidlike, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
+def is_brunnian(b: Braidlike) -> bool:
     """Every face of b is trivial."""
-    return all(is_trivial(f, budget=budget) for f in all_faces(b))
+    return all(is_trivial(f) for f in all_faces(b))
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,7 @@ class StrandPartition:
         return cls(n, tuple(frozenset(b) for b in blocks))
 
 
-def is_generalized_cohen(
-    b: Braidlike, partition: StrandPartition, budget: int = DEFAULT_LETTER_BUDGET
-) -> bool:
+def is_generalized_cohen(b: Braidlike, partition: StrandPartition) -> bool:
     """Within each block of strand indices, all faces of b agree."""
     if partition.n != b.strands:
         raise ValueError("partition is for a different strand count")
@@ -144,22 +144,22 @@ def is_generalized_cohen(
         indices = sorted(block)
         first = faces[indices[0] - 1]
         for i in indices[1:]:
-            if not same_braid(first, faces[i - 1], budget=budget):
+            if not same_braid(first, faces[i - 1]):
                 return False
     return True
 
 
-def is_unary(b: BraidWord, budget: int = DEFAULT_LETTER_BUDGET) -> bool:
+def is_unary(b: BraidWord) -> bool:
     """Strand 1 ends at position n and deleting it leaves the trivial braid."""
     n = b.strands
     if b.perm()(1) != n:
         return False
-    return is_trivial(b.face(1), budget=budget)
+    return is_trivial(b.face(1))
 
 
-def unary_factor(b: BraidWord, budget: int = DEFAULT_LETTER_BUDGET) -> BraidWord:
+def unary_factor(b: BraidWord) -> BraidWord:
     """The pure part b0 with b = b0 sigma_1 sigma_2 .. sigma_{n-1}."""
-    if not is_unary(b, budget=budget):
+    if not is_unary(b):
         raise NotUnaryError("not a unary braid")
     n = b.strands
     staircase = BraidWord(n, tuple((i, 1) for i in range(1, n)))

@@ -9,9 +9,8 @@ and multiply the result onto u_j.
 
 The conjugation of a band A_{i,j} by A_{r,s}^{+-1} with s < j depends
 only on the order pattern of (r, s, i); the case table below was
-derived by scripts/derive_conj_rules.py (Artin-action computation
-cross-checked by bounded brute-force search, every entry verified
-against the braid equality oracle) and then frozen.  Entries are
+derived by scripts/derive_conj_rules.py (a bounded brute-force search,
+every entry verified with braids_equal) and then frozen.  Entries are
 written over the roles r, s, i and instantiated with second index j.
 
 Combed components are canonical: since each U_k is free, two pure
@@ -26,7 +25,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .braids import (
-    DEFAULT_LETTER_BUDGET,
     BraidWord,
     BudgetExceededError,
     Perm,
@@ -258,15 +256,11 @@ def comb(
     w: PureAWord,
     component_budget: int | None = DEFAULT_COMPONENT_BUDGET,
     verify: bool = False,
-    oracle_budget: int = DEFAULT_LETTER_BUDGET,
 ) -> CombedForm:
     """Comb an A-word; processes letters right to left by prepending.
 
     With verify=True every conjugation template instantiation and the
-    final expansion are checked against the braid equality oracle.
-    Oracle work on long words can need far more than the default letter
-    budget (reduced Artin images grow exponentially), hence the
-    separate oracle_budget knob.
+    final expansion are checked with braids_equal on crossing words.
     """
     n = w.strands
     comps: list[GroupWord] = [
@@ -286,33 +280,33 @@ def comb(
                     }
                     if verify:
                         for t_sym, image in mapping.items():
-                            _verify_conj(h_sym, sign, t_sym, image, n, oracle_budget)
+                            _verify_conj(h_sym, sign, t_sym, image, n)
                     c = c.substitute(mapping, alphabet=c.alphabet)
                     if component_budget is not None and c.letter_count() > component_budget:
                         raise BudgetExceededError(
-                            f"combing blew past {component_budget} letters in one component"
+                            f"combing passed the {component_budget}-letter component budget"
                         )
         comps[j - 2] = c * comps[j - 2]
         if component_budget is not None and comps[j - 2].letter_count() > component_budget:
             raise BudgetExceededError(
-                f"combing blew past {component_budget} letters in component u_{j}"
+                f"combing passed the {component_budget}-letter component budget in u_{j}"
             )
     result = CombedForm(n, tuple(comps))
-    if verify and not braids_equal(result.expand(), w.to_braid(), budget=oracle_budget):
+    if verify and not braids_equal(result.expand(), w.to_braid()):
         raise AssertionError("combing verification failed: expansion differs")
     return result
 
 
 @lru_cache(maxsize=None)
 def _verify_conj(
-    g_sym: GenSym, g_sign: int, h_sym: GenSym, image: GroupWord, n: int, budget: int
+    g_sym: GenSym, g_sign: int, h_sym: GenSym, image: GroupWord, n: int
 ) -> None:
     g_letters = band_power_letters(g_sym.index[0], g_sym.index[1], g_sign)
     g = BraidWord(n, g_letters)
     h = BraidWord(n, band_power_letters(h_sym.index[0], h_sym.index[1], 1))
     target = g.inverse() * h * g
     got = PureAWord(n, image).to_braid()
-    if not braids_equal(got, target, budget=budget):
+    if not braids_equal(got, target):
         raise AssertionError(f"conj_rule image for {g_sym}^{g_sign} on {h_sym} is wrong")
 
 
@@ -322,9 +316,8 @@ def aword_trivial(
     """Decide whether an A-word represents the trivial braid.
 
     Free reduction is tried first; otherwise the word is combed and
-    triviality read off the components.  Unlike the Artin-image oracle
-    this stays small on words such as long commutators whose images
-    explode, and it is complete because the combed form is unique.
+    triviality read off the components.  It is complete because the
+    combed form is unique.
     """
     if w.word.is_identity():
         return True

@@ -5,9 +5,9 @@ exported here under their public names delete_strand and insert_strand.
 This module adds the permutation face and the rules on single band
 generators, which combing.PureAWord applies letterwise.
 
-Both maps are homomorphisms on words by construction; the simplicial-
-style identities they satisfy are exercised by the test suite through
-the equality oracle.
+Both maps are homomorphisms on words by construction; the test suite
+checks the simplicial-style identities they satisfy with braids_equal,
+which compares Garside normal forms, and on band words with combing.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
-from .braids import DEFAULT_LETTER_BUDGET, Perm, half_twist, is_pure
+from .braids import Perm, half_twist, is_pure
 from .cohen import Braidlike, common_face, is_brunnian
 from .combing import PureAWord
 from .words import GroupWord
@@ -122,9 +122,7 @@ def reassemble(
     ))
 
 
-def hopf_decompose(
-    a: Braidlike, budget: int = DEFAULT_LETTER_BUDGET
-) -> tuple[Braidlike, ...]:
+def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """Split a pure Cohen braid into Brunnian layers delta_1 .. delta_n.
 
     Recursion on the common face: the layers of the face determine
@@ -139,18 +137,16 @@ def hopf_decompose(
         return (a,)
     if n == 2:
         return (a.identity(1), a)
-    shared = common_face(a, budget=budget)
-    lower = hopf_decompose(shared, budget=budget)
+    shared = common_face(a)
+    lower = hopf_decompose(shared)
     partial = reassemble(lower, n)
     top = partial.inverse() * a
-    if not is_brunnian(top, budget=budget):
+    if not is_brunnian(top):
         raise AssertionError("residual top layer is not Brunnian")
     return (*lower, top)
 
 
-def solve_cohen_system(
-    a: Braidlike, n: int, budget: int = DEFAULT_LETTER_BUDGET
-) -> Braidlike:
+def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
     """A braid on n strands whose every face equals the given a.
 
     Requires all faces of a to agree (NotCohenError with a witness pair
@@ -160,14 +156,14 @@ def solve_cohen_system(
     """
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
-    common_face(a, budget=budget)  # raises NotCohenError on disagreement
+    common_face(a)  # raises NotCohenError on disagreement
     pm = a.perm()
     if pm.is_identity():
-        deltas = hopf_decompose(a, budget=budget)
+        deltas = hopf_decompose(a)
         return reassemble(deltas, n)
     if pm != Perm.order_reversal(a.strands):
         raise AssertionError(
             "a Cohen braid permutation must be the identity or the reversal"
         )
-    gamma = solve_cohen_system(half_twist(a.strands) * a, n, budget=budget)
+    gamma = solve_cohen_system(half_twist(a.strands) * a, n)
     return half_twist(n).inverse() * gamma

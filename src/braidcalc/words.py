@@ -1,9 +1,9 @@
 """Freely reduced words over finite generator alphabets.
 
-Words are the basic currency for everything downstream: images of the
-Artin action live in the rank-n free group on x_1..x_n, pure braids are
-written over the band alphabet A_{i,j}, and combed normal forms keep one
-word per fiber.
+Words are the basic currency for everything downstream: pure braids
+are written over the band alphabet A_{i,j}, combed normal forms keep one
+word per fiber, and the free group F_n on x_1..x_n carries the Artin
+action that the tests use as an independent equality check.
 
 Representation: a word is a tuple of syllables (symbol, exponent) with
 every exponent nonzero and no two adjacent syllables sharing a symbol,
@@ -240,6 +240,8 @@ class GroupWord:
                 )
             if exp == 1:
                 _extend(stack, image.syllables)
+            elif exp == -1:
+                _extend(stack, _invert(image.syllables))
             else:
                 _extend(stack, _pow(list(image.syllables), exp))
         if target is None:

@@ -396,7 +396,7 @@ def test_05_three_strand_commutator_normal_form():
     against any human transcription.
     """
     gamma3 = gamma_word(3)
-    form = comb(gamma3, verify=True, oracle_budget=10**8)
+    form = comb(gamma3, verify=True)
     assert form.component(2).is_identity()
 
     computed = PureAWord(3, form.component(3))

@@ -1,4 +1,10 @@
-"""Braid words, permutations, and the action-based equality oracle."""
+"""Braid words, permutations, the Garside normal form and equality.
+
+Equality is cross-checked against the Artin action of tests/artin_oracle.py,
+an independent decision procedure.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,19 +14,115 @@ from braidcalc.braids import (
     BudgetExceededError,
     Perm,
     a_gen,
-    artin_endo,
     braid_pow,
     braids_equal,
     compose,
     half_twist,
     invert_braid,
     is_pure,
+    left_normal_form,
     perm_of,
 )
+
+from artin_oracle import artin_endo, artin_equal
 
 
 def sig(n, *pairs):
     return BraidWord(n, tuple(pairs))
+
+
+def plant(choose, n, letters, moves):
+    """An equal word: `moves` rewrites, each drawn with choose(sequence).
+
+    A move is a free insertion, a far commutation or a braid relation,
+    of either sign.  A far commutation or braid relation that finds no
+    place to apply becomes an insertion of its relator instead, or a
+    free insertion when the strand count is too small for one.
+    """
+    word = list(letters)
+    for _ in range(moves):
+        move = choose(("free", "far", "braid"))
+        if move == "far":
+            spots = [p for p in range(len(word) - 1)
+                     if abs(word[p][0] - word[p + 1][0]) >= 2]
+            if spots:
+                p = choose(spots)
+                word[p], word[p + 1] = word[p + 1], word[p]
+                continue
+            if n >= 4:
+                i, s, t = choose(range(1, n - 2)), choose((1, -1)), choose((1, -1))
+                pos = choose(range(len(word) + 1))
+                word[pos:pos] = [(i, s), (i + 2, t), (i, -s), (i + 2, -t)]
+                continue
+        if move == "braid":
+            spots = [p for p in range(len(word) - 2)
+                     if word[p] == word[p + 2] and word[p + 1][1] == word[p][1]
+                     and abs(word[p + 1][0] - word[p][0]) == 1]
+            if spots:
+                p = choose(spots)
+                (i, s), (j, _) = word[p], word[p + 1]
+                word[p:p + 3] = [(j, s), (i, s), (j, s)]
+                continue
+            if n >= 3:
+                i, s = choose(range(1, n - 1)), choose((1, -1))
+                pos = choose(range(len(word) + 1))
+                word[pos:pos] = [(i, s), (i + 1, s), (i, s),
+                                 (i + 1, -s), (i, -s), (i + 1, -s)]
+                continue
+        i, s = choose(range(1, n)), choose((1, -1))
+        pos = choose(range(len(word) + 1))
+        word[pos:pos] = [(i, s), (i, -s)]
+    return word
+
+
+@st.composite
+def braid_pairs(draw):
+    """(a, b, planted): half the pairs are planted equal; of the rest,
+    half are a planted pair with one sign flipped (same permutation,
+    different braid) and half are independent words."""
+    n = draw(st.integers(2, 6))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    a = draw(st.lists(letter, max_size=12))
+    choose = lambda seq: draw(st.sampled_from(seq))  # noqa: E731
+    if draw(st.booleans()):
+        return sig(n, *a), sig(n, *plant(choose, n, a, draw(st.integers(1, 6)))), True
+    if draw(st.booleans()) and a:
+        b = plant(choose, n, a, draw(st.integers(1, 6)))
+        p = draw(st.integers(0, len(b) - 1))
+        b[p] = (b[p][0], -b[p][1])
+        return sig(n, *a), sig(n, *b), False
+    return sig(n, *a), sig(n, *draw(st.lists(letter, max_size=12))), False
+
+
+def positive_word(arrangement):
+    """A positive word for the permutation braid with this arrangement.
+
+    Bubble-sorting the arrangement back to the identity swaps adjacent
+    positions; read in reverse, those swaps build it up from the identity.
+    """
+    arr = list(arrangement)
+    swaps = []
+    for end in range(len(arr) - 1, 0, -1):
+        for p in range(end):
+            if arr[p] > arr[p + 1]:
+                arr[p], arr[p + 1] = arr[p + 1], arr[p]
+                swaps.append((p + 1, 1))
+    return swaps[::-1]
+
+
+def word_of_form(n, form):
+    k, factors = form
+    letters = [letter for f in factors for letter in positive_word(f)]
+    return compose(braid_pow(half_twist(n), k), BraidWord(n, tuple(letters)))
+
+
+def finishing_set(arr):
+    return {i for i in range(1, len(arr)) if arr[i - 1] > arr[i]}
+
+
+def starting_set(arr):
+    end = {s: p for p, s in enumerate(arr)}
+    return {i for i in range(1, len(arr)) if end[i - 1] > end[i]}
 
 
 class TestGeneratorAction:
@@ -85,14 +187,35 @@ class TestOracle:
         # Repeated squaring makes the image words grow exponentially.
         b = braid_pow(sig(3, (1, 1), (2, -1)), 24)
         with pytest.raises(BudgetExceededError):
-            braids_equal(b, sig(3), budget=2000)
+            artin_equal(b, sig(3), budget=2000)
 
-    @given(st.integers(min_value=2, max_value=5))
+    @settings(max_examples=300, deadline=None)
+    @given(braid_pairs())
+    def test_agrees_with_artin_action(self, pair):
+        a, b, planted = pair
+        equal = braids_equal(a, b)
+        assert equal == artin_equal(a, b)
+        if planted:
+            assert equal
+
+    def test_long_planted_pair_is_decided(self):
+        # The Artin action did not finish a braid of this size in minutes.
+        rng = random.Random(190)
+        a = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(190)]
+        b = plant(rng.choice, 4, a, 120)
+        assert braids_equal(sig(4, *a), sig(4, *b))
+        p = rng.randrange(len(b))
+        b[p] = (b[p][0], -b[p][1])
+        assert not braids_equal(sig(4, *a), sig(4, *b))
+
+    @given(st.integers(min_value=2, max_value=6))
     def test_half_twist_square_is_central(self, n):
         delta2 = braid_pow(half_twist(n), 2)
+        assert left_normal_form(delta2) == (2, ())
         for k in range(1, n):
-            g = sig(n, (k, 1))
-            assert braids_equal(compose(delta2, g), compose(g, delta2))
+            for s in (1, -1):
+                g = sig(n, (k, s))
+                assert braids_equal(compose(delta2, g), compose(g, delta2))
 
 
 class TestPerm:
@@ -128,3 +251,37 @@ class TestBands:
         lhs = braid_pow(half_twist(3), 2)
         rhs = compose(a_gen(1, 2, 3), compose(a_gen(1, 3, 3), a_gen(2, 3, 3)))
         assert braids_equal(lhs, rhs)
+
+
+class TestNormalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(braid_pairs())
+    def test_form_is_canonical(self, pair):
+        b = pair[0]
+        n = b.strands
+        form = left_normal_form(b)
+        k, factors = form
+        identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        for f in factors:
+            assert sorted(f) == list(identity)
+            assert f not in (identity, delta)
+        for left, right in zip(factors, factors[1:]):
+            assert starting_set(right) <= finishing_set(left)
+        rebuilt = word_of_form(n, form)
+        assert left_normal_form(rebuilt) == form
+        assert artin_equal(rebuilt, b)
+
+    def test_small_forms(self):
+        assert left_normal_form(sig(3)) == (0, ())
+        assert left_normal_form(sig(3, (1, 1))) == (0, ((1, 0, 2),))
+        assert left_normal_form(sig(3, (1, -1))) == (-1, ((1, 2, 0),))
+        assert left_normal_form(half_twist(4)) == (1, ())
+        assert left_normal_form(sig(2, (1, -1), (1, -1))) == (-2, ())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_delta_conjugation_flips_generators(self, n):
+        delta = half_twist(n)
+        for i in range(1, n):
+            for s in (1, -1):
+                conj = compose(compose(delta, sig(n, (i, s))), invert_braid(delta))
+                assert left_normal_form(conj) == left_normal_form(sig(n, (n - i, s)))

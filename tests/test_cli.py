@@ -21,7 +21,7 @@ class TestEquality:
         code, payload = run(["eq", "-n", "3", "s1 s2 s1", "s2 s1 s2"])
         assert code == 0
         assert payload["result"] is True
-        assert payload["witnesses"]["method"] == "artin-action"
+        assert payload["witnesses"]["method"] == "garside"
 
     def test_distinct_generators_false(self):
         code, payload = run(["eq", "-n", "3", "s1", "s2"])
@@ -39,10 +39,16 @@ class TestEquality:
             assert payload_keys(payload) == {"command", "inputs", "result", "witnesses"}
 
     def test_budget_exhaustion_is_resource_exit(self):
-        code, payload = run(["eq", "-n", "3", "( s1 s2' )^24", "e", "--budget", "2000"])
+        code, payload = run(["comb", "-n", "4", "( a1.3 a2.4 )^6", "--budget", "50"])
         assert code == 2
         assert payload["result"] == "resource limit"
         assert "budget" in payload["witnesses"]["reason"]
+
+    def test_long_crossing_word_is_decided_under_a_small_budget(self):
+        # --budget caps combing only; crossing-word equality needs no cap
+        code, payload = run(["eq", "-n", "3", "( s1 s2' )^24", "e", "--budget", "2000"])
+        assert code == 1
+        assert payload["result"] is False
 
 
 class TestStructureQueries:

@@ -9,7 +9,6 @@ from braidcalc.cohen import (
     P3CohenForm,
     P3Refusal,
     StrandPartition,
-    all_faces,
     all_indices_commutator_check,
     band_commutator,
     brunnian_generator,

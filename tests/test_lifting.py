@@ -10,7 +10,6 @@ from braidcalc.cohen import (
     delta_square_word,
     is_brunnian,
     is_cohen,
-    split_power_word,
 )
 from braidcalc.combing import PureAWord, aword_equal, face_on_aword
 from braidcalc.lifting import (
@@ -22,7 +21,6 @@ from braidcalc.lifting import (
     solve_cohen_system,
     tau_spread,
 )
-from braidcalc.words import GroupWord
 
 
 def aw(n, *pairs):
