@@ -48,7 +48,24 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """An intermediate word outgrew the configured size budget."""
+    """An intermediate word outgrew the configured size budget.
+
+    `limit` is the budget in letters, `observed` the size of the word that
+    passed it, and `stage` says where the work stopped, for example
+    "u_5 after 37 of 120 syllables".
+    """
+
+    def __init__(
+        self,
+        message: str,
+        limit: int | None = None,
+        observed: int | None = None,
+        stage: str | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.limit = limit
+        self.observed = observed
+        self.stage = stage
 
 
 @dataclass(frozen=True)

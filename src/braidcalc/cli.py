@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--verify", action="store_true",
                         help="recheck the answer with braid equality where supported")
         sp.add_argument("--budget", type=_positive_int, default=None,
-                        help="cap in letters on one combed component")
+                        help="cap in letters on a combed component or band image")
         return sp
 
     add("eq", "are two braid expressions equal", exprs=2)
@@ -194,7 +194,9 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
         code = 1
     except BudgetExceededError as e:
         payload["result"] = "resource limit"
-        payload["witnesses"] = {"reason": str(e)}
+        payload["witnesses"] = {
+            "reason": str(e), "limit": e.limit, "observed": e.observed, "stage": e.stage,
+        }
         code = 2
     except (ParseError, NotAWordError, ValueError) as e:
         payload["result"] = "error"

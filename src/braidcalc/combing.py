@@ -7,6 +7,13 @@ letter A_{i,j}^e to an accumulated form, conjugate it through the
 components u_2 .. u_{j-1} (staying inside U_j, which is normal in P_j)
 and multiply the result onto u_j.
 
+Those components need not be read.  Deleting strands j..n retracts P_n
+onto P_{j-1}, fixing the bands of level (second index) below j and
+killing the rest, so u_2 .. u_{j-1} is the same braid as the subword of
+the already combed letters that have level below j.  comb conjugates
+through the shorter of the two, and memoises each band's image until a
+letter of lower level is combed.
+
 The conjugation of a band A_{i,j} by A_{r,s}^{+-1} with s < j depends
 only on the order pattern of (r, s, i); the case table below was
 derived by scripts/derive_conj_rules.py (a bounded brute-force search,
@@ -32,7 +39,7 @@ from .braids import (
     braids_equal,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
-from .words import GenSym, GroupWord, a_alphabet, a_sym, alphabet_rank
+from .words import GenSym, GroupWord, _push, a_alphabet, a_sym, alphabet_rank
 
 __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
@@ -257,44 +264,109 @@ def comb(
     component_budget: int | None = DEFAULT_COMPONENT_BUDGET,
     verify: bool = False,
 ) -> CombedForm:
-    """Comb an A-word; processes letters right to left by prepending.
+    """Comb an A-word; processes syllables right to left by prepending.
 
-    With verify=True every conjugation template instantiation and the
-    final expansion are checked with braids_equal on crossing words.
+    Prepending A_{i,j}^e to u_2 .. u_n conjugates A_{i,j} through the
+    prefix u_2 .. u_{j-1} and multiplies the e-th power onto u_j.
+    Deleting strands j..n is a retraction P_n -> P_{j-1} that fixes the
+    bands of level (second index) below j and kills the others, so as a
+    braid that prefix equals the freely reduced subword of the syllables
+    already combed that have level below j, at most |w| syllables.  The
+    band is conjugated through whichever of the two is shorter; U_j is
+    free, so the reduced image is the same word either way.
+
+    Each band's image is memoised.  Combing a level-j syllable changes
+    the prefix of every level above j and no other, so it drops the
+    images of those levels and keeps the rest.  Components are kept as
+    reversed reduced stacks, so prepending is a push.
+
+    component_budget caps, in letters, every conjugated band image and
+    every component; passing it raises BudgetExceededError.  An image
+    that passes it through the raw subword is redone through the
+    components, so a word is refused only when conjugating through the
+    components refuses it.  With verify=True every conjugation template
+    instantiation and the final expansion are checked with braids_equal
+    on crossing words.
     """
     n = w.strands
-    comps: list[GroupWord] = [
-        GroupWord.identity(a_alphabet(n)) for _ in range(max(n - 1, 0))
-    ]
-    for sym, exp in reversed(w.word.syllables):
+    syllables = w.word.syllables
+    total = len(syllables)
+    # Reversed reduced stacks, leftmost syllable on top: stacks[k-2] is
+    # u_k, lower[k] the combed syllables of level below k.
+    stacks: list[list[list]] = [[] for _ in range(2, n + 1)]
+    sizes = [0 for _ in stacks]
+    lower: list[list[list]] = [[] for _ in range(n + 1)]
+    lower_sizes = [0 for _ in lower]
+    images: list[dict[GenSym, GroupWord]] = [{} for _ in range(n + 1)]
+
+    def refuse(observed: int, what: str, reached: int, where: str = "") -> BudgetExceededError:
+        return BudgetExceededError(
+            f"combing passed the {component_budget}-letter component budget{where}",
+            limit=component_budget, observed=observed,
+            stage=f"{what} after {reached} of {total} syllables",
+        )
+
+    for p in range(total - 1, -1, -1):
+        sym, exp = syllables[p]
         j = sym.index[1]
-        c = GroupWord.single(sym, exp)
-        # conjugate through u_2 .. u_{j-1}, leftmost conjugator first
-        for k in range(2, j):
-            for h_sym, h_exp in comps[k - 2].syllables:
-                sign = 1 if h_exp > 0 else -1
-                for _ in range(abs(h_exp)):
-                    mapping = {
-                        t_sym: conj_rule(h_sym, sign, t_sym)
-                        for t_sym, _ in c.syllables
-                    }
-                    if verify:
-                        for t_sym, image in mapping.items():
-                            _verify_conj(h_sym, sign, t_sym, image, n)
-                    c = c.substitute(mapping, alphabet=c.alphabet)
-                    if component_budget is not None and c.letter_count() > component_budget:
-                        raise BudgetExceededError(
-                            f"combing passed the {component_budget}-letter component budget"
-                        )
-        comps[j - 2] = c * comps[j - 2]
-        if component_budget is not None and comps[j - 2].letter_count() > component_budget:
-            raise BudgetExceededError(
-                f"combing passed the {component_budget}-letter component budget in u_{j}"
-            )
-    result = CombedForm(n, tuple(comps))
+        done = total - 1 - p
+        image = images[j].get(sym)
+        if image is None:
+            if lower_sizes[j] < sum(sizes[:j - 2]):
+                image = _conjugate(sym, reversed(lower[j]), component_budget, verify, n)
+            if image is None or _over(image, component_budget):
+                combed = (syl for stack in stacks[:j - 2] for syl in reversed(stack))
+                image = _conjugate(sym, combed, component_budget, verify, n)
+                if _over(image, component_budget):
+                    raise refuse(image.letter_count(), f"image of {sym}", done)
+            images[j][sym] = image
+        c = image if exp == 1 else image ** exp
+        if exp != 1 and _over(c, component_budget):
+            raise refuse(c.letter_count(), f"image of {sym}", done)
+        for c_sym, c_exp in reversed(c.syllables):
+            sizes[j - 2] += _push(stacks[j - 2], c_sym, c_exp)
+        if component_budget is not None and sizes[j - 2] > component_budget:
+            raise refuse(sizes[j - 2], f"u_{j}", done + 1, f" in u_{j}")
+        for k in range(j + 1, n + 1):
+            lower_sizes[k] += _push(lower[k], sym, exp)
+            images[k].clear()
+    alphabet = a_alphabet(n)
+    result = CombedForm(n, tuple(
+        GroupWord(alphabet, tuple((s, e) for s, e in reversed(stack)))
+        for stack in stacks
+    ))
     if verify and not braids_equal(result.expand(), w.to_braid()):
         raise AssertionError("combing verification failed: expansion differs")
     return result
+
+
+def _over(word: GroupWord, budget: int | None) -> bool:
+    return budget is not None and word.letter_count() > budget
+
+
+def _conjugate(
+    band: GenSym,
+    prefix: Iterable[tuple[GenSym, int]],
+    budget: int | None,
+    verify: bool,
+    n: int,
+) -> GroupWord:
+    """The band conjugated by the prefix syllables, leftmost first.
+
+    Stops at the first image that passes the budget and returns it.
+    """
+    image = GroupWord.single(band)
+    for g_sym, g_exp in prefix:
+        sign = 1 if g_exp > 0 else -1
+        for _ in range(abs(g_exp)):
+            mapping = {t_sym: conj_rule(g_sym, sign, t_sym) for t_sym, _ in image.syllables}
+            if verify:
+                for t_sym, t_image in mapping.items():
+                    _verify_conj(g_sym, sign, t_sym, t_image, n)
+            image = image.substitute(mapping, alphabet=image.alphabet)
+            if _over(image, budget):
+                return image
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -315,12 +387,16 @@ def aword_trivial(
 ) -> bool:
     """Decide whether an A-word represents the trivial braid.
 
-    Free reduction is tried first; otherwise the word is combed and
-    triviality read off the components.  It is complete because the
-    combed form is unique.
+    Free reduction is tried first, then the abelianization: P_n
+    abelianizes to Z^{C(n,2)} with the bands as basis, so a word with a
+    nonzero exponent sum on some band is nontrivial.  Otherwise the word
+    is combed and triviality read off the components.  It is complete
+    because the combed form is unique.
     """
     if w.word.is_identity():
         return True
+    if w.word.abelianize():
+        return False
     form = comb(w, component_budget=component_budget)
     return all(c.is_identity() for c in form.components)
 

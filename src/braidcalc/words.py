@@ -85,16 +85,23 @@ def a_sym(i: int, j: int, rank: int) -> GenSym:
 Syllable = tuple[GenSym, int]
 
 
-def _push(stack: list[list], sym: GenSym, exp: int) -> None:
-    """Append one syllable to a reduced stack, merging and cancelling."""
+def _push(stack: list[list], sym: GenSym, exp: int) -> int:
+    """Append one syllable to a reduced stack, merging and cancelling.
+
+    Returns the change in the stack's letter count.
+    """
     if exp == 0:
-        return
+        return 0
     if stack and stack[-1][0] == sym:
-        stack[-1][1] += exp
-        if stack[-1][1] == 0:
+        old = stack[-1][1]
+        new = old + exp
+        if new == 0:
             stack.pop()
-    else:
-        stack.append([sym, exp])
+        else:
+            stack[-1][1] = new
+        return abs(new) - abs(old)
+    stack.append([sym, exp])
+    return abs(exp)
 
 
 def _extend(stack: list[list], syllables: Iterable[Syllable]) -> None:

@@ -6,10 +6,15 @@ payloads as JSON and as plain lines.
 """
 
 import json
+import random
 import subprocess
 import sys
 
 from braidcalc.cli import run
+from braidcalc.combing import PureAWord
+from braidcalc.expr import format_aword
+from braidcalc.lifting import reassemble
+from braidcalc.words import GroupWord, a_sym, commutator
 
 
 def payload_keys(payload):
@@ -43,6 +48,15 @@ class TestEquality:
         assert code == 2
         assert payload["result"] == "resource limit"
         assert "budget" in payload["witnesses"]["reason"]
+
+    def test_budget_refusal_reports_limit_size_and_stage(self):
+        code, payload = run(["comb", "-n", "4", "( a1.3 a2.4 )^6", "--budget", "50"])
+        assert code == 2
+        witnesses = payload["witnesses"]
+        assert "budget" in witnesses["reason"]
+        assert witnesses["limit"] == 50
+        assert witnesses["observed"] > 50
+        assert witnesses["stage"] == "u_4 after 9 of 12 syllables"
 
     def test_long_crossing_word_is_decided_under_a_small_budget(self):
         # --budget caps combing only; crossing-word equality needs no cap
@@ -194,6 +208,32 @@ class TestLiftingCommands:
     def test_solve_verified(self):
         _, payload = run(["solve", "-n", "3", "a1.2", "--verify"])
         assert payload["witnesses"]["faces_equal_input"] is True
+
+    def test_solve_refuses_a_kinked_reassembly_with_a_witness(self):
+        # A 5-strand Cohen word times A1,2^(+-1): its faces differ in
+        # abelianization, so the refusal needs no combing of their quotient.
+        for seed in range(1, 5):
+            rng = random.Random(seed)
+            alpha = reassemble([_signed_brunnian(rng, m) for m in range(1, 6)], 5)
+            kink = PureAWord(5, GroupWord.single(a_sym(1, 2, 5), rng.choice((1, -1))))
+            text = format_aword(alpha * kink)
+            code, payload = run(["solve", "-n", "6", "--verify", text])
+            assert code == 1
+            assert payload["result"] == "refused"
+            assert len(payload["witnesses"]["violating_pair"]) == 2
+
+
+def _signed_brunnian(rng: random.Random, m: int) -> PureAWord:
+    """Left-normed commutator of A_(t,m)^(+-1) over a shuffled t = 1..m-1."""
+    if m == 1:
+        return PureAWord.identity(1)
+    order = list(range(1, m))
+    rng.shuffle(order)
+    leaves = [GroupWord.single(a_sym(t, m, m), rng.choice((1, -1))) for t in order]
+    word = leaves[0]
+    for leaf in leaves[1:]:
+        word = commutator(word, leaf)
+    return PureAWord(m, word)
 
 
 class TestFiniteModelCommands:

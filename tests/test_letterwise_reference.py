@@ -5,13 +5,27 @@ products of many factors are reduced in one pass.  The references here
 apply the band rules one syllable at a time and multiply left to right
 with `*`; free reduction is confluent, so both must give the same
 syllables, not merely equal braids.
+
+Combing conjugates each band through the reduced subword of lower-level
+input letters or through the lower components, whichever is shorter,
+and memoises the images.  Its reference conjugates every incoming
+syllable through the components u_2 .. u_{j-1}; each U_j is free, so
+both must give the same components.
 """
 
 from itertools import combinations
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from braidcalc.combing import PureAWord, coface_on_aword, face_on_aword
+from braidcalc.braids import BudgetExceededError
+from braidcalc.combing import (
+    CombedForm,
+    PureAWord,
+    coface_on_aword,
+    comb,
+    conj_rule,
+    face_on_aword,
+)
 from braidcalc.expr import BandAtom, Commutator, Concat, Power, to_aword
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
@@ -59,6 +73,27 @@ def aword_reference(expr, n: int) -> GroupWord:
     return commutator(aword_reference(expr.left, n), aword_reference(expr.right, n))
 
 
+def reference_comb(w: PureAWord, component_budget: int) -> CombedForm:
+    """Comb by conjugating each syllable through the combed lower components."""
+    n = w.strands
+    comps = [GroupWord.identity(a_alphabet(n)) for _ in range(max(n - 1, 0))]
+    for sym, exp in reversed(w.word.syllables):
+        j = sym.index[1]
+        c = GroupWord.single(sym, exp)
+        for k in range(2, j):
+            for h_sym, h_exp in comps[k - 2].syllables:
+                sign = 1 if h_exp > 0 else -1
+                for _ in range(abs(h_exp)):
+                    mapping = {t: conj_rule(h_sym, sign, t) for t, _ in c.syllables}
+                    c = c.substitute(mapping, alphabet=c.alphabet)
+                    if c.letter_count() > component_budget:
+                        raise BudgetExceededError("reference image passed the budget")
+        comps[j - 2] = c * comps[j - 2]
+        if comps[j - 2].letter_count() > component_budget:
+            raise BudgetExceededError(f"reference u_{j} passed the budget")
+    return CombedForm(n, tuple(comps))
+
+
 def bands(n: int):
     return st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
         lambda t: (min(t), max(t) + 1)
@@ -66,10 +101,11 @@ def bands(n: int):
 
 
 @st.composite
-def band_words(draw, min_strands=2, max_strands=7, max_syllables=12):
+def band_words(draw, min_strands=2, max_strands=7, max_syllables=12,
+               exponents=(1, -1, 2, -3)):
     n = draw(st.integers(min_strands, max_strands))
     pairs = draw(st.lists(
-        st.tuples(bands(n), st.sampled_from([1, -1, 2, -3])).map(lambda t: (*t[0], t[1])),
+        st.tuples(bands(n), st.sampled_from(exponents)).map(lambda t: (*t[0], t[1])),
         max_size=max_syllables,
     ))
     return PureAWord.from_pairs(n, pairs)
@@ -134,3 +170,37 @@ class TestProducts:
     def test_to_aword_matches_left_fold(self, case):
         expr, n = case
         assert to_aword(expr, n).word == aword_reference(expr, n)
+
+
+COMB_EXPONENTS = (1, -1, 2, -2, 3, -3)
+# Small enough that the reference, whose components can be exponentially
+# longer than the input, finishes or refuses within a second.
+REFERENCE_BUDGET = 5000
+# The A1,6 image passes the budget through the raw lower letters but not
+# through the components; u_6 ends at 3,915 letters.
+RAW_LETTERS_OVERFLOW = PureAWord.from_pairs(6, [
+    (1, 6, 1), (1, 3, 1), (1, 2, 2), (1, 5, 3), (1, 2, -2), (1, 5, 3), (2, 3, 1), (1, 5, -1),
+])
+
+
+class TestComb:
+    @settings(max_examples=200, deadline=None)
+    @given(band_words(max_strands=6, max_syllables=12, exponents=COMB_EXPONENTS))
+    @example(PureAWord.identity(2))
+    @example(PureAWord.from_pairs(4, [(1, 3, 1), (2, 4, 1)] * 6))
+    @example(RAW_LETTERS_OVERFLOW)
+    def test_comb_matches_reference(self, w):
+        try:
+            expected = reference_comb(w, REFERENCE_BUDGET)
+        except BudgetExceededError:
+            assume(False)
+        assert comb(w, component_budget=REFERENCE_BUDGET) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(band_words(max_strands=5, max_syllables=5, exponents=COMB_EXPONENTS))
+    def test_verified_comb_matches_reference(self, w):
+        try:
+            expected = reference_comb(w, REFERENCE_BUDGET)
+        except BudgetExceededError:
+            assume(False)
+        assert comb(w, component_budget=REFERENCE_BUDGET, verify=True) == expected
