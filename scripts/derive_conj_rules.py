@@ -21,7 +21,7 @@ Usage: python3 scripts/derive_conj_rules.py [-v]
 import argparse
 import sys
 
-from braidcalc.braids import BraidWord, braids_equal, compose, invert_braid
+from braidcalc.braids import BraidWord, braids_equal
 from braidcalc.combing import _CONJ_TEMPLATES, conj_rule
 from braidcalc.words import GroupWord, a_sym
 
@@ -46,9 +46,9 @@ def realize(template, r, s, i, j, n):
     out = BraidWord(n, ())
     for role, exp in template:
         g = band(slots[role], j, n)
-        piece = g if exp > 0 else invert_braid(g)
+        piece = g if exp > 0 else g.inverse()
         for _ in range(abs(exp)):
-            out = compose(out, piece)
+            out = out * piece
     return out
 
 
@@ -83,8 +83,8 @@ def derive(pattern, sign, verbose=False):
     for cand in candidates():
         ok = True
         for r, s, i, j, n in INSTANCES[pattern]:
-            conj = band(r, s, n) if sign > 0 else invert_braid(band(r, s, n))
-            target = compose(compose(invert_braid(conj), band(i, j, n)), conj)
+            conj = band(r, s, n) if sign > 0 else band(r, s, n).inverse()
+            target = conj.inverse() * band(i, j, n) * conj
             if not braids_equal(realize(cand, r, s, i, j, n), target):
                 ok = False
                 break
@@ -127,14 +127,14 @@ def main():
         for r, s, i, j, n in cases:
             for sign in (1, -1):
                 rule = conj_rule(a_sym(r, s, n), sign, a_sym(i, j, n))
-                conj = band(r, s, n) if sign > 0 else invert_braid(band(r, s, n))
-                target = compose(compose(invert_braid(conj), band(i, j, n)), conj)
+                conj = band(r, s, n) if sign > 0 else band(r, s, n).inverse()
+                target = conj.inverse() * band(i, j, n) * conj
                 played = BraidWord(n, ())
                 for sym, exp in rule.syllables:
                     g = band(sym.index[0], sym.index[1], n)
-                    piece = g if exp > 0 else invert_braid(g)
+                    piece = g if exp > 0 else g.inverse()
                     for _ in range(abs(exp)):
-                        played = compose(played, piece)
+                        played = played * piece
                 if not braids_equal(played, target):
                     print(f"conj_rule FAILED oracle at {pattern} {(r, s, i, j)} {sign:+d}")
                     failures += 1

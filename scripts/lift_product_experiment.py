@@ -21,7 +21,7 @@ import sys
 
 from braidcalc.braids import BudgetExceededError
 from braidcalc.cohen import band_commutator, brunnian_generator
-from braidcalc.combing import aword_equal, aword_trivial, face_on_aword
+from braidcalc.combing import aword_equal, aword_trivial
 from braidcalc.lifting import cohen_lift
 from braidcalc.words import GroupWord, a_sym
 
@@ -68,16 +68,16 @@ def main():
         lift_a_lift_b = cohen_lift(a) * cohen_lift(b)
 
         for i in range(1, n + 2):
-            assert aword_equal(face_on_aword(lift_ab, i), a * b,
+            assert aword_equal(lift_ab.face(i), a * b,
                                component_budget=10**7)
-            assert aword_equal(face_on_aword(lift_a_lift_b, i), a * b,
+            assert aword_equal(lift_a_lift_b.face(i), a * b,
                                component_budget=10**7)
 
         # defect words grow quickly, so comb their faces with a raised
         # component budget instead of the library default
         ratio = lift_ab.inverse() * lift_a_lift_b
         for i in range(1, ratio.strands + 1):
-            face = face_on_aword(ratio, i)
+            face = ratio.face(i)
             assert aword_trivial(face, component_budget=10**7), \
                 "defect escaped the Brunnian subgroup"
         same = lift_coincidence(lift_ab, lift_a_lift_b)

@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 
 from braidcalc.cohen import band_commutator
-from braidcalc.combing import PureAWord, aword_equal, face_on_aword
+from braidcalc.combing import PureAWord, aword_equal
 from braidcalc.lifting import tau_spread
 
 
@@ -44,9 +44,9 @@ def check(order, factors, dst_rank, shipped, lower):
     permuted = PureAWord(dst_rank, word)
     same = aword_equal(permuted, shipped)
     law = all(
-        aword_equal(face_on_aword(permuted, i), lower)
+        aword_equal(permuted.face(i), lower)
         for i in range(1, dst_rank)
-    ) and face_on_aword(permuted, dst_rank).is_identity()
+    ) and permuted.face(dst_rank).is_identity()
     return same, law
 
 

@@ -14,8 +14,7 @@ Conventions, pinned once and relied on everywhere:
  * the leftmost letter of a word acts first (time flows left to right),
    and a product a*b is a followed by b;
  * Perm.images[i-1] is the endpoint of the strand that starts at
-   position i, and permutations compose diagrammatically:
-   (p.then(q))(i) = q(p(i)).
+   position i.
 
 The band generator A_{i,j} = s_{j-1} .. s_{i+1} s_i^2 s_{i+1}^{-1} ..
 s_{j-1}^{-1} (strand j swung over strands j-1..i+1, twisted around
@@ -38,12 +37,9 @@ __all__ = [
     "a_gen",
     "braid_pow",
     "braids_equal",
-    "compose",
     "half_twist",
-    "invert_braid",
     "is_pure",
     "left_normal_form",
-    "perm_of",
 ]
 
 
@@ -174,14 +170,9 @@ class BraidWord:
         return BraidWord(n + 1, tuple(out))
 
 
-compose = BraidWord.__mul__
-invert_braid = BraidWord.inverse
-perm_of = BraidWord.perm
-
-
 def braid_pow(a: BraidWord, k: int) -> BraidWord:
     if k < 0:
-        return braid_pow(invert_braid(a), -k)
+        return braid_pow(a.inverse(), -k)
     return BraidWord(a.strands, a.letters * k)
 
 
@@ -236,18 +227,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def then(self, other: Perm) -> Perm:
-        """Diagrammatic composition: apply self first, then other."""
-        if other.size != self.size:
-            raise ValueError("permutation size mismatch")
-        return Perm(tuple(other.images[v - 1] for v in self.images))
-
-    def inverse(self) -> Perm:
-        images = [0] * len(self.images)
-        for i, v in enumerate(self.images, start=1):
-            images[v - 1] = i
-        return Perm(tuple(images))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
@@ -379,6 +358,6 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
         )
     if a.letters == b.letters:
         return True
-    if perm_of(a) != perm_of(b):
+    if a.perm() != b.perm():
         return False
     return left_normal_form(a) == left_normal_form(b)

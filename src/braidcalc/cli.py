@@ -93,14 +93,22 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--verify", action="store_true",
                         help="recheck the answer with braid equality where supported")
         sp.add_argument("--budget", type=_positive_int, default=None,
-                        help="cap in letters on a combed component or band image")
+                        help="cap in letters on a combed component or band image; "
+                        "only comb reads it, every other command that combs uses "
+                        f"the default cap of {DEFAULT_COMPONENT_BUDGET}")
         return sp
+
+    def ints(*names: str):
+        def extra(sp: argparse.ArgumentParser) -> None:
+            for name in names:
+                sp.add_argument(name, type=int)
+        return extra
 
     add("eq", "are two braid expressions equal", exprs=2)
     add("perm", "underlying permutation of a braid")
     add("pure", "is the braid pure")
-    add("del", "delete a strand", extra=lambda sp: sp.add_argument("index", type=int))
-    add("ins", "insert a trivial strand", extra=lambda sp: sp.add_argument("index", type=int))
+    add("del", "delete a strand", extra=ints("index"))
+    add("ins", "insert a trivial strand", extra=ints("index"))
     add("cohen", "do all faces agree")
     add("brunnian", "are all faces trivial")
     add("gcohen", "do faces agree within each block",
@@ -109,28 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("unary", "strand 1 crosses to n and its deletion is trivial")
     add("comb", "normal form components of a pure band word")
     add("lift", "one-strand Cohen lift of a Brunnian band word")
-    tau = sub.add_parser("tau", help="spread a Brunnian band word to rank k")
-    tau.add_argument("m", type=int)
-    tau.add_argument("k", type=int)
-    bigt = sub.add_parser("bigT", help="full Cohen lift from rank m to rank n")
-    bigt.add_argument("m", type=int)
-    bigt.add_argument("n", type=int)
-    hopf = sub.add_parser("hopf", help="James-Hopf product of coface images")
-    hopf.add_argument("k", type=int)
-    hopf.add_argument("n", type=int)
-    for sp in (tau, bigt, hopf):
-        sp.add_argument("expr", metavar="EXPR")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--verify", action="store_true")
-        sp.add_argument("--budget", type=_positive_int, default=None)
+    add("tau", "spread a Brunnian band word to rank k", n=False, extra=ints("m", "k"))
+    add("bigT", "full Cohen lift from rank m to rank n", n=False, extra=ints("m", "n"))
+    add("hopf", "James-Hopf product of coface images", n=False, extra=ints("k", "n"))
     add("decompose", "Brunnian layers of a pure Cohen braid")
     add("solve", "braid on n strands whose every face is the given braid "
         "(EXPR is parsed on n-1 strands)")
-    rp2 = sub.add_parser("rp2", help="finite projective-plane model queries")
-    rp2.add_argument("verb", choices=["enumerate", "verify"])
-    rp2.add_argument("--json", action="store_true")
-    rp2.add_argument("--verify", action="store_true")
-    rp2.add_argument("--budget", type=_positive_int, default=None)
+    add("rp2", "finite projective-plane model queries", n=False, exprs=0,
+        extra=lambda sp: sp.add_argument("verb", choices=["enumerate", "verify"]))
     return p
 
 
@@ -150,6 +144,14 @@ def _read(text: str, n: int) -> Braidlike:
     if uses_only_bands(expr):
         return to_aword(expr, n)
     return to_braid(expr, n)
+
+
+def _read_bands(text: str, n: int, refusal: str) -> PureAWord:
+    """Parse to a band word; raise NotAWordError(refusal) on crossing letters."""
+    expr = parse(text, n)
+    if not uses_only_bands(expr):
+        raise NotAWordError(refusal)
+    return to_aword(expr, n)
 
 
 def _parse_blocks(spec: str, n: int) -> StrandPartition:
@@ -244,10 +246,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             b = _read(args.expr, lo)
             result = james_hopf(lo, hi, b)
         else:
-            expr = parse(args.expr, lo)
-            if not uses_only_bands(expr):
-                raise NotAWordError("this construction needs a word in the bands")
-            w = to_aword(expr, lo)
+            w = _read_bands(args.expr, lo, "this construction needs a word in the bands")
             result = tau_spread(lo, hi, w) if cmd == "tau" else full_lift(lo, hi, w)
         payload["result"] = _fmt(result)
         if args.verify:
@@ -335,10 +334,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0 if value else 1
 
     if cmd == "comb":
-        expr = parse(args.expr, n)
-        if not uses_only_bands(expr):
-            raise NotAWordError("comb consumes band words only")
-        w = to_aword(expr, n)
+        w = _read_bands(args.expr, n, "comb consumes band words only")
         budget = DEFAULT_COMPONENT_BUDGET if args.budget is None else args.budget
         form = comb(w, component_budget=budget, verify=args.verify)
         payload["result"] = {
@@ -348,10 +344,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "lift":
-        expr = parse(args.expr, n)
-        if not uses_only_bands(expr):
-            raise NotAWordError("lift consumes band words only")
-        w = to_aword(expr, n)
+        w = _read_bands(args.expr, n, "lift consumes band words only")
         if not is_brunnian(w):
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "input is not Brunnian"

@@ -47,12 +47,9 @@ __all__ = [
     "PureAWord",
     "aword_equal",
     "aword_trivial",
-    "coface_on_aword",
     "comb",
     "conj_rule",
-    "face_on_aword",
     "is_harmonic",
-    "same_band_word",
 ]
 
 DEFAULT_COMPONENT_BUDGET = 10**5
@@ -210,20 +207,6 @@ class PureAWord:
         return PureAWord(n + 1, GroupWord(a_alphabet(n + 1), tuple(
             (image[sym], exp) for sym, exp in self.word.syllables
         )))
-
-
-face_on_aword = PureAWord.face
-coface_on_aword = PureAWord.coface
-
-
-def same_band_word(a: PureAWord, b: PureAWord) -> bool:
-    """Syllable equality by band indices, ignoring the ambient strand count."""
-    if len(a.word.syllables) != len(b.word.syllables):
-        return False
-    return all(
-        sa.index == sb.index and ea == eb
-        for (sa, ea), (sb, eb) in zip(a.word.syllables, b.word.syllables)
-    )
 
 
 @dataclass(frozen=True)
@@ -414,14 +397,12 @@ def is_harmonic(w: PureAWord, component_budget: int | None = DEFAULT_COMPONENT_B
     """Combed components must satisfy d_1(u_i) = u_{i-1} for 3 <= i <= n.
 
     Both sides live in free groups, so syllable comparison of the faced
-    word with the lower component is a complete equality test.
+    word, read back on n strands, with the lower component is a complete
+    equality test.
     """
     form = comb(w, component_budget=component_budget)
     n = w.strands
-    for i in range(3, n + 1):
-        upper = PureAWord(n, form.component(i))
-        faced = upper.face(1)
-        lower = PureAWord(n, form.component(i - 1))
-        if not same_band_word(faced, lower):
-            return False
-    return True
+    return all(
+        PureAWord(n, form.component(i)).face(1).embed(n).word == form.component(i - 1)
+        for i in range(3, n + 1)
+    )

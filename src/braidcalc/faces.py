@@ -1,9 +1,9 @@
 """Strand deletion (faces) and trivial-strand insertion (cofaces).
 
 On crossing words the two maps are BraidWord.face and BraidWord.coface,
-exported here under their public names delete_strand and insert_strand.
-This module adds the permutation face and the rules on single band
-generators, which combing.PureAWord applies letterwise.
+and on band words PureAWord.face and PureAWord.coface.  This module
+holds the permutation face and the rules on single band generators,
+which combing.PureAWord applies letterwise.
 
 Both maps are homomorphisms on words by construction; the test suite
 checks the simplicial-style identities they satisfy with braids_equal,
@@ -12,20 +12,14 @@ which compares Garside normal forms, and on band words with combing.
 
 from __future__ import annotations
 
-from .braids import BraidWord, Perm
+from .braids import Perm
 from .words import GroupWord, a_alphabet, a_sym
 
 __all__ = [
     "coface_on_pure_gen",
-    "delete_strand",
     "face_on_pure_gen",
-    "insert_strand",
     "perm_face",
 ]
-
-
-delete_strand = BraidWord.face
-insert_strand = BraidWord.coface
 
 
 def perm_face(perm: Perm, i: int) -> Perm:

@@ -156,11 +156,12 @@ def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
     """
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
-    common_face(a)  # raises NotCohenError on disagreement
     pm = a.perm()
     if pm.is_identity():
-        deltas = hopf_decompose(a)
-        return reassemble(deltas, n)
+        # hopf_decompose raises NotCohenError through common_face; a pure
+        # braid on two strands or fewer has its faces in the trivial B_1 or B_0
+        return reassemble(hopf_decompose(a), n)
+    common_face(a)  # the witness names the faces of a, not of the twisted braid
     if pm != Perm.order_reversal(a.strands):
         raise AssertionError(
             "a Cohen braid permutation must be the identity or the reversal"

@@ -26,10 +26,8 @@ from braidcalc.braids import (
     Perm,
     braid_pow,
     braids_equal,
-    compose,
     half_twist,
     is_pure,
-    perm_of,
 )
 from braidcalc.cohen import (
     NotCohenError,
@@ -49,11 +47,8 @@ from braidcalc.combing import (
     PureAWord,
     aword_equal,
     aword_trivial,
-    coface_on_aword,
     comb,
-    face_on_aword,
 )
-from braidcalc.faces import delete_strand, insert_strand
 from braidcalc.finite_models import (
     build_p2_rp2,
     derive_rp2_face_assignments,
@@ -202,9 +197,9 @@ def _build_solved_nonpure():
         delta_square_word(3, 1).to_braid(),
         band_commutator(1, 1).to_braid(),
     ]
-    nonpure = [compose(braid_pow(half_twist(3), odd), tails[0]) for odd in (1, -1, 3)]
-    nonpure += [compose(braid_pow(half_twist(3), odd), tails[1]) for odd in (1, -1)]
-    nonpure += [compose(braid_pow(half_twist(3), odd), tails[2]) for odd in (1, -1)]
+    nonpure = [braid_pow(half_twist(3), odd) * tails[0] for odd in (1, -1, 3)]
+    nonpure += [braid_pow(half_twist(3), odd) * tails[1] for odd in (1, -1)]
+    nonpure += [braid_pow(half_twist(3), odd) * tails[2] for odd in (1, -1)]
     return [(alpha, solve_cohen_system(alpha, 4)) for alpha in nonpure]
 
 
@@ -284,8 +279,8 @@ def test_01_bidelta_identity_suite():
             for t in range(1, n):
                 g = BraidWord(n, ((t, 1),))
                 ok = ok and braids_equal(
-                    insert_strand(insert_strand(g, i), j),
-                    insert_strand(insert_strand(g, j), i + 1),
+                    g.coface(i).coface(j),
+                    g.coface(j).coface(i + 1),
                 )
             insertion_maps_agree[key] = ok
         return insertion_maps_agree[key]
@@ -296,38 +291,38 @@ def test_01_bidelta_identity_suite():
 
         i = rng.randint(1, n - 1)
         j = rng.randint(i, n - 1)
-        lhs = delete_strand(delete_strand(b, i), j)
-        rhs = delete_strand(delete_strand(b, j + 1), i)
+        lhs = b.face(i).face(j)
+        rhs = b.face(j + 1).face(i)
         assert lhs.letters == rhs.letters
 
         i = rng.randint(1, n + 1)
         j = rng.randint(1, i)
-        lhs = insert_strand(insert_strand(b, i), j)
-        rhs = insert_strand(insert_strand(b, j), i + 1)
+        lhs = b.coface(i).coface(j)
+        rhs = b.coface(j).coface(i + 1)
         # insertion is a homomorphism, so agreement on every generator
         # settles agreement on the word when letters differ cosmetically
         assert lhs.letters == rhs.letters or insertions_agree_on_generators(n, i, j)
 
         i = rng.randint(1, n + 1)
-        assert delete_strand(insert_strand(b, i), i).letters == b.letters
+        assert b.coface(i).face(i).letters == b.letters
 
     for _ in range(1000):
         n = rng.randint(3, 6)
         w = random_band_word(rng, n)
         i = rng.randint(1, n + 1)
         j = rng.choice([x for x in range(1, n + 2) if x != i])
-        lhs = face_on_aword(coface_on_aword(w, i), j)
+        lhs = w.coface(i).face(j)
         if j < i:
-            rhs = coface_on_aword(face_on_aword(w, j), i - 1)
+            rhs = w.face(j).coface(i - 1)
         else:
-            rhs = coface_on_aword(face_on_aword(w, j - 1), i)
+            rhs = w.face(j - 1).coface(i)
         assert lhs.word == rhs.word or aword_equal(lhs, rhs)
 
     # the mixed rule genuinely fails on non-pure input: deleting strand 1
     # after inserting at 2 keeps the crossing, the other order loses it
     s1 = BraidWord(2, ((1, 1),))
-    kept = delete_strand(insert_strand(s1, 2), 1)
-    lost = insert_strand(delete_strand(s1, 1), 1)
+    kept = s1.coface(2).face(1)
+    lost = s1.face(1).coface(1)
     assert kept.letters == ((1, 1),)
     assert lost.letters == ()
     assert not braids_equal(kept, lost)
@@ -353,8 +348,8 @@ def test_02_oracle_soundness_and_twisted_rule():
         b = random_braid(rng, n, max_len=20)
         g = random_braid(rng, n, max_len=20)
         i = rng.randint(1, n)
-        lhs = delete_strand(compose(b, g), i)
-        rhs = compose(delete_strand(b, i), delete_strand(g, perm_of(b)(i)))
+        lhs = (b * g).face(i)
+        rhs = b.face(i) * g.face(b.perm()(i))
         assert lhs.letters == rhs.letters or braids_equal(lhs, rhs)
 
 
@@ -372,16 +367,14 @@ def test_04_half_twist_conjugate_faces():
     are exactly s1, s1^2, and the empty braid, so conjugation moves
     the half twist off its own face pattern."""
     d3 = half_twist(3)
-    conj = compose(
-        compose(BraidWord(3, ((1, -1),)), d3), BraidWord(3, ((1, 1),))
-    )
+    conj = BraidWord(3, ((1, -1),)) * d3 * BraidWord(3, ((1, 1),))
     canonical = BraidWord(3, ((2, 1), (1, 1), (1, 1)))
     assert braids_equal(conj, canonical)
-    assert delete_strand(canonical, 1).letters == ((1, 1),)
-    assert delete_strand(canonical, 2).letters == ((1, 1), (1, 1))
-    assert delete_strand(canonical, 3).letters == ()
+    assert canonical.face(1).letters == ((1, 1),)
+    assert canonical.face(2).letters == ((1, 1), (1, 1))
+    assert canonical.face(3).letters == ()
     for i in (1, 2, 3):
-        assert braids_equal(delete_strand(conj, i), delete_strand(canonical, i))
+        assert braids_equal(conj.face(i), canonical.face(i))
 
 
 def test_05_three_strand_commutator_normal_form():
@@ -419,7 +412,7 @@ def test_06_four_strand_certificate(certified):
     value, which is nontrivial: a Cohen braid that is not Brunnian."""
     gamma3, gamma4 = certified["gammas"]
     for i in range(1, 5):
-        assert aword_equal(face_on_aword(gamma4, i), gamma3)
+        assert aword_equal(gamma4.face(i), gamma3)
     assert not aword_trivial(gamma3)
     assert is_cohen(gamma4)
     assert not is_brunnian(gamma4)
@@ -436,7 +429,7 @@ def test_07_lifting_identities(certified):
         )
         assert tilde.word == expected4
         for i in range(1, 5):
-            assert aword_equal(face_on_aword(tilde, i), alpha)
+            assert aword_equal(tilde.face(i), alpha)
 
         tail = comm_band(
             [((3, 5), (4, 5)), ((2, 5), (4, 5)), ((2, 5), (3, 5)),
@@ -445,7 +438,7 @@ def test_07_lifting_identities(certified):
         )
         assert beta.word == tilde.embed(5).word * tail
         for i in range(1, 6):
-            assert aword_equal(face_on_aword(beta, i), tilde)
+            assert aword_equal(beta.face(i), tilde)
 
 
 def test_08_lifting_lemma_samples(certified):
@@ -455,7 +448,7 @@ def test_08_lifting_lemma_samples(certified):
         n = w.strands
         assert lifted.strands == n + 1
         for i in range(1, n + 2):
-            assert aword_equal(face_on_aword(lifted, i), w)
+            assert aword_equal(lifted.face(i), w)
 
 
 def test_09_james_hopf_example_and_face_law(certified):
@@ -467,7 +460,7 @@ def test_09_james_hopf_example_and_face_law(certified):
     for k, n, w, image in certified["hopf_images"]:
         lower = james_hopf(k, n - 1, w)
         for i in range(1, n + 1):
-            assert aword_equal(face_on_aword(image, i), lower)
+            assert aword_equal(image.face(i), lower)
 
 
 def test_10_hopf_decomposition_round_trip(certified):
@@ -489,14 +482,14 @@ def test_11_cohen_system_solver(certified):
     for alpha, beta in certified["solved_pure"]:
         assert is_cohen(alpha)
         for i in range(1, 5):
-            assert aword_equal(face_on_aword(beta, i), alpha)
+            assert aword_equal(beta.face(i), alpha)
 
     assert len(certified["solved_nonpure"]) == 7
     for alpha, beta in certified["solved_nonpure"]:
         assert not is_pure(alpha)
         assert is_cohen(alpha)
         for i in range(1, 5):
-            assert braids_equal(delete_strand(beta, i), alpha)
+            assert braids_equal(beta.face(i), alpha)
 
     sour = PureAWord.from_pairs(3, [(1, 3, 1)])
     with pytest.raises(NotCohenError) as exc:
@@ -565,7 +558,7 @@ def test_14_cohen_subgroup_properties(certified):
 
     for x in population:
         braid = x.to_braid()
-        pm = perm_of(braid)
+        pm = braid.perm()
         assert pm == Perm.identity(braid.strands) or pm == Perm.order_reversal(
             braid.strands
         )

@@ -16,12 +16,9 @@ from braidcalc.braids import (
     a_gen,
     braid_pow,
     braids_equal,
-    compose,
     half_twist,
-    invert_braid,
     is_pure,
     left_normal_form,
-    perm_of,
 )
 
 from artin_oracle import artin_endo, artin_equal
@@ -113,7 +110,7 @@ def positive_word(arrangement):
 def word_of_form(n, form):
     k, factors = form
     letters = [letter for f in factors for letter in positive_word(f)]
-    return compose(braid_pow(half_twist(n), k), BraidWord(n, tuple(letters)))
+    return braid_pow(half_twist(n), k) * BraidWord(n, tuple(letters))
 
 
 def finishing_set(arr):
@@ -179,7 +176,7 @@ class TestOracle:
         assert not braids_equal(sig(3, (1, 1)), sig(3, (1, 1), (2, 1)))
 
     def test_conjugate_of_generator(self):
-        lhs = compose(invert_braid(sig(3, (1, 1))), compose(half_twist(3), sig(3, (1, 1))))
+        lhs = sig(3, (1, 1)).inverse() * (half_twist(3) * sig(3, (1, 1)))
         rhs = sig(3, (2, 1), (1, 1), (1, 1))
         assert braids_equal(lhs, rhs)
 
@@ -215,7 +212,7 @@ class TestOracle:
         for k in range(1, n):
             for s in (1, -1):
                 g = sig(n, (k, s))
-                assert braids_equal(compose(delta2, g), compose(g, delta2))
+                assert braids_equal(delta2 * g, g * delta2)
 
 
 class TestPerm:
@@ -224,11 +221,11 @@ class TestPerm:
         n = 5
         b = BraidWord(n, tuple(pairs))
         c = BraidWord(n, tuple(reversed([(i, -e) for i, e in pairs])))
-        assert perm_of(compose(b, c)).is_identity()
+        assert (b * c).perm().is_identity()
 
     def test_half_twist_perm_reverses(self):
         for n in (2, 3, 4, 5):
-            assert perm_of(half_twist(n)) == Perm.order_reversal(n)
+            assert half_twist(n).perm() == Perm.order_reversal(n)
 
     def test_is_pure_on_bands(self):
         assert is_pure(a_gen(2, 4, 4))
@@ -249,7 +246,7 @@ class TestBands:
     def test_half_twist_square_equals_band_product(self):
         # Delta_3^2 = A12 A13 A23.
         lhs = braid_pow(half_twist(3), 2)
-        rhs = compose(a_gen(1, 2, 3), compose(a_gen(1, 3, 3), a_gen(2, 3, 3)))
+        rhs = a_gen(1, 2, 3) * (a_gen(1, 3, 3) * a_gen(2, 3, 3))
         assert braids_equal(lhs, rhs)
 
 
@@ -283,5 +280,5 @@ class TestNormalForm:
         delta = half_twist(n)
         for i in range(1, n):
             for s in (1, -1):
-                conj = compose(compose(delta, sig(n, (i, s))), invert_braid(delta))
+                conj = delta * sig(n, (i, s)) * delta.inverse()
                 assert left_normal_form(conj) == left_normal_form(sig(n, (n - i, s)))

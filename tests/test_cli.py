@@ -64,6 +64,17 @@ class TestEquality:
         assert code == 1
         assert payload["result"] is False
 
+    def test_band_word_equality_combs_under_the_default_cap(self):
+        # only comb reads --budget; the same quotient is refused by comb at 1
+        argv = ["-n", "4", "( a1.3 a2.4 )^6", "( a2.4 a1.3 )^6", "--budget", "1"]
+        code, payload = run(["eq", *argv])
+        assert code == 1
+        assert payload["result"] is False
+        assert payload["witnesses"]["method"] == "combing"
+        code, payload = run(["comb", "-n", "4", "( a1.3 a2.4 )^6", "--budget", "1"])
+        assert code == 2
+        assert payload["result"] == "resource limit"
+
 
 class TestStructureQueries:
     def test_perm(self):
@@ -208,6 +219,11 @@ class TestLiftingCommands:
     def test_solve_verified(self):
         _, payload = run(["solve", "-n", "3", "a1.2", "--verify"])
         assert payload["witnesses"]["faces_equal_input"] is True
+
+    def test_solve_on_zero_strands_is_an_error(self):
+        code, payload = run(["solve", "-n", "1", "e"])
+        assert code == 2
+        assert payload["result"] == "error"
 
     def test_solve_refuses_a_kinked_reassembly_with_a_witness(self):
         # A 5-strand Cohen word times A1,2^(+-1): its faces differ in

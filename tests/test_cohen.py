@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidcalc.braids import BraidWord, a_gen, braid_pow, braids_equal, compose, half_twist
+from braidcalc.braids import BraidWord, a_gen, braid_pow, braids_equal, half_twist
 from braidcalc.cohen import (
     CommutatorTree,
     NotCohenError,
@@ -113,11 +113,11 @@ class TestUnary:
         from braidcalc.braids import is_pure
 
         staircase = BraidWord(3, ((1, 1), (2, 1)))
-        b = compose(staircase, a_gen(2, 3, 3))
+        b = staircase * a_gen(2, 3, 3)
         assert is_unary(b)
         factor = unary_factor(b)
         assert is_pure(factor)
-        assert braids_equal(compose(factor, staircase), b)
+        assert braids_equal(factor * staircase, b)
 
     def test_wrong_permutation_is_not_unary(self):
         assert not is_unary(BraidWord(3, ((2, 1), (1, 1), (1, 1))))

@@ -9,12 +9,9 @@ from braidcalc.combing import (
     PureAWord,
     aword_equal,
     aword_trivial,
-    coface_on_aword,
     comb,
     conj_rule,
-    face_on_aword,
     is_harmonic,
-    same_band_word,
 )
 from braidcalc.cohen import split_power_word
 from braidcalc.words import a_sym
@@ -158,22 +155,14 @@ class TestFacesOnAWords:
     @settings(deadline=None)
     @given(band_pairs, st.integers(1, 4))
     def test_face_matches_braid_level_deletion(self, pairs, i):
-        from braidcalc.faces import delete_strand
-
         w = aw(4, *pairs)
-        assert braids_equal(
-            face_on_aword(w, i).to_braid(), delete_strand(w.to_braid(), i)
-        )
+        assert braids_equal(w.face(i).to_braid(), w.to_braid().face(i))
 
     @settings(deadline=None)
     @given(band_pairs, st.integers(1, 5))
     def test_coface_matches_braid_level_insertion(self, pairs, i):
-        from braidcalc.faces import insert_strand
-
         w = aw(4, *pairs)
-        assert braids_equal(
-            coface_on_aword(w, i).to_braid(), insert_strand(w.to_braid(), i)
-        )
+        assert braids_equal(w.coface(i).to_braid(), w.to_braid().coface(i))
 
 
 class TestHarmonic:
@@ -184,9 +173,3 @@ class TestHarmonic:
     def test_generic_word_is_not_harmonic(self):
         # d_1(A_{2,4}) = A_{1,3}, which cannot match an empty u_3.
         assert not is_harmonic(aw(4, (2, 4, 1)))
-
-    def test_same_band_word_ignores_ambient_rank(self):
-        a = aw(4, (1, 3, 2), (2, 3, -1))
-        b = aw(5, (1, 3, 2), (2, 3, -1))
-        assert same_band_word(a, b)
-        assert not same_band_word(a, aw(4, (1, 3, 2)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidcalc.braids import BraidWord, band_power_letters, braids_equal, compose, half_twist, is_pure
+from braidcalc.braids import BraidWord, band_power_letters, braids_equal, half_twist, is_pure
 from braidcalc.expr import (
     BandAtom,
     Commutator,
@@ -136,7 +136,7 @@ class TestEvaluation:
         played = BraidWord(3, ())
         for sym, exp in to_aword(expr, 3).word.syllables:
             i, j = sym.index
-            played = compose(played, BraidWord(3, band_power_letters(i, j, exp)))
+            played = played * BraidWord(3, band_power_letters(i, j, exp))
         assert braids_equal(direct, played)
 
     def test_to_aword_refuses_crossings(self):

@@ -3,12 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcalc.braids import BraidWord, a_gen, braids_equal, compose, invert_braid, perm_of
+from braidcalc.braids import BraidWord, a_gen, braids_equal
 from braidcalc.faces import (
     coface_on_pure_gen,
-    delete_strand,
     face_on_pure_gen,
-    insert_strand,
     perm_face,
 )
 from braidcalc.words import GroupWord
@@ -27,64 +25,64 @@ def realize_bands(word: GroupWord, n: int) -> BraidWord:
     out = BraidWord(n, ())
     for sym, exp in word.syllables:
         band = a_gen(*sym.index, n)
-        piece = band if exp > 0 else invert_braid(band)
+        piece = band if exp > 0 else band.inverse()
         for _ in range(abs(exp)):
-            out = compose(out, piece)
+            out = out * piece
     return out
 
 
 class TestDelete:
     def test_uninvolved_strand_shifts_indices(self):
         b = BraidWord(3, ((2, 1), (2, 1)))
-        assert delete_strand(b, 1).letters == ((1, 1), (1, 1))
+        assert b.face(1).letters == ((1, 1), (1, 1))
 
     def test_involved_strand_drops_crossings(self):
         b = BraidWord(2, ((1, 1),))
-        assert delete_strand(b, 1).letters == ()
-        assert delete_strand(b, 2).letters == ()
+        assert b.face(1).letters == ()
+        assert b.face(2).letters == ()
 
     def test_walk_follows_the_strand(self):
         # sigma_2 sigma_1^2: strand 1 stays at position 1 until the first
         # sigma_1, so d_1 keeps only the crossing among strands 2 and 3.
         b = BraidWord(3, ((2, 1), (1, 1), (1, 1)))
-        assert delete_strand(b, 1).letters == ((1, 1),)
-        assert delete_strand(b, 2).letters == ((1, 1), (1, 1))
-        assert delete_strand(b, 3).letters == ()
+        assert b.face(1).letters == ((1, 1),)
+        assert b.face(2).letters == ((1, 1), (1, 1))
+        assert b.face(3).letters == ()
 
     def test_index_validation(self):
         b = BraidWord(3, ())
         with pytest.raises(ValueError):
-            delete_strand(b, 0)
+            b.face(0)
         with pytest.raises(ValueError):
-            delete_strand(b, 4)
+            b.face(4)
 
     @given(braid_letters, st.integers(1, 5))
     def test_perm_face_matches_deleted_perm(self, pairs, i):
         b = braid5(pairs)
-        assert perm_of(delete_strand(b, i)) == perm_face(perm_of(b), i)
+        assert b.face(i).perm() == perm_face(b.perm(), i)
 
 
 class TestInsert:
     def test_insert_shifts_far_letters(self):
         b = BraidWord(3, ((2, 1),))
-        assert insert_strand(b, 1).letters == ((3, 1),)
-        assert insert_strand(b, 4).letters == ((2, 1),)
+        assert b.coface(1).letters == ((3, 1),)
+        assert b.coface(4).letters == ((2, 1),)
 
     def test_insert_conjugates_straddled_letter(self):
         b = BraidWord(2, ((1, 1),))
-        assert insert_strand(b, 2).letters == ((2, 1), (1, 1), (2, -1))
+        assert b.coface(2).letters == ((2, 1), (1, 1), (2, -1))
 
     def test_insert_then_delete_is_identity(self):
         b = BraidWord(4, ((1, 1), (3, -1), (2, 1)))
         for i in range(1, 6):
-            assert delete_strand(insert_strand(b, i), i).letters == b.letters
+            assert b.coface(i).face(i).letters == b.letters
 
     @given(braid_letters, st.integers(1, 6))
     def test_inserted_strand_returns_to_its_position(self, pairs, i):
         b = braid5(pairs)
-        up = insert_strand(b, i)
+        up = b.coface(i)
         assert up.strands == 6
-        assert perm_of(up).images[i - 1] == i
+        assert up.perm().images[i - 1] == i
 
 
 class TestPureGeneratorTables:
@@ -104,7 +102,7 @@ class TestPureGeneratorTables:
                 for t in range(s + 1, n + 1):
                     for i in range(1, n + 1):
                         table = face_on_pure_gen(i, (s, t), n)
-                        walked = delete_strand(a_gen(s, t, n), i)
+                        walked = a_gen(s, t, n).face(i)
                         assert braids_equal(realize_bands(table, n - 1), walked)
 
     def test_coface_on_band_matches_insertion(self):
@@ -114,5 +112,5 @@ class TestPureGeneratorTables:
                     for i in range(1, n + 2):
                         s2, t2 = coface_on_pure_gen(i, (s, t))
                         assert braids_equal(
-                            a_gen(s2, t2, n + 1), insert_strand(a_gen(s, t, n), i)
+                            a_gen(s2, t2, n + 1), a_gen(s, t, n).coface(i)
                         )

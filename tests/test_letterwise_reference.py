@@ -21,10 +21,8 @@ from braidcalc.braids import BudgetExceededError
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
-    coface_on_aword,
     comb,
     conj_rule,
-    face_on_aword,
 )
 from braidcalc.expr import BandAtom, Commutator, Concat, Power, to_aword
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
@@ -132,7 +130,7 @@ MERGING = PureAWord.from_pairs(3, [(1, 3, 1), (1, 2, 1), (1, 3, 1)])
 
 class TestFaceMaps:
     def test_deleting_a_band_end_merges_its_neighbours(self):
-        assert str(face_on_aword(MERGING, 2).word) == "A1,2^2"
+        assert str(MERGING.face(2).word) == "A1,2^2"
 
     @settings(max_examples=150)
     @given(band_words())
@@ -140,7 +138,7 @@ class TestFaceMaps:
     @example(MERGING)
     def test_face_matches_letterwise_reference(self, w):
         for i in range(1, w.strands + 1):
-            faced = face_on_aword(w, i)
+            faced = w.face(i)
             assert faced.strands == w.strands - 1
             assert faced.word == face_reference(w, i)
 
@@ -150,7 +148,7 @@ class TestFaceMaps:
     @example(MERGING)
     def test_coface_matches_letterwise_reference(self, w):
         for i in range(1, w.strands + 2):
-            cofaced = coface_on_aword(w, i)
+            cofaced = w.coface(i)
             assert cofaced.strands == w.strands + 1
             assert cofaced.word == coface_reference(w, i)
 

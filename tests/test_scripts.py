@@ -1,0 +1,30 @@
+"""The self-checking experiment scripts run to completion.
+
+Each script asserts its own findings, so exit status 0 means they still
+hold.  lift_product_experiment.py is left out: it runs for over a minute.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script", ["derive_conj_rules.py", "tau_order_experiment.py"])
+def test_script_exits_cleanly(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
