@@ -6,7 +6,7 @@ result lies back in the free column group U_j, and up to the order
 pattern of (r, s, i) it is a conjugate of a single column generator by
 a short word in A_{r,j} and A_{s,j}.  This script searches that space
 of candidates (conjugators up to two syllables, exponents up to 2),
-keeps the candidates that braids_equal accepts, and prints the
+keeps the candidates that same_braid accepts, and prints the
 shortest survivor for every (pattern, sign) case.  Each derived entry
 is then compared against the table frozen in braidcalc.combing, over
 several concrete instantiations of the roles, so a regression in
@@ -21,8 +21,8 @@ Usage: python3 scripts/derive_conj_rules.py [-v]
 import argparse
 import sys
 
-from braidcalc.braids import BraidWord, braids_equal
-from braidcalc.combing import _CONJ_TEMPLATES, conj_rule
+from braidcalc.braids import BraidWord
+from braidcalc.combing import _CONJ_TEMPLATES, conj_rule, same_braid
 from braidcalc.words import GroupWord, a_sym
 
 # concrete role instantiations per order pattern: (r, s, i, j, ambient n)
@@ -79,13 +79,13 @@ def candidates():
 
 
 def derive(pattern, sign, verbose=False):
-    """First (hence shortest) template braids_equal accepts everywhere."""
+    """First (hence shortest) template same_braid accepts everywhere."""
     for cand in candidates():
         ok = True
         for r, s, i, j, n in INSTANCES[pattern]:
             conj = band(r, s, n) if sign > 0 else band(r, s, n).inverse()
             target = conj.inverse() * band(i, j, n) * conj
-            if not braids_equal(realize(cand, r, s, i, j, n), target):
+            if not same_braid(realize(cand, r, s, i, j, n), target):
                 ok = False
                 break
         if ok:
@@ -135,7 +135,7 @@ def main():
                     piece = g if exp > 0 else g.inverse()
                     for _ in range(abs(exp)):
                         played = played * piece
-                if not braids_equal(played, target):
+                if not same_braid(played, target):
                     print(f"conj_rule FAILED oracle at {pattern} {(r, s, i, j)} {sign:+d}")
                     failures += 1
 

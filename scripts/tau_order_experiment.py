@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 
 from braidcalc.cohen import band_commutator
-from braidcalc.combing import PureAWord, aword_equal
+from braidcalc.combing import PureAWord, same_braid
 from braidcalc.lifting import tau_spread
 
 
@@ -42,9 +42,9 @@ def check(order, factors, dst_rank, shipped, lower):
     for idx in order[1:]:
         word = word * factors[idx]
     permuted = PureAWord(dst_rank, word)
-    same = aword_equal(permuted, shipped)
+    same = same_braid(permuted, shipped)
     law = all(
-        aword_equal(permuted.face(i), lower)
+        same_braid(permuted.face(i), lower)
         for i in range(1, dst_rank)
     ) and permuted.face(dst_rank).is_identity()
     return same, law

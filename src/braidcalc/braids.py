@@ -1,9 +1,9 @@
-"""Braid words, strand permutations, and equality by Garside normal form.
+"""Braid words, strand permutations, and the Garside normal form.
 
 A braid on n strands is stored as a plain word in the Artin generators
-sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; equality is
-decided by computing the left-greedy normal form Delta^k P_1 .. P_r of
-both sides (Garside 1969; ElRifai-Morton 1994; Epstein et al., Word
+sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; equality of
+crossing words (combing.same_braid) is decided by computing the
+left-greedy normal form Delta^k P_1 .. P_r of both sides (Garside 1969; ElRifai-Morton 1994; Epstein et al., Word
 Processing in Groups, ch. 9).  Here Delta is the half twist and the P_t
 are permutation braids, each pair left-weighted; the form is unique, so
 two words are equal in B_n exactly when their forms agree.  Computing it
@@ -36,7 +36,6 @@ __all__ = [
     "Perm",
     "a_gen",
     "braid_pow",
-    "braids_equal",
     "half_twist",
     "is_pure",
     "left_normal_form",
@@ -349,15 +348,3 @@ def left_normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
         factors = [_tau(f) for f in factors]
     return k, tuple(tuple(f) for f in factors)
 
-
-def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in B_n: the left normal forms agree."""
-    if a.strands != b.strands:
-        raise ValueError(
-            f"cannot compare braids on {a.strands} and {b.strands} strands"
-        )
-    if a.letters == b.letters:
-        return True
-    if a.perm() != b.perm():
-        return False
-    return left_normal_form(a) == left_normal_form(b)

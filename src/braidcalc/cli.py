@@ -25,12 +25,10 @@ from .cohen import (
     is_brunnian,
     is_cohen,
     is_generalized_cohen,
-    is_trivial,
     is_unary,
-    same_braid,
     unary_factor,
 )
-from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb
+from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb, same_braid
 from .expr import (
     NotAWordError,
     ParseError,
@@ -249,7 +247,15 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             w = _read_bands(args.expr, lo, "this construction needs a word in the bands")
             result = tau_spread(lo, hi, w) if cmd == "tau" else full_lift(lo, hi, w)
         payload["result"] = _fmt(result)
-        if args.verify:
+        if args.verify and cmd == "tau":
+            # a spread is never Cohen: d_1 .. d_(k-1) are the spread one rank
+            # down and d_k is trivial, and every face is trivial when k = m
+            lower = tau_spread(lo, hi - 1, w, check=False) if hi > lo else None
+            payload["witnesses"]["faces_checked"] = all(
+                same_braid(f, lower if lower is not None and i < hi else f.identity(f.strands))
+                for i, f in enumerate(all_faces(result), start=1)
+            )
+        elif args.verify:
             payload["witnesses"]["faces_checked"] = is_cohen(result)
         return 0
 
@@ -311,7 +317,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         bad = [
             k
             for k, f in enumerate(all_faces(b), start=1)
-            if not is_trivial(f)
+            if not same_braid(f, f.identity(f.strands))
         ]
         payload["result"] = not bad
         if bad:

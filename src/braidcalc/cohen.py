@@ -3,11 +3,11 @@
 A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
 a BraidWord or a PureAWord and take faces through their shared face
-member.  Equality is decided by combing when both sides are band words
-and by the Garside normal form of braids.braids_equal otherwise.  Both
-are complete.  On band words combing is the cheap one: the faces the
-solver compares are short band words that expand into hundreds of
-crossings.
+member.  Every equality goes through combing.same_braid, which combs
+when both sides are band words and compares Garside normal forms
+otherwise.  Both are complete.  On band words combing is the cheap one:
+the faces the solver compares are short band words that expand into
+hundreds of crossings.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .braids import BraidWord, braids_equal, is_pure
-from .combing import PureAWord, aword_equal, aword_trivial, comb
+from .braids import BraidWord, is_pure
+from .combing import PureAWord, comb, same_braid
 from .words import GroupWord, a_sym, commutator
 
 __all__ = [
@@ -43,9 +43,7 @@ __all__ = [
     "is_brunnian",
     "is_cohen",
     "is_generalized_cohen",
-    "is_trivial",
     "is_unary",
-    "same_braid",
     "split_power_word",
     "unary_factor",
 ]
@@ -67,19 +65,6 @@ class NotCohenError(ValueError):
 
 class NotUnaryError(ValueError):
     pass
-
-
-def same_braid(a: Braidlike, b: Braidlike) -> bool:
-    """Equality dispatch: combing for two band words, normal form otherwise."""
-    if isinstance(a, PureAWord) and isinstance(b, PureAWord):
-        return aword_equal(a, b)
-    return braids_equal(a.to_braid(), b.to_braid())
-
-
-def is_trivial(b: Braidlike) -> bool:
-    if isinstance(b, PureAWord):
-        return aword_trivial(b)
-    return braids_equal(b, b.identity(b.strands))
 
 
 def all_faces(b: Braidlike) -> list[Braidlike]:
@@ -108,7 +93,7 @@ def common_face(b: Braidlike) -> Braidlike:
 
 def is_brunnian(b: Braidlike) -> bool:
     """Every face of b is trivial."""
-    return all(is_trivial(f) for f in all_faces(b))
+    return all(same_braid(f, f.identity(f.strands)) for f in all_faces(b))
 
 
 @dataclass(frozen=True)
@@ -150,11 +135,15 @@ def is_generalized_cohen(b: Braidlike, partition: StrandPartition) -> bool:
 
 
 def is_unary(b: BraidWord) -> bool:
-    """Strand 1 ends at position n and deleting it leaves the trivial braid."""
+    """Strand 1 ends at position n and deleting it leaves the trivial braid.
+
+    False on zero strands, which have no strand 1.
+    """
     n = b.strands
-    if b.perm()(1) != n:
+    if n == 0 or b.perm()(1) != n:
         return False
-    return is_trivial(b.face(1))
+    f = b.face(1)
+    return same_braid(f, f.identity(f.strands))
 
 
 def unary_factor(b: BraidWord) -> BraidWord:

@@ -17,12 +17,15 @@ letter of lower level is combed.
 The conjugation of a band A_{i,j} by A_{r,s}^{+-1} with s < j depends
 only on the order pattern of (r, s, i); the case table below was
 derived by scripts/derive_conj_rules.py (a bounded brute-force search,
-every entry verified with braids_equal) and then frozen.  Entries are
+every entry verified with the Garside normal form) and then frozen.  Entries are
 written over the roles r, s, i and instantiated with second index j.
 
 Combed components are canonical: since each U_k is free, two pure
 braids are equal iff their combed components agree syllable by
-syllable.
+syllable.  same_braid, the one equality test of the library, lives here
+because it needs both representations: it combs when both sides are
+band words and compares Garside normal forms of crossing words
+otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .braids import (
     BudgetExceededError,
     Perm,
     band_power_letters,
-    braids_equal,
+    left_normal_form,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
 from .words import GenSym, GroupWord, _push, a_alphabet, a_sym, alphabet_rank
@@ -45,11 +48,10 @@ __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
     "CombedForm",
     "PureAWord",
-    "aword_equal",
-    "aword_trivial",
     "comb",
     "conj_rule",
     "is_harmonic",
+    "same_braid",
 ]
 
 DEFAULT_COMPONENT_BUDGET = 10**5
@@ -268,7 +270,7 @@ def comb(
     that passes it through the raw subword is redone through the
     components, so a word is refused only when conjugating through the
     components refuses it.  With verify=True every conjugation template
-    instantiation and the final expansion are checked with braids_equal
+    instantiation and the final expansion are checked with same_braid
     on crossing words.
     """
     n = w.strands
@@ -318,7 +320,7 @@ def comb(
         GroupWord(alphabet, tuple((s, e) for s, e in reversed(stack)))
         for stack in stacks
     ))
-    if verify and not braids_equal(result.expand(), w.to_braid()):
+    if verify and not same_braid(result.expand(), w.to_braid()):
         raise AssertionError("combing verification failed: expansion differs")
     return result
 
@@ -361,46 +363,46 @@ def _verify_conj(
     h = BraidWord(n, band_power_letters(h_sym.index[0], h_sym.index[1], 1))
     target = g.inverse() * h * g
     got = PureAWord(n, image).to_braid()
-    if not braids_equal(got, target):
+    if not same_braid(got, target):
         raise AssertionError(f"conj_rule image for {g_sym}^{g_sign} on {h_sym} is wrong")
 
 
-def aword_trivial(
-    w: PureAWord, component_budget: int | None = DEFAULT_COMPONENT_BUDGET
-) -> bool:
-    """Decide whether an A-word represents the trivial braid.
+def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
+    """Equality in B_n of two crossing words, two band words or one of each.
 
-    Free reduction is tried first, then the abelianization: P_n
-    abelianizes to Z^{C(n,2)} with the bands as basis, so a word with a
-    nonzero exponent sum on some band is nontrivial.  Otherwise the word
-    is combed and triviality read off the components.  It is complete
-    because the combed form is unique.
+    Two band words are compared by combing a b^{-1}, which is complete
+    because the combed form is unique; any other pair by the Garside left
+    normal forms of the crossing words.
     """
-    if w.word.is_identity():
+    if a.strands != b.strands:
+        raise ValueError(
+            f"cannot compare braids on {a.strands} and {b.strands} strands"
+        )
+    if isinstance(a, PureAWord) and isinstance(b, PureAWord):
+        w = a * b.inverse()
+        if w.word.is_identity():
+            return True
+        if w.word.abelianize():
+            # P_n abelianizes to Z^{C(n,2)} with the bands as basis, so a
+            # nonzero exponent sum on some band makes w nontrivial
+            return False
+        return all(c.is_identity() for c in comb(w).components)
+    a, b = a.to_braid(), b.to_braid()
+    if a.letters == b.letters:
         return True
-    if w.word.abelianize():
+    if a.perm() != b.perm():
         return False
-    form = comb(w, component_budget=component_budget)
-    return all(c.is_identity() for c in form.components)
+    return left_normal_form(a) == left_normal_form(b)
 
 
-def aword_equal(
-    a: PureAWord,
-    b: PureAWord,
-    component_budget: int | None = DEFAULT_COMPONENT_BUDGET,
-) -> bool:
-    """Complete equality test for pure braids given as A-words."""
-    return aword_trivial(a * b.inverse(), component_budget=component_budget)
-
-
-def is_harmonic(w: PureAWord, component_budget: int | None = DEFAULT_COMPONENT_BUDGET) -> bool:
+def is_harmonic(w: PureAWord) -> bool:
     """Combed components must satisfy d_1(u_i) = u_{i-1} for 3 <= i <= n.
 
     Both sides live in free groups, so syllable comparison of the faced
     word, read back on n strands, with the lower component is a complete
     equality test.
     """
-    form = comb(w, component_budget=component_budget)
+    form = comb(w)
     n = w.strands
     return all(
         PureAWord(n, form.component(i)).face(1).embed(n).word == form.component(i - 1)

@@ -6,8 +6,9 @@ holds the permutation face and the rules on single band generators,
 which combing.PureAWord applies letterwise.
 
 Both maps are homomorphisms on words by construction; the test suite
-checks the simplicial-style identities they satisfy with braids_equal,
-which compares Garside normal forms, and on band words with combing.
+checks the simplicial-style identities they satisfy with
+combing.same_braid, which compares Garside normal forms of crossing
+words and combs band words.
 """
 
 from __future__ import annotations

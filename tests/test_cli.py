@@ -10,6 +10,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from braidcalc.cli import run
 from braidcalc.combing import PureAWord
 from braidcalc.expr import format_aword
@@ -152,6 +154,11 @@ class TestPredicates:
         code, payload = run(["unary", "-n", "3", "s1 s1"])
         assert code == 1 and payload["result"] is False
 
+    def test_unary_on_zero_strands_is_false(self):
+        # no strand 1 to carry across, so not unary rather than a crash
+        code, payload = run(["unary", "-n", "0", "e"])
+        assert code == 1 and payload["result"] is False
+
 
 class TestNormalForms:
     def test_comb(self):
@@ -196,6 +203,27 @@ class TestLiftingCommands:
         code, payload = run(["tau", "2", "4", "a1.2"])
         assert code == 0
         assert payload["result"] == "a3.4 a2.4 a1.4"
+
+    @pytest.mark.parametrize("m, k, expr", [(2, 4, "a1.2"), (3, 5, "[ a1.3 , a2.3 ]")])
+    def test_tau_verify_checks_the_spread_faces(self, m, k, expr):
+        # d_1 .. d_(k-1) of a spread are the spread one rank down and d_k
+        # is trivial, so the output is not Cohen and is still verified
+        code, payload = run(["tau", str(m), str(k), expr, "--verify"])
+        assert code == 0
+        assert payload["witnesses"]["faces_checked"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["bigT", "2", "4", "a1.2"],
+        ["bigT", "3", "5", "[ a1.3 , a2.3 ]"],
+        ["hopf", "2", "4", "a1.2"],
+        ["hopf", "3", "5", "[ a1.3 , a2.3 ]"],
+        ["lift", "-n", "2", "a1.2"],
+        ["lift", "-n", "3", "[ a1.3 , a2.3 ]"],
+    ])
+    def test_cohen_constructions_verify(self, argv):
+        code, payload = run([*argv, "--verify"])
+        assert code == 0
+        assert payload["witnesses"]["faces_checked"] is True
 
     def test_tau_rank_validation(self):
         code, payload = run(["tau", "4", "3", "a1.2"])

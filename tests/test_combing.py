@@ -1,17 +1,15 @@
 """Markov combing and the conjugation-rule table."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from braidcalc.braids import braids_equal
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
-    aword_equal,
-    aword_trivial,
     comb,
     conj_rule,
     is_harmonic,
+    same_braid,
 )
 from braidcalc.cohen import split_power_word
 from braidcalc.words import a_sym
@@ -64,7 +62,7 @@ class TestConjRule:
                 image = conj_rule(a_sym(gi, gj, n), sign, a_sym(hi, hj, n))
                 realized = PureAWord(n, image)
                 conjugated = g.inverse() * h * g
-                assert braids_equal(realized.to_braid(), conjugated.to_braid())
+                assert same_braid(realized.to_braid(), conjugated.to_braid())
 
     def test_pattern_is_stable_across_ambient_rank(self):
         # The same role pattern yields index-shifted copies of one template.
@@ -102,11 +100,11 @@ class TestCombedForm:
     @settings(max_examples=40, deadline=None)
     @given(band_pairs)
     def test_round_trip_against_braid_oracle(self, pairs):
-        # braids_equal (the Garside form) is itself property-checked
+        # same_braid (the Garside form) is itself property-checked
         # against the Artin oracle in test_braids.py
         w = aw(4, *pairs)
         form = comb(w)
-        assert braids_equal(form.expand(), w.to_braid())
+        assert same_braid(form.expand(), w.to_braid())
 
     @settings(max_examples=40, deadline=None)
     @given(band_pairs)
@@ -123,16 +121,51 @@ class TestCombedForm:
         assert once.word == twice.word
 
 
+@st.composite
+def band_words(draw):
+    """Band words on 2-5 strands, at most 8 syllables, exponents +-1..+-2."""
+    n = draw(st.integers(2, 5))
+    band = st.integers(2, n).flatmap(lambda j: st.tuples(st.integers(1, j - 1), st.just(j)))
+    syllables = draw(st.lists(
+        st.tuples(band, st.sampled_from([-2, -1, 1, 2])).map(lambda t: (*t[0], t[1])),
+        max_size=8,
+    ))
+    return aw(n, *syllables)
+
+
 class TestEquality:
+    @settings(deadline=None)
+    @given(band_words(), st.data())
+    def test_combing_and_normal_form_agree(self, a, data):
+        # b is the combed word itself, or that word with two adjacent
+        # syllables swapped: the abelianization is unchanged, so the band
+        # branch cannot answer without combing.  Combed forms grow
+        # exponentially (8 syllables can comb to thousands), and combing
+        # b a^-1 costs seconds there, so long forms are skipped.  b goes
+        # first: combing b a^-1 conjugates the bands of b through the few
+        # letters of a^-1 only, while a b^-1 conjugates the components of
+        # b through each other and can pass the default budget.
+        b = comb(a).as_single_word()
+        assume(len(b.word.syllables) <= 400)
+        syllables = list(b.word.syllables)
+        if len(syllables) >= 2 and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(syllables) - 2))
+            syllables[k], syllables[k + 1] = syllables[k + 1], syllables[k]
+            b = aw(a.strands, *((*sym.index, e) for sym, e in syllables))
+        by_combing = same_braid(b, a)
+        assert by_combing == same_braid(b.to_braid(), a.to_braid())
+        assert by_combing == same_braid(b, a.to_braid())
+
     @given(band_pairs)
     def test_word_times_inverse_is_trivial(self, pairs):
         w = aw(4, *pairs)
-        assert aword_trivial(w * w.inverse())
+        t = w * w.inverse()
+        assert same_braid(t, t.identity(t.strands))
 
     @given(band_pairs)
     def test_nontrivial_words_have_nonempty_form(self, pairs):
         w = aw(4, *pairs)
-        if not aword_trivial(w):
+        if not same_braid(w, w.identity(w.strands)):
             assert any(
                 not comb(w).component(k).is_identity() for k in range(2, 5)
             )
@@ -141,14 +174,14 @@ class TestEquality:
         for _ in range(12):
             a = random_pure_aword(rng, 4, 4)
             b = random_pure_aword(rng, 4, 4)
-            assert aword_equal(a, b) == artin_equal(
+            assert same_braid(a, b) == artin_equal(
                 a.to_braid(), b.to_braid(), budget=10**7
             )
 
     def test_central_square_commutes_with_everything(self):
         delta2 = split_power_word(4, 1)
         w = aw(4, (1, 3, 1), (2, 4, -1))
-        assert aword_equal(delta2 * w, w * delta2)
+        assert same_braid(delta2 * w, w * delta2)
 
 
 class TestFacesOnAWords:
@@ -156,13 +189,13 @@ class TestFacesOnAWords:
     @given(band_pairs, st.integers(1, 4))
     def test_face_matches_braid_level_deletion(self, pairs, i):
         w = aw(4, *pairs)
-        assert braids_equal(w.face(i).to_braid(), w.to_braid().face(i))
+        assert same_braid(w.face(i).to_braid(), w.to_braid().face(i))
 
     @settings(deadline=None)
     @given(band_pairs, st.integers(1, 5))
     def test_coface_matches_braid_level_insertion(self, pairs, i):
         w = aw(4, *pairs)
-        assert braids_equal(w.coface(i).to_braid(), w.to_braid().coface(i))
+        assert same_braid(w.coface(i).to_braid(), w.to_braid().coface(i))
 
 
 class TestHarmonic:

@@ -3,12 +3,15 @@
 Star imports and tools that walk __all__ (the per-layer tracer in
 perfbench) fail on a stale export, so a deleted name must leave __all__
 with it.  No export is a second name for a method of an exported class:
-each braid operation has one spelling.
+each braid operation has one spelling.  No module of the library, the
+tests or the scripts imports a name it never uses.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +56,36 @@ def test_no_export_aliases_a_method(name):
         if getattr(module, public) is func
     ]
     assert not aliases, f"{name}.__all__ exports methods under a second name: {aliases}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/braidcalc", "tests", "scripts")
+    for path in (ROOT / folder).glob("*.py")
+)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read; names in __all__ count as read."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_unused_imports(path):
+    unused = _unused_imports(ast.parse((ROOT / path).read_text(), filename=path))
+    assert not unused, f"{path} imports names it never uses: {unused}"
