@@ -148,25 +148,30 @@ class BraidWord:
                 out.append((j, sign))
         return BraidWord(n - 1, tuple(out))
 
-    def coface(self, i: int) -> BraidWord:
-        """Insert a trivial strand at position i (1 <= i <= n+1).
+    def coface(self, *positions: int) -> BraidWord:
+        """Insert trivial strands at the positions in turn, leftmost first.
 
-        Letterwise: s_j -> s_j for j < i-1, s_{i-1} -> s_i s_{i-1} s_i^{-1},
+        Each insertion at i (1 <= i <= n+1 on the current n strands) is
+        letterwise: s_j -> s_j for j < i-1, s_{i-1} -> s_i s_{i-1} s_i^{-1},
         and s_j -> s_{j+1} for j > i-1.
         """
         n = self.strands
-        if not 1 <= i <= n + 1:
-            raise ValueError(f"insertion position {i} out of range for {n} strands")
-        out = []
-        for j, sign in self.letters:
-            if j < i - 1:
-                out.append((j, sign))
-            elif j == i - 1:
-                # s_{i-1} -> s_i s_{i-1} s_i^{-1}, respecting the letter sign
-                out.extend([(i, 1), (i - 1, sign), (i, -1)])
-            else:
-                out.append((j + 1, sign))
-        return BraidWord(n + 1, tuple(out))
+        letters = self.letters
+        for i in positions:
+            if not 1 <= i <= n + 1:
+                raise ValueError(f"insertion position {i} out of range for {n} strands")
+            out = []
+            for j, sign in letters:
+                if j < i - 1:
+                    out.append((j, sign))
+                elif j == i - 1:
+                    # s_{i-1} -> s_i s_{i-1} s_i^{-1}, respecting the letter sign
+                    out.extend([(i, 1), (i - 1, sign), (i, -1)])
+                else:
+                    out.append((j + 1, sign))
+            letters = out
+            n += 1
+        return BraidWord(n, tuple(letters))
 
 
 def braid_pow(a: BraidWord, k: int) -> BraidWord:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .braids import (
@@ -42,7 +43,16 @@ from .braids import (
     left_normal_form,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
-from .words import GenSym, GroupWord, _push, a_alphabet, a_sym, alphabet_rank
+from .words import (
+    GenSym,
+    GroupWord,
+    Syllable,
+    _join,
+    _push,
+    a_alphabet,
+    a_sym,
+    alphabet_rank,
+)
 
 __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
@@ -144,10 +154,16 @@ class PureAWord:
 
     @classmethod
     def product(cls, strands: int, factors: Iterable[PureAWord]) -> PureAWord:
-        """The ordered product of the factors, freely reduced in one pass."""
-        return cls(strands, GroupWord.from_letters(
-            a_alphabet(strands), (syl for f in factors for syl in f.word.syllables)
-        ))
+        """The ordered product of the factors, freely reduced in one pass.
+
+        Each factor is reduced, so only the junctions between them reduce.
+        """
+        stack: list[Syllable] = []
+        for f in factors:
+            if f.strands != strands:
+                raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
+            _join(stack, f.word.syllables)
+        return cls(strands, GroupWord(a_alphabet(strands), tuple(stack)))
 
     def is_identity(self) -> bool:
         return self.word.is_identity()
@@ -174,39 +190,60 @@ class PureAWord:
         """The same bands read in a larger braid group."""
         if strands < self.strands:
             raise ValueError("cannot embed into fewer strands")
-        alphabet = a_alphabet(strands)
-        letters = [
+        return PureAWord(strands, GroupWord(a_alphabet(strands), tuple(
             (a_sym(sym.index[0], sym.index[1], strands), exp)
             for sym, exp in self.word.syllables
-        ]
-        return PureAWord(strands, GroupWord.from_letters(alphabet, letters))
+        )))
 
     def face(self, i: int) -> PureAWord:
-        """Delete strand i, letterwise on bands."""
+        """Delete strand i, letterwise on bands.
+
+        The bands that survive map injectively, so a kept syllable can
+        merge with or cancel the one before it only across deleted ones.
+        """
         n = self.strands
         if not 1 <= i <= n:
             raise ValueError(f"strand {i} out of range for {n} strands")
-        image: dict[GenSym, GenSym | None] = {}
-        for sym in {sym for sym, _ in self.word.syllables}:
-            faced = face_on_pure_gen(i, sym.index, n).syllables
-            image[sym] = faced[0][0] if faced else None
-        return PureAWord(n - 1, GroupWord.from_letters(a_alphabet(n - 1), (
-            (image[sym], exp) for sym, exp in self.word.syllables if image[sym] is not None
-        )))
+        image = _face_table(n, i)
+        out: list[Syllable] = []
+        gap = False
+        for sym, exp in self.word.syllables:
+            faced = image[sym]
+            if faced is None:
+                gap = True
+            elif gap and out and out[-1][0] == faced:
+                total = out[-1][1] + exp
+                if total:
+                    out[-1] = (faced, total)
+                    gap = False
+                else:
+                    out.pop()  # the new top may meet the next kept syllable
+            else:
+                out.append((faced, exp))
+                gap = False
+        return PureAWord(n - 1, GroupWord(a_alphabet(n - 1), tuple(out)))
 
-    def coface(self, i: int) -> PureAWord:
-        """Insert a trivial strand at position i, letterwise on bands.
+    def coface(self, *positions: int) -> PureAWord:
+        """Insert trivial strands at the positions in turn, leftmost first.
 
-        The map is injective on bands, so reduced syllables copy straight across.
+        Each insertion is injective on bands, so reduced syllables copy
+        straight across through one composed map.
         """
         n = self.strands
-        if not 1 <= i <= n + 1:
-            raise ValueError(f"insertion position {i} out of range for {n} strands")
-        image = {
-            sym: a_sym(*coface_on_pure_gen(i, sym.index), n + 1)
-            for sym in {sym for sym, _ in self.word.syllables}
-        }
-        return PureAWord(n + 1, GroupWord(a_alphabet(n + 1), tuple(
+        for k, i in enumerate(positions):
+            if not 1 <= i <= n + k + 1:
+                raise ValueError(
+                    f"insertion position {i} out of range for {n + k} strands"
+                )
+        m = n + len(positions)
+        image: dict[GenSym, GenSym] = {}
+        for sym, _ in self.word.syllables:
+            if sym not in image:
+                pair = sym.index
+                for i in positions:
+                    pair = coface_on_pure_gen(i, pair)
+                image[sym] = a_sym(*pair, m)
+        return PureAWord(m, GroupWord(a_alphabet(m), tuple(
             (image[sym], exp) for sym, exp in self.word.syllables
         )))
 
@@ -235,9 +272,10 @@ class CombedForm:
         return self.components[k - 2]
 
     def as_single_word(self) -> PureAWord:
-        return PureAWord(self.strands, GroupWord.from_letters(
+        # components hold bands of distinct levels, so nothing reduces
+        return PureAWord(self.strands, GroupWord(
             a_alphabet(self.strands),
-            (syl for comp in self.components for syl in comp.syllables),
+            tuple(syl for comp in self.components for syl in comp.syllables),
         ))
 
     def expand(self) -> BraidWord:
@@ -263,7 +301,7 @@ def comb(
     Each band's image is memoised.  Combing a level-j syllable changes
     the prefix of every level above j and no other, so it drops the
     images of those levels and keeps the rest.  Components are kept as
-    reversed reduced stacks, so prepending is a push.
+    reversed reduced stacks, so prepending an image joins it at the top.
 
     component_budget caps, in letters, every conjugated band image and
     every component; passing it raises BudgetExceededError.  An image
@@ -278,9 +316,9 @@ def comb(
     total = len(syllables)
     # Reversed reduced stacks, leftmost syllable on top: stacks[k-2] is
     # u_k, lower[k] the combed syllables of level below k.
-    stacks: list[list[list]] = [[] for _ in range(2, n + 1)]
+    stacks: list[list[Syllable]] = [[] for _ in range(2, n + 1)]
     sizes = [0 for _ in stacks]
-    lower: list[list[list]] = [[] for _ in range(n + 1)]
+    lower: list[list[Syllable]] = [[] for _ in range(n + 1)]
     lower_sizes = [0 for _ in lower]
     images: list[dict[GenSym, GroupWord]] = [{} for _ in range(n + 1)]
 
@@ -308,8 +346,7 @@ def comb(
         c = image if exp == 1 else image ** exp
         if exp != 1 and _over(c, component_budget):
             raise refuse(c.letter_count(), f"image of {sym}", done)
-        for c_sym, c_exp in reversed(c.syllables):
-            sizes[j - 2] += _push(stacks[j - 2], c_sym, c_exp)
+        sizes[j - 2] += c.letter_count() - 2 * _join(stacks[j - 2], c.syllables[::-1])
         if component_budget is not None and sizes[j - 2] > component_budget:
             raise refuse(sizes[j - 2], f"u_{j}", done + 1, f" in u_{j}")
         for k in range(j + 1, n + 1):
@@ -317,12 +354,22 @@ def comb(
             images[k].clear()
     alphabet = a_alphabet(n)
     result = CombedForm(n, tuple(
-        GroupWord(alphabet, tuple((s, e) for s, e in reversed(stack)))
+        GroupWord(alphabet, tuple(reversed(stack)))
         for stack in stacks
     ))
     if verify and not same_braid(result.expand(), w.to_braid()):
         raise AssertionError("combing verification failed: expansion differs")
     return result
+
+
+@lru_cache(maxsize=256)
+def _face_table(n: int, i: int) -> dict[GenSym, GenSym | None]:
+    """The image of every band of P_n under deleting strand i; None if it dies."""
+    table: dict[GenSym, GenSym | None] = {}
+    for s, t in combinations(range(1, n + 1), 2):
+        faced = face_on_pure_gen(i, (s, t), n).syllables
+        table[a_sym(s, t, n)] = faced[0][0] if faced else None
+    return table
 
 
 def _over(word: GroupWord, budget: int | None) -> bool:
@@ -379,7 +426,7 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
             f"cannot compare braids on {a.strands} and {b.strands} strands"
         )
     if isinstance(a, PureAWord) and isinstance(b, PureAWord):
-        w = a * b.inverse()
+        w = a if b.is_identity() else a * b.inverse()
         if w.word.is_identity():
             return True
         if w.word.abelianize():

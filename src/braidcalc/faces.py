@@ -3,7 +3,12 @@
 On crossing words the two maps are BraidWord.face and BraidWord.coface,
 and on band words PureAWord.face and PureAWord.coface.  This module
 holds the permutation face and the rules on single band generators,
-which combing.PureAWord applies letterwise.
+which combing.PureAWord applies letterwise: the face through a table
+over every band of P_n, the coface through one composed index map per
+band of the word, however many strands are inserted.  Both maps are
+injective on the bands that survive, so a reduced band word stays
+reduced under a coface, and under a face it can reduce only across the
+letters that die.
 
 Both maps are homomorphisms on words by construction; the test suite
 checks the simplicial-style identities they satisfy with

@@ -2,11 +2,14 @@
 
 The constructions here all follow one mechanism: push a word through
 coface (trivial-strand insertion) maps and multiply the images in a
-fixed order with one product call.  One insertion of a word in the
-last-column bands of P_m gives the one-strand lift whose every face is
-the original word; iterating over all index combinations gives the
-multi-strand spread and the full lift; the James-Hopf product plays the
-same game on any braid, crossing word or band word.  On top of these
+fixed order with one product call.  A factor with several insertions
+is one coface(i_1, .., i_r) call.  Every band-word factor is reduced,
+so a product of them reduces only where two factors meet.  One
+insertion of a word in the last-column bands of P_m gives the
+one-strand lift whose every face is the original word; iterating over
+all index combinations gives the multi-strand spread and the full
+lift; the James-Hopf product plays the same game on any braid,
+crossing word or band word.  On top of these
 sit the Hopf decomposition of a pure Cohen braid into Brunnian layers
 and the solver for the face system d_1(beta) = ... = d_n(beta) = alpha.
 
@@ -19,7 +22,6 @@ Order conventions (pinned by worked examples in the test suite):
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -75,7 +77,7 @@ def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
     if check and not is_brunnian(w):
         raise ValueError("tau_spread requires a Brunnian input")
     return PureAWord.product(k, (
-        reduce(PureAWord.coface, indices, w) for indices in combinations(range(1, k), k - m)
+        w.coface(*indices) for indices in combinations(range(1, k), k - m)
     ))
 
 
@@ -110,7 +112,7 @@ def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
     ordered = sorted(
         combinations(range(1, n + 1), n - k), key=lambda t: tuple(reversed(t))
     )
-    return b.product(n, (reduce(type(b).coface, indices, b) for indices in ordered))
+    return b.product(n, (b.coface(*indices) for indices in ordered))
 
 
 def reassemble(

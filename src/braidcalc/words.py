@@ -11,6 +11,14 @@ i.e. free reduction is maintained at all times.  Free reduction is
 confluent, so any construction path yields the same tuple and word
 equality is plain tuple equality.
 
+Every word built here is reduced, and so is its inverse, every power
+and every image of a reduced word under a map that is injective on
+symbols.  When reduced runs are concatenated, letters can therefore
+cancel or merge only where two runs meet.  Products, powers and
+substitutions join runs with _join, which works at the junction and
+copies the rest across; only from_letters, the path for raw input,
+reduces syllable by syllable.
+
 Alphabets are identified by strings: "x<r>" is the free-group alphabet
 x_1..x_r and "A<r>" is the band alphabet {A_{i,j} : 1 <= i < j <= r}.
 Operations never mix alphabets silently; a mismatch raises
@@ -22,7 +30,7 @@ All values here are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "AlphabetMismatchError",
@@ -85,8 +93,8 @@ def a_sym(i: int, j: int, rank: int) -> GenSym:
 Syllable = tuple[GenSym, int]
 
 
-def _push(stack: list[list], sym: GenSym, exp: int) -> int:
-    """Append one syllable to a reduced stack, merging and cancelling.
+def _push(stack: list[Syllable], sym: GenSym, exp: int) -> int:
+    """Append one raw syllable to a reduced stack, merging and cancelling.
 
     Returns the change in the stack's letter count.
     """
@@ -98,44 +106,57 @@ def _push(stack: list[list], sym: GenSym, exp: int) -> int:
         if new == 0:
             stack.pop()
         else:
-            stack[-1][1] = new
+            stack[-1] = (sym, new)
         return abs(new) - abs(old)
-    stack.append([sym, exp])
+    stack.append((sym, exp))
     return abs(exp)
 
 
-def _extend(stack: list[list], syllables: Iterable[Syllable]) -> None:
-    for sym, exp in syllables:
-        _push(stack, sym, exp)
+def _join(stack: list[Syllable], run: Sequence[Syllable]) -> int:
+    """Append a reduced run to a reduced stack; returns the letters cancelled.
+
+    Both sides are reduced, so letters can cancel or merge only where
+    they meet: the head of the run is matched against the top of the
+    stack while it cancels, and the rest is copied across in one step.
+    The stack gains the run's letter count less twice the return value.
+    """
+    k = cancelled = 0
+    while k < len(run) and stack and stack[-1][0] == run[k][0]:
+        sym, exp = run[k]
+        old = stack[-1][1]
+        total = old + exp
+        k += 1
+        if total:
+            stack[-1] = (sym, total)
+            cancelled += (abs(old) + abs(exp) - abs(total)) // 2
+            break
+        stack.pop()
+        cancelled += abs(exp)
+    stack.extend(run[k:] if k else run)
+    return cancelled
 
 
-def _invert(syllables: Iterable[Syllable]) -> list[Syllable]:
-    return [(sym, -exp) for sym, exp in reversed(tuple(syllables))]
+def _invert(syllables: Sequence[Syllable]) -> list[Syllable]:
+    return [(sym, -exp) for sym, exp in reversed(syllables)]
 
 
-def _pow(syllables: list[Syllable], k: int) -> list[Syllable]:
+def _pow(syllables: Sequence[Syllable], k: int) -> Sequence[Syllable]:
     """Reduced syllables of a reduced word raised to the k-th power."""
     if k == 0 or not syllables:
-        return []
+        return ()
     if k < 0:
         return _pow(_invert(syllables), -k)
-    result: list[list] = []
-    base = [list(s) for s in syllables]
-    e = k
+    result: list[Syllable] = []
+    base = syllables
     while True:
-        if e & 1:
-            _extend(result, [(s, x) for s, x in base])
-        e >>= 1
-        if not e:
-            break
-        doubled: list[list] = [s[:] for s in base]
-        _extend(doubled, [(s, x) for s, x in base])
+        if k & 1:
+            _join(result, base)
+        k >>= 1
+        if not k:
+            return result
+        doubled = list(base)
+        _join(doubled, base)
         base = doubled
-    return [(s, x) for s, x in result]
-
-
-def _freeze(stack: list[list]) -> tuple[Syllable, ...]:
-    return tuple((sym, exp) for sym, exp in stack)
 
 
 @dataclass(frozen=True)
@@ -173,14 +194,14 @@ class GroupWord:
     @classmethod
     def from_letters(cls, alphabet: str, letters: Iterable[Syllable]) -> GroupWord:
         """Freely reduce a raw syllable sequence.  Idempotent."""
-        stack: list[list] = []
+        stack: list[Syllable] = []
         for sym, exp in letters:
             if sym.alphabet != alphabet:
                 raise AlphabetMismatchError(
                     f"symbol {sym} does not belong to alphabet {alphabet}"
                 )
             _push(stack, sym, exp)
-        return cls(alphabet, _freeze(stack))
+        return cls(alphabet, tuple(stack))
 
     # -- queries -----------------------------------------------------
 
@@ -207,15 +228,15 @@ class GroupWord:
             raise AlphabetMismatchError(
                 f"cannot multiply words over {self.alphabet} and {other.alphabet}"
             )
-        stack = [list(s) for s in self.syllables]
-        _extend(stack, other.syllables)
-        return GroupWord(self.alphabet, _freeze(stack))
+        stack = list(self.syllables)
+        _join(stack, other.syllables)
+        return GroupWord(self.alphabet, tuple(stack))
 
     def inverse(self) -> GroupWord:
         return GroupWord(self.alphabet, tuple(_invert(self.syllables)))
 
     def __pow__(self, k: int) -> GroupWord:
-        return GroupWord(self.alphabet, tuple(_pow(list(self.syllables), k)))
+        return GroupWord(self.alphabet, tuple(_pow(self.syllables, k)))
 
     def conjugate(self, by: GroupWord) -> GroupWord:
         """g^{-1} * self * g for g = `by`."""
@@ -234,7 +255,7 @@ class GroupWord:
         unless given explicitly.
         """
         target = alphabet
-        stack: list[list] = []
+        stack: list[Syllable] = []
         for sym, exp in self.syllables:
             image = mapping.get(sym)
             if image is None:
@@ -246,14 +267,14 @@ class GroupWord:
                     f"substitute images mix alphabets {target} and {image.alphabet}"
                 )
             if exp == 1:
-                _extend(stack, image.syllables)
+                _join(stack, image.syllables)
             elif exp == -1:
-                _extend(stack, _invert(image.syllables))
+                _join(stack, _invert(image.syllables))
             else:
-                _extend(stack, _pow(list(image.syllables), exp))
+                _join(stack, _pow(image.syllables, exp))
         if target is None:
             target = self.alphabet
-        return GroupWord(target, _freeze(stack))
+        return GroupWord(target, tuple(stack))
 
     def __str__(self) -> str:
         if not self.syllables:

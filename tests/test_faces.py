@@ -1,10 +1,12 @@
 """Strand deletion and insertion maps."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from braidcalc.braids import BraidWord, a_gen
-from braidcalc.combing import same_braid
+from braidcalc.combing import PureAWord, same_braid
 from braidcalc.faces import (
     coface_on_pure_gen,
     face_on_pure_gen,
@@ -84,6 +86,44 @@ class TestInsert:
         up = b.coface(i)
         assert up.strands == 6
         assert up.perm().images[i - 1] == i
+
+
+band_triples = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, -1, 2])).map(
+        lambda t: (min(t[0], t[1]), max(t[0], t[1]) + 1, t[2])
+    ),
+    max_size=8,
+)
+
+
+def some_braids(pairs, triples):
+    """A crossing word on 5 strands and a band word on 4."""
+    return BraidWord(5, tuple(pairs)), PureAWord.from_pairs(4, triples)
+
+
+class TestMultiCoface:
+    @given(braid_letters, band_triples)
+    def test_matches_chain_of_single_cofaces(self, pairs, triples):
+        for b in some_braids(pairs, triples):
+            n = b.strands
+            for count in range(4):
+                for ps in combinations(range(1, n + count + 1), count):
+                    chained = b
+                    for i in ps:
+                        chained = chained.coface(i)
+                    assert b.coface(*ps) == chained
+
+    @given(braid_letters, band_triples)
+    def test_no_positions_is_the_word_itself(self, pairs, triples):
+        for b in some_braids(pairs, triples):
+            assert b.coface() == b
+
+    def test_positions_are_checked_against_the_running_strand_count(self):
+        for b in (BraidWord(3, ((1, 1), (2, -1))), PureAWord.from_pairs(3, [(1, 3, 2)])):
+            assert b.coface(4, 5).strands == 5
+            for ps in ((1, 9), (4, 6), (0,), (5,), (1, 2, 0)):
+                with pytest.raises(ValueError):
+                    b.coface(*ps)
 
 
 class TestPureGeneratorTables:

@@ -1,9 +1,10 @@
 """Band-word builders against letterwise references.
 
-Faces and cofaces of band words are built from per-call symbol maps, and
-products of many factors are reduced in one pass.  The references here
-apply the band rules one syllable at a time and multiply left to right
-with `*`; free reduction is confluent, so both must give the same
+Faces and cofaces of band words are built from symbol maps, and
+products, substitutions and faces reduce only where reduced runs meet.
+The references here apply the band rules one syllable at a time and
+reduce the raw concatenation letter by letter (`from_letters`, or `*` left
+to right); free reduction is confluent, so both must give the same
 syllables, not merely equal braids.
 
 Combing conjugates each band through the reduced subword of lower-level
@@ -27,7 +28,14 @@ from braidcalc.combing import (
 from braidcalc.expr import BandAtom, Commutator, Concat, Power, to_aword
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
-from braidcalc.words import GroupWord, a_alphabet, a_sym, commutator
+from braidcalc.words import (
+    GroupWord,
+    a_alphabet,
+    a_sym,
+    commutator,
+    x_alphabet,
+    x_sym,
+)
 
 
 def face_reference(w: PureAWord, i: int) -> GroupWord:
@@ -125,7 +133,46 @@ def band_expressions(draw):
     return draw(tree), n
 
 
+def cut(word: PureAWord, points: list[int]) -> list[PureAWord]:
+    """Split a word into subwords at the given letter positions.
+
+    A cut may fall inside a syllable, so neighbouring pieces can merge.
+    """
+    n = word.strands
+    letters = [
+        (sym.index[0], sym.index[1], 1 if exp > 0 else -1)
+        for sym, exp in word.word.syllables
+        for _ in range(abs(exp))
+    ]
+    bounds = [0, *sorted(p % (len(letters) + 1) for p in points), len(letters)]
+    return [PureAWord.from_pairs(n, letters[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def cancelling_factors(draw):
+    """Factors u.., pieces of w, pieces of w^-1, v..: runs cancel across cuts."""
+    n = draw(st.integers(2, 5))
+    words = band_words(min_strands=n, max_strands=n, max_syllables=6)
+    w = draw(words)
+    points = st.lists(st.integers(0, 40), max_size=4)
+    return n, [
+        *draw(st.lists(words, max_size=2)),
+        *cut(w, draw(points)),
+        *cut(w.inverse(), draw(points)),
+        *draw(st.lists(words, max_size=2)),
+    ]
+
+
+def raw_product(n: int, factors) -> GroupWord:
+    return GroupWord.from_letters(
+        a_alphabet(n), [syl for f in factors for syl in f.word.syllables]
+    )
+
+
 MERGING = PureAWord.from_pairs(3, [(1, 3, 1), (1, 2, 1), (1, 3, 1)])
+# Deleting strand 4 kills A1,4; the two A1,3 then cancel, which brings
+# the two A1,2 together, and they cancel too: the face is e.
+CASCADE = PureAWord.from_pairs(4, [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 3, -1), (1, 2, -1)])
 
 
 class TestFaceMaps:
@@ -136,6 +183,7 @@ class TestFaceMaps:
     @given(band_words())
     @example(PureAWord.identity(2))
     @example(MERGING)
+    @example(CASCADE)
     def test_face_matches_letterwise_reference(self, w):
         for i in range(1, w.strands + 1):
             faced = w.face(i)
@@ -154,6 +202,31 @@ class TestFaceMaps:
 
 
 class TestProducts:
+    @settings(max_examples=200)
+    @given(cancelling_factors(), st.lists(st.sampled_from((1, -1, 2, -3)), max_size=12))
+    def test_joins_match_raw_concatenation(self, case, exps):
+        n, factors = case
+        expected = raw_product(n, factors)
+        assert PureAWord.product(n, factors).word == expected
+        folded = GroupWord.identity(a_alphabet(n))
+        for f in factors:
+            folded = folded * f.word
+        assert folded == expected
+        # x_1^(e_1) .. x_m^(e_m) with x_k sent to factor k, so the images
+        # meet in the same order, each repeated |e_k| times
+        m = len(factors)
+        exps = [*exps, *[1] * m][:m]
+        source = GroupWord(x_alphabet(m), tuple((x_sym(k, m), e) for k, e in enumerate(exps, 1)))
+        mapping = {x_sym(k, m): f.word for k, f in enumerate(factors, 1)}
+        raw = []
+        for f, e in zip(factors, exps):
+            syllables = f.word.syllables
+            if e < 0:
+                syllables = tuple((sym, -x) for sym, x in reversed(syllables))
+            raw.extend(syllables * abs(e))
+        substituted = source.substitute(mapping, alphabet=a_alphabet(n))
+        assert substituted == GroupWord.from_letters(a_alphabet(n), raw)
+
     @settings(max_examples=60, deadline=None)
     @given(band_words(max_strands=4, max_syllables=6), st.integers(0, 3))
     @example(PureAWord.identity(2), 2)
