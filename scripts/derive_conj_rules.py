@@ -21,8 +21,8 @@ Usage: python3 scripts/derive_conj_rules.py [-v]
 import argparse
 import sys
 
-from braidcalc.braids import BraidWord
-from braidcalc.combing import _CONJ_TEMPLATES, conj_rule, same_braid
+from braidcalc.braids import BraidWord, same_braid
+from braidcalc.combing import _CONJ_TEMPLATES, conj_rule
 from braidcalc.words import GroupWord, a_sym
 
 # concrete role instantiations per order pattern: (r, s, i, j, ambient n)

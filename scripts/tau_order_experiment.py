@@ -24,8 +24,9 @@ import sys
 from functools import reduce
 from itertools import combinations
 
+from braidcalc.braids import same_braid
 from braidcalc.cohen import band_commutator
-from braidcalc.combing import PureAWord, same_braid
+from braidcalc.combing import PureAWord
 from braidcalc.lifting import tau_spread
 
 

@@ -1,13 +1,14 @@
 """Braid words, strand permutations, and the Garside normal form.
 
 A braid on n strands is stored as a plain word in the Artin generators
-sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; equality of
-crossing words (combing.same_braid) is decided by computing the
-left-greedy normal form Delta^k P_1 .. P_r of both sides (Garside 1969; ElRifai-Morton 1994; Epstein et al., Word
-Processing in Groups, ch. 9).  Here Delta is the half twist and the P_t
-are permutation braids, each pair left-weighted; the form is unique, so
-two words are equal in B_n exactly when their forms agree.  Computing it
-takes O(|w|^2 n) work, so no budget guards it.
+sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; same_braid,
+the one equality test of the library, decides equality of any two words
+(crossing words or band words) by computing the left-greedy normal form
+Delta^k P_1 .. P_r of both sides (Garside 1969; ElRifai-Morton 1994;
+Epstein et al., Word Processing in Groups, ch. 9).  Here Delta is the
+half twist and the P_t are permutation braids, each pair left-weighted;
+the form is unique, so two words are equal in B_n exactly when their
+forms agree.  Computing it takes O(|w|^2 n) work, so no budget guards it.
 
 Conventions, pinned once and relied on everywhere:
 
@@ -28,7 +29,10 @@ genuinely exponential, such as combing, outgrows its size cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .combing import PureAWord
 
 __all__ = [
     "BudgetExceededError",
@@ -39,6 +43,7 @@ __all__ = [
     "half_twist",
     "is_pure",
     "left_normal_form",
+    "same_braid",
 ]
 
 
@@ -353,3 +358,20 @@ def left_normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
         factors = [_tau(f) for f in factors]
     return k, tuple(tuple(f) for f in factors)
 
+
+def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
+    """Equality in B_n of two crossing words, two band words or one of each.
+
+    Equal words are equal braids; otherwise both sides are expanded to
+    crossings and compared by permutation, then by left normal form.
+    """
+    if a.strands != b.strands:
+        raise ValueError(
+            f"cannot compare braids on {a.strands} and {b.strands} strands"
+        )
+    if a == b:
+        return True
+    a, b = a.to_braid(), b.to_braid()
+    if a.perm() != b.perm():
+        return False
+    return left_normal_form(a) == left_normal_form(b)

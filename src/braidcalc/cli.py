@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .braids import BudgetExceededError, Perm, is_pure
+from .braids import BudgetExceededError, Perm, is_pure, same_braid
 from .cohen import (
     Braidlike,
     NotCohenError,
@@ -28,7 +28,7 @@ from .cohen import (
     is_unary,
     unary_factor,
 )
-from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb, same_braid
+from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb
 from .expr import (
     NotAWordError,
     ParseError,
@@ -90,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine readable output")
         sp.add_argument("--verify", action="store_true",
                         help="recheck the answer with braid equality where supported")
-        sp.add_argument("--budget", type=_positive_int, default=None,
-                        help="cap in letters on a combed component or band image; "
-                        "only comb reads it, every other command that combs uses "
-                        f"the default cap of {DEFAULT_COMPONENT_BUDGET}")
         return sp
 
     def ints(*names: str):
@@ -113,7 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
         extra=lambda sp: sp.add_argument("--blocks", required=True,
                                          help="strand blocks, e.g. '1,2;4,5'"))
     add("unary", "strand 1 crosses to n and its deletion is trivial")
-    add("comb", "normal form components of a pure band word")
+    add("comb", "normal form components of a pure band word",
+        extra=lambda sp: sp.add_argument(
+            "--budget", type=_positive_int, default=DEFAULT_COMPONENT_BUDGET,
+            help="cap in letters on a combed component or band image"))
     add("lift", "one-strand Cohen lift of a Brunnian band word")
     add("tau", "spread a Brunnian band word to rank k", n=False, extra=ints("m", "k"))
     add("bigT", "full Cohen lift from rank m to rank n", n=False, extra=ints("m", "n"))
@@ -264,11 +263,9 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     if cmd == "eq":
         inputs["expr"] = [args.expr1, args.expr2]
-        a, b = _read(args.expr1, n), _read(args.expr2, n)
-        both_bands = isinstance(a, PureAWord) and isinstance(b, PureAWord)
-        equal = same_braid(a, b)
+        equal = same_braid(_read(args.expr1, n), _read(args.expr2, n))
         payload["result"] = equal
-        payload["witnesses"]["method"] = "combing" if both_bands else "garside"
+        payload["witnesses"]["method"] = "garside"
         return 0 if equal else 1
 
     inputs["expr"] = args.expr
@@ -341,8 +338,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     if cmd == "comb":
         w = _read_bands(args.expr, n, "comb consumes band words only")
-        budget = DEFAULT_COMPONENT_BUDGET if args.budget is None else args.budget
-        form = comb(w, component_budget=budget, verify=args.verify)
+        form = comb(w, component_budget=args.budget, verify=args.verify)
         payload["result"] = {
             f"u{k}": format_aword(form.component(k)) for k in range(2, n + 1)
         }

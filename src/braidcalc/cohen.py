@@ -3,16 +3,12 @@
 A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
 a BraidWord or a PureAWord and take faces through their shared face
-member.  Every equality goes through combing.same_braid, which combs
-when both sides are band words and compares Garside normal forms
-otherwise.  Both are complete.  On band words combing is the cheap one:
-the faces the solver compares are short band words that expand into
-hundreds of crossings.
+member.  Every equality goes through braids.same_braid, which compares
+Garside normal forms; equal band words answer before any expansion.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
-words) and the structure certificates for pure Cohen braids (the P3
-normal form and the commutator-component necessary condition).
+words) and the P3 normal form of pure Cohen 3-braids, read off combing.
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .braids import BraidWord, is_pure
-from .combing import PureAWord, comb, same_braid
+from .braids import BraidWord, is_pure, same_braid
+from .combing import PureAWord, comb
 from .words import GroupWord, a_sym, commutator
 
 __all__ = [
@@ -33,10 +29,8 @@ __all__ = [
     "P3Refusal",
     "StrandPartition",
     "all_faces",
-    "all_indices_commutator_check",
     "band_commutator",
     "brunnian_generator",
-    "cohen_commutator_certificate",
     "cohen_p3_decompose",
     "common_face",
     "delta_square_word",
@@ -242,21 +236,6 @@ class CommutatorTree:
         return commutator(self.left._word(n), self.right._word(n))
 
 
-def all_indices_commutator_check(tree: CommutatorTree, n: int) -> bool:
-    """Brunnian test for a formal commutator, with the covering guarantee.
-
-    When the leaf indices cover {1..n} the evaluated braid must be
-    Brunnian; that implication is asserted.  Returns is_brunnian of the
-    evaluated word either way.
-    """
-    value = is_brunnian(tree.evaluate(n))
-    if tree.index_set() == frozenset(range(1, n + 1)) and not value:
-        raise AssertionError(
-            "a commutator whose indices cover every strand must be Brunnian"
-        )
-    return value
-
-
 def delta_square_word(n: int, k: int) -> PureAWord:
     """A_12^k (A_13 A_23)^k ... (A_1n .. A_{n-1,n})^k, the full twist to the k."""
     if n < 2:
@@ -330,23 +309,3 @@ def cohen_p3_decompose(b: PureAWord) -> P3CohenForm | P3Refusal:
     ) ** k
     gamma = twist_tail.inverse() * u3
     return P3CohenForm(k, gamma)
-
-
-def cohen_commutator_certificate(b: PureAWord) -> bool:
-    """Necessary condition for a pure braid to be Cohen.
-
-    After combing and removing the central full-twist contribution
-    (read off u_2 = A_12^k), every component must abelianize to zero.
-    This is necessary but not assumed sufficient.
-    """
-    form = comb(b)
-    n = b.strands
-    if n < 2:
-        return True
-    k = sum(exp for _, exp in form.component(2).syllables)
-    for j in range(3, n + 1):
-        counts = form.component(j).abelianize()
-        for i in range(1, j):
-            if counts.get(a_sym(i, j, n), 0) != k:
-                return False
-    return True

@@ -22,10 +22,10 @@ written over the roles r, s, i and instantiated with second index j.
 
 Combed components are canonical: since each U_k is free, two pure
 braids are equal iff their combed components agree syllable by
-syllable.  same_braid, the one equality test of the library, lives here
-because it needs both representations: it combs when both sides are
-band words and compares Garside normal forms of crossing words
-otherwise.
+syllable.  Combing is a decision procedure of its own, which the tests
+cross-check against braids.same_braid; the library decides equality by
+the Garside normal form alone, since combed components can grow
+exponentially.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .braids import (
     BudgetExceededError,
     Perm,
     band_power_letters,
-    left_normal_form,
+    same_braid,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
 from .words import (
@@ -60,8 +60,6 @@ __all__ = [
     "PureAWord",
     "comb",
     "conj_rule",
-    "is_harmonic",
-    "same_braid",
 ]
 
 DEFAULT_COMPONENT_BUDGET = 10**5
@@ -412,46 +410,3 @@ def _verify_conj(
     got = PureAWord(n, image).to_braid()
     if not same_braid(got, target):
         raise AssertionError(f"conj_rule image for {g_sym}^{g_sign} on {h_sym} is wrong")
-
-
-def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
-    """Equality in B_n of two crossing words, two band words or one of each.
-
-    Two band words are compared by combing a b^{-1}, which is complete
-    because the combed form is unique; any other pair by the Garside left
-    normal forms of the crossing words.
-    """
-    if a.strands != b.strands:
-        raise ValueError(
-            f"cannot compare braids on {a.strands} and {b.strands} strands"
-        )
-    if isinstance(a, PureAWord) and isinstance(b, PureAWord):
-        w = a if b.is_identity() else a * b.inverse()
-        if w.word.is_identity():
-            return True
-        if w.word.abelianize():
-            # P_n abelianizes to Z^{C(n,2)} with the bands as basis, so a
-            # nonzero exponent sum on some band makes w nontrivial
-            return False
-        return all(c.is_identity() for c in comb(w).components)
-    a, b = a.to_braid(), b.to_braid()
-    if a.letters == b.letters:
-        return True
-    if a.perm() != b.perm():
-        return False
-    return left_normal_form(a) == left_normal_form(b)
-
-
-def is_harmonic(w: PureAWord) -> bool:
-    """Combed components must satisfy d_1(u_i) = u_{i-1} for 3 <= i <= n.
-
-    Both sides live in free groups, so syllable comparison of the faced
-    word, read back on n strands, with the lower component is a complete
-    equality test.
-    """
-    form = comb(w)
-    n = w.strands
-    return all(
-        PureAWord(n, form.component(i)).face(1).embed(n).word == form.component(i - 1)
-        for i in range(3, n + 1)
-    )

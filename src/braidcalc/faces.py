@@ -2,44 +2,26 @@
 
 On crossing words the two maps are BraidWord.face and BraidWord.coface,
 and on band words PureAWord.face and PureAWord.coface.  This module
-holds the permutation face and the rules on single band generators,
-which combing.PureAWord applies letterwise: the face through a table
-over every band of P_n, the coface through one composed index map per
-band of the word, however many strands are inserted.  Both maps are
-injective on the bands that survive, so a reduced band word stays
-reduced under a coface, and under a face it can reduce only across the
-letters that die.
+holds the rules on single band generators, which combing.PureAWord
+applies letterwise: the face through a table over every band of P_n,
+the coface through one composed index map per band of the word, however
+many strands are inserted.  Both maps are injective on the bands that
+survive, so a reduced band word stays reduced under a coface, and under
+a face it can reduce only across the letters that die.
 
 Both maps are homomorphisms on words by construction; the test suite
 checks the simplicial-style identities they satisfy with
-combing.same_braid, which compares Garside normal forms of crossing
-words and combs band words.
+braids.same_braid.
 """
 
 from __future__ import annotations
 
-from .braids import Perm
 from .words import GroupWord, a_alphabet, a_sym
 
 __all__ = [
     "coface_on_pure_gen",
     "face_on_pure_gen",
-    "perm_face",
 ]
-
-
-def perm_face(perm: Perm, i: int) -> Perm:
-    """Delete i from the domain and perm(i) from the codomain, renumbering."""
-    n = perm.size
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range for size {n}")
-    removed = perm(i)
-    images = []
-    for k in range(1, n):
-        source = k if k < i else k + 1
-        value = perm(source)
-        images.append(value if value < removed else value - 1)
-    return Perm(tuple(images))
 
 
 def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> GroupWord:

@@ -27,6 +27,7 @@ from braidcalc.braids import (
     braid_pow,
     half_twist,
     is_pure,
+    same_braid,
 )
 from braidcalc.cohen import (
     NotCohenError,
@@ -44,7 +45,6 @@ from braidcalc.cohen import (
 from braidcalc.combing import (
     PureAWord,
     comb,
-    same_braid,
 )
 from braidcalc.finite_models import (
     build_p2_rp2,

@@ -18,8 +18,8 @@ from braidcalc.braids import (
     half_twist,
     is_pure,
     left_normal_form,
+    same_braid,
 )
-from braidcalc.combing import same_braid
 
 from artin_oracle import artin_endo, artin_equal
 

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from braidcalc.cli import run
-from braidcalc.combing import PureAWord
+from braidcalc.combing import PureAWord, comb
 from braidcalc.expr import format_aword
 from braidcalc.lifting import reassemble
 from braidcalc.words import GroupWord, a_sym, commutator
@@ -60,22 +60,35 @@ class TestEquality:
         assert witnesses["observed"] > 50
         assert witnesses["stage"] == "u_4 after 9 of 12 syllables"
 
-    def test_long_crossing_word_is_decided_under_a_small_budget(self):
-        # --budget caps combing only; crossing-word equality needs no cap
-        code, payload = run(["eq", "-n", "3", "( s1 s2' )^24", "e", "--budget", "2000"])
+    def test_long_crossing_word_is_decided(self):
+        code, payload = run(["eq", "-n", "3", "( s1 s2' )^24", "e"])
         assert code == 1
         assert payload["result"] is False
 
-    def test_band_word_equality_combs_under_the_default_cap(self):
-        # only comb reads --budget; the same quotient is refused by comb at 1
-        argv = ["-n", "4", "( a1.3 a2.4 )^6", "( a2.4 a1.3 )^6", "--budget", "1"]
+    def test_band_word_equality_needs_no_budget(self):
+        # the normal form decides a quotient that comb refuses at --budget 1
+        argv = ["-n", "4", "( a1.3 a2.4 )^6", "( a2.4 a1.3 )^6"]
         code, payload = run(["eq", *argv])
         assert code == 1
         assert payload["result"] is False
-        assert payload["witnesses"]["method"] == "combing"
+        assert payload["witnesses"]["method"] == "garside"
         code, payload = run(["comb", "-n", "4", "( a1.3 a2.4 )^6", "--budget", "1"])
         assert code == 2
         assert payload["result"] == "resource limit"
+
+    def test_band_words_whose_quotient_outgrows_combing_are_decided(self):
+        # b is the combed form of a with two adjacent syllables swapped;
+        # combing a b^-1 passes the default component budget
+        a = PureAWord.from_pairs(
+            5, [(3, 4, 2), (1, 2, 2), (1, 3, -2), (2, 3, -3), (2, 5, -1), (3, 4, 2)]
+        )
+        syllables = list(comb(a).as_single_word().word.syllables)
+        syllables[10], syllables[11] = syllables[11], syllables[10]
+        b = PureAWord(5, GroupWord.from_letters(a.word.alphabet, syllables))
+        for pair in ((a, b), (b, a)):
+            code, payload = run(["eq", "-n", "5", *map(format_aword, pair)])
+            assert code == 1
+            assert payload["result"] is False
 
 
 class TestStructureQueries:

@@ -2,17 +2,15 @@
 
 import pytest
 
-from braidcalc.braids import BraidWord, a_gen, braid_pow, half_twist
+from braidcalc.braids import BraidWord, a_gen, braid_pow, half_twist, same_braid
 from braidcalc.cohen import (
     CommutatorTree,
     NotCohenError,
     P3CohenForm,
     P3Refusal,
     StrandPartition,
-    all_indices_commutator_check,
     band_commutator,
     brunnian_generator,
-    cohen_commutator_certificate,
     cohen_p3_decompose,
     common_face,
     delta_square_word,
@@ -23,7 +21,7 @@ from braidcalc.cohen import (
     split_power_word,
     unary_factor,
 )
-from braidcalc.combing import PureAWord, same_braid
+from braidcalc.combing import PureAWord, comb
 from braidcalc.words import GroupWord, a_sym
 
 from conftest import random_pure_aword
@@ -31,6 +29,38 @@ from conftest import random_pure_aword
 
 def aw(n, *pairs):
     return PureAWord.from_pairs(n, list(pairs))
+
+
+def all_indices_commutator_check(tree, n):
+    """Brunnian test for a formal commutator, with the covering guarantee.
+
+    When the leaf indices cover {1..n} the evaluated braid must be
+    Brunnian; that implication is asserted.  Returns is_brunnian of the
+    evaluated word either way.
+    """
+    value = is_brunnian(tree.evaluate(n))
+    if tree.index_set() == frozenset(range(1, n + 1)):
+        assert value, "a commutator whose indices cover every strand must be Brunnian"
+    return value
+
+
+def cohen_commutator_certificate(b):
+    """Necessary condition for a pure braid to be Cohen.
+
+    After combing and removing the central full-twist contribution
+    (read off u_2 = A_12^k), every component must abelianize to zero.
+    This is necessary but not assumed sufficient.
+    """
+    form = comb(b)
+    n = b.strands
+    if n < 2:
+        return True
+    k = sum(exp for _, exp in form.component(2).syllables)
+    return all(
+        form.component(j).abelianize().get(a_sym(i, j, n), 0) == k
+        for j in range(3, n + 1)
+        for i in range(1, j)
+    )
 
 
 class TestPredicates:

@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidcalc.braids import same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
     comb,
     conj_rule,
-    is_harmonic,
-    same_braid,
 )
 from braidcalc.cohen import split_power_word
 from braidcalc.words import a_sym
@@ -20,6 +19,21 @@ from conftest import random_pure_aword
 
 def aw(n, *pairs):
     return PureAWord.from_pairs(n, list(pairs))
+
+
+def is_harmonic(w):
+    """Combed components must satisfy d_1(u_i) = u_{i-1} for 3 <= i <= n.
+
+    Both sides live in free groups, so syllable comparison of the faced
+    word, read back on n strands, with the lower component is a complete
+    equality test.
+    """
+    form = comb(w)
+    n = w.strands
+    return all(
+        PureAWord(n, form.component(i)).face(1).embed(n).word == form.component(i - 1)
+        for i in range(3, n + 1)
+    )
 
 
 band_pairs = st.lists(
@@ -138,13 +152,13 @@ class TestEquality:
     @given(band_words(), st.data())
     def test_combing_and_normal_form_agree(self, a, data):
         # b is the combed word itself, or that word with two adjacent
-        # syllables swapped: the abelianization is unchanged, so the band
-        # branch cannot answer without combing.  Combed forms grow
-        # exponentially (8 syllables can comb to thousands), and combing
-        # b a^-1 costs seconds there, so long forms are skipped.  b goes
-        # first: combing b a^-1 conjugates the bands of b through the few
-        # letters of a^-1 only, while a b^-1 conjugates the components of
-        # b through each other and can pass the default budget.
+        # syllables swapped, so the abelianization cannot tell the two
+        # apart.  Combed forms grow exponentially (8 syllables can comb to
+        # thousands), and combing b a^-1 costs seconds there, so long
+        # forms are skipped.  b goes first: combing b a^-1 conjugates the
+        # bands of b through the few letters of a^-1 only, while a b^-1
+        # conjugates the components of b through each other and can pass
+        # the default budget.
         b = comb(a).as_single_word()
         assume(len(b.word.syllables) <= 400)
         syllables = list(b.word.syllables)
@@ -152,7 +166,8 @@ class TestEquality:
             k = data.draw(st.integers(0, len(syllables) - 2))
             syllables[k], syllables[k + 1] = syllables[k + 1], syllables[k]
             b = aw(a.strands, *((*sym.index, e) for sym, e in syllables))
-        by_combing = same_braid(b, a)
+        by_combing = all(c.is_identity() for c in comb(b * a.inverse()).components)
+        assert by_combing == same_braid(b, a)
         assert by_combing == same_braid(b.to_braid(), a.to_braid())
         assert by_combing == same_braid(b, a.to_braid())
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from braidcalc.braids import BraidWord, band_power_letters, half_twist, is_pure
-from braidcalc.combing import same_braid
+from braidcalc.braids import BraidWord, band_power_letters, half_twist, is_pure, same_braid
 from braidcalc.expr import (
     BandAtom,
     Commutator,

@@ -5,12 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcalc.braids import BraidWord, a_gen
-from braidcalc.combing import PureAWord, same_braid
+from braidcalc.braids import BraidWord, Perm, a_gen, same_braid
+from braidcalc.combing import PureAWord
 from braidcalc.faces import (
     coface_on_pure_gen,
     face_on_pure_gen,
-    perm_face,
 )
 from braidcalc.words import GroupWord
 
@@ -21,6 +20,16 @@ braid_letters = st.lists(
 
 def braid5(pairs):
     return BraidWord(5, tuple(pairs))
+
+
+def perm_face(perm: Perm, i: int) -> Perm:
+    """Delete i from the domain and perm(i) from the codomain, renumbering."""
+    removed = perm(i)
+    images = []
+    for k in range(1, perm.size):
+        value = perm(k if k < i else k + 1)
+        images.append(value if value < removed else value - 1)
+    return Perm(tuple(images))
 
 
 def realize_bands(word: GroupWord, n: int) -> BraidWord:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidcalc.braids import BraidWord, braid_pow, half_twist, is_pure
+from braidcalc.braids import BraidWord, braid_pow, half_twist, is_pure, same_braid
 from braidcalc.cohen import (
     NotCohenError,
     all_faces,
@@ -11,7 +11,7 @@ from braidcalc.cohen import (
     is_brunnian,
     is_cohen,
 )
-from braidcalc.combing import PureAWord, same_braid
+from braidcalc.combing import PureAWord
 from braidcalc.lifting import (
     cohen_lift,
     full_lift,
@@ -152,6 +152,12 @@ class TestSolver:
         with pytest.raises(NotCohenError) as exc:
             solve_cohen_system(aw(3, (1, 3, 1)), 4)
         assert exc.value.witness_indices in {(1, 2), (1, 3), (2, 3)}
+
+    def test_full_lift_and_james_hopf_differ_on_five_strands(self):
+        # two 60-letter band words whose quotient combs past the default
+        # component budget
+        w = band_commutator(2, -1)
+        assert not same_braid(full_lift(3, 5, w), james_hopf(3, 5, w))
 
     def test_delta_power_solution(self):
         alpha = delta_square_word(3, 1)

@@ -1,7 +1,7 @@
 """The self-checking experiment scripts run to completion.
 
 Each script asserts its own findings, so exit status 0 means they still
-hold.  lift_product_experiment.py is left out: it runs for over a minute.
+hold.
 """
 
 import os
@@ -14,7 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["derive_conj_rules.py", "tau_order_experiment.py"])
+@pytest.mark.parametrize(
+    "script",
+    ["derive_conj_rules.py", "lift_product_experiment.py", "tau_order_experiment.py"],
+)
 def test_script_exits_cleanly(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
