@@ -22,7 +22,6 @@ from .words import GroupWord, a_sym, commutator
 
 __all__ = [
     "Braidlike",
-    "CommutatorTree",
     "NotCohenError",
     "NotUnaryError",
     "P3CohenForm",
@@ -193,47 +192,6 @@ def brunnian_generator(
     for g in leaves[1:]:
         acc = commutator(acc, g)
     return PureAWord(n, acc)
-
-
-@dataclass(frozen=True)
-class CommutatorTree:
-    """Formal commutator over band-power leaves, for the covering test.
-
-    A leaf is (i, j, exp); an inner node holds two subtrees and denotes
-    the commutator of their values.
-    """
-
-    leaf: tuple[int, int, int] | None = None
-    left: "CommutatorTree | None" = None
-    right: "CommutatorTree | None" = None
-
-    def __post_init__(self) -> None:
-        if (self.leaf is None) == (self.left is None or self.right is None):
-            raise ValueError("node must be either a leaf or have two children")
-
-    @classmethod
-    def band(cls, i: int, j: int, exp: int = 1) -> CommutatorTree:
-        return cls(leaf=(i, j, exp))
-
-    @classmethod
-    def bracket(cls, left: CommutatorTree, right: CommutatorTree) -> CommutatorTree:
-        return cls(left=left, right=right)
-
-    def index_set(self) -> frozenset[int]:
-        if self.leaf is not None:
-            return frozenset(self.leaf[:2])
-        return self.left.index_set() | self.right.index_set()
-
-    def evaluate(self, n: int) -> PureAWord:
-        return PureAWord(n, self._word(n))
-
-    def _word(self, n: int) -> GroupWord:
-        if self.leaf is not None:
-            i, j, exp = self.leaf
-            if exp == 0:
-                return GroupWord.identity(f"A{n}")
-            return GroupWord.single(a_sym(i, j, n), exp)
-        return commutator(self.left._word(n), self.right._word(n))
 
 
 def delta_square_word(n: int, k: int) -> PureAWord:

@@ -1,9 +1,8 @@
 """Freely reduced words over finite generator alphabets.
 
 Words are the basic currency for everything downstream: pure braids
-are written over the band alphabet A_{i,j}, combed normal forms keep one
-word per fiber, and the free group F_n on x_1..x_n carries the Artin
-action that the tests use as an independent equality check.
+are written over the band alphabet A_{i,j}, and combed normal forms keep
+one word per fiber.
 
 Representation: a word is a tuple of syllables (symbol, exponent) with
 every exponent nonzero and no two adjacent syllables sharing a symbol,
@@ -19,10 +18,9 @@ substitutions join runs with _join, which works at the junction and
 copies the rest across; only from_letters, the path for raw input,
 reduces syllable by syllable.
 
-Alphabets are identified by strings: "x<r>" is the free-group alphabet
-x_1..x_r and "A<r>" is the band alphabet {A_{i,j} : 1 <= i < j <= r}.
-Operations never mix alphabets silently; a mismatch raises
-AlphabetMismatchError.
+Alphabets are identified by strings: "A<r>" is the band alphabet
+{A_{i,j} : 1 <= i < j <= r}.  Operations never mix alphabets silently;
+a mismatch raises AlphabetMismatchError.
 
 All values here are immutable and safe to share between threads.
 """
@@ -40,8 +38,6 @@ __all__ = [
     "a_sym",
     "alphabet_rank",
     "commutator",
-    "x_alphabet",
-    "x_sym",
 ]
 
 
@@ -56,15 +52,7 @@ class GenSym(NamedTuple):
     index: tuple[int, ...]
 
     def __str__(self) -> str:
-        if self.alphabet.startswith("x"):
-            return f"x{self.index[0]}"
-        if self.alphabet.startswith("A"):
-            return f"A{self.index[0]},{self.index[1]}"
-        return f"{self.alphabet}{self.index}"
-
-
-def x_alphabet(rank: int) -> str:
-    return f"x{rank}"
+        return f"A{self.index[0]},{self.index[1]}"
 
 
 def a_alphabet(rank: int) -> str:
@@ -74,13 +62,6 @@ def a_alphabet(rank: int) -> str:
 def alphabet_rank(alphabet: str) -> int:
     """Number of strands/generator slots encoded in an alphabet id."""
     return int(alphabet[1:])
-
-
-def x_sym(i: int, rank: int) -> GenSym:
-    """The free-group generator x_i in the rank-`rank` alphabet."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"x_{i} is out of range for rank {rank}")
-    return GenSym(x_alphabet(rank), (i,))
 
 
 def a_sym(i: int, j: int, rank: int) -> GenSym:
@@ -242,29 +223,21 @@ class GroupWord:
         """g^{-1} * self * g for g = `by`."""
         return by.inverse() * self * by
 
-    def substitute(
-        self,
-        mapping: Mapping[GenSym, GroupWord],
-        alphabet: str | None = None,
-    ) -> GroupWord:
-        """Apply the induced endomorphism letterwise.
+    def substitute(self, mapping: Mapping[GenSym, GroupWord]) -> GroupWord:
+        """Apply the induced endomorphism of the word's alphabet letterwise.
 
-        Every symbol occurring in the word must be mapped; all image words
-        must share one alphabet (the target may differ from the source).
-        For an empty word the target alphabet falls back to the source
-        unless given explicitly.
+        Every symbol occurring in the word must be mapped to a word over
+        the same alphabet.
         """
-        target = alphabet
         stack: list[Syllable] = []
         for sym, exp in self.syllables:
             image = mapping.get(sym)
             if image is None:
                 raise ValueError(f"substitute: no image for symbol {sym}")
-            if target is None:
-                target = image.alphabet
-            elif image.alphabet != target:
+            if image.alphabet != self.alphabet:
                 raise AlphabetMismatchError(
-                    f"substitute images mix alphabets {target} and {image.alphabet}"
+                    f"substitute maps {sym} to a word over {image.alphabet}, "
+                    f"not {self.alphabet}"
                 )
             if exp == 1:
                 _join(stack, image.syllables)
@@ -272,9 +245,7 @@ class GroupWord:
                 _join(stack, _invert(image.syllables))
             else:
                 _join(stack, _pow(image.syllables, exp))
-        if target is None:
-            target = self.alphabet
-        return GroupWord(target, tuple(stack))
+        return GroupWord(self.alphabet, tuple(stack))
 
     def __str__(self) -> str:
         if not self.syllables:

@@ -9,6 +9,9 @@ their endomorphisms agree on every generator.  That makes it a decision
 procedure independent of the library's Garside normal form, and the
 tests cross-check one against the other.
 
+The free words are over the oracle's own alphabet "x<r>" of generators
+x_1..x_r, which the library never sees; it lends only its GroupWord.
+
 Reduced images can grow exponentially in the word length, so every
 composition is checked against a letter budget and raises
 BudgetExceededError rather than thrash.
@@ -19,9 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from braidcalc.braids import BraidWord, BudgetExceededError
-from braidcalc.words import GroupWord, x_alphabet, x_sym
+from braidcalc.words import GenSym, GroupWord
 
 LETTER_BUDGET = 10**6
+
+
+class XSym(GenSym):
+    """A free-group generator x_i; prints as x<i>."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"x{self.index[0]}"
+
+
+def x_alphabet(rank: int) -> str:
+    return f"x{rank}"
+
+
+def x_sym(i: int, rank: int) -> XSym:
+    """The free-group generator x_i in the rank-`rank` alphabet."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"x_{i} is out of range for rank {rank}")
+    return XSym(x_alphabet(rank), (i,))
 
 
 @dataclass(frozen=True)
@@ -56,12 +79,11 @@ class FreeEndo:
         """Composite sending x to other(self(x)); diagrammatic order."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch in endomorphism composition")
-        alphabet = x_alphabet(self.rank)
         mapping = {x_sym(i, self.rank): img for i, img in enumerate(other.images, start=1)}
         new_images = []
         total = 0
         for img in self.images:
-            word = img.substitute(mapping, alphabet=alphabet)
+            word = img.substitute(mapping)
             total += word.letter_count()
             if budget is not None and total > budget:
                 raise BudgetExceededError(

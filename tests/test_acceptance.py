@@ -386,7 +386,8 @@ def test_05_three_strand_commutator_normal_form():
     against any human transcription.
     """
     gamma3 = gamma_word(3)
-    form = comb(gamma3, verify=True)
+    form = comb(gamma3)
+    assert same_braid(form.as_single_word(), gamma3)
     assert form.component(2).is_identity()
 
     computed = PureAWord(3, form.component(3))

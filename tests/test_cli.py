@@ -319,6 +319,25 @@ class TestUsageErrors:
         code, payload = run(["eq", "-n", "3", "s1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eq", "-n", "3", "s1", "s1"],
+        ["perm", "-n", "3", "s1"],
+        ["pure", "-n", "3", "s1^2"],
+        ["del", "-n", "3", "1", "s1"],
+        ["ins", "-n", "2", "2", "s1"],
+        ["cohen", "-n", "3", "D^2"],
+        ["brunnian", "-n", "3", "[ a1.3 , a2.3 ]"],
+        ["gcohen", "-n", "4", "--blocks", "1,2;3,4", "D^2"],
+        ["unary", "-n", "3", "s1 s2"],
+        ["decompose", "-n", "3", "D^2"],
+        ["rp2", "verify"],
+    ])
+    def test_verify_is_a_usage_error_where_nothing_is_checked(self, argv):
+        assert run(argv)[0] == 0
+        code, payload = run([*argv, "--verify"])
+        assert code == 2
+        assert payload["result"] == "usage"
+
     def test_nonpositive_budget_is_a_usage_error(self):
         for budget in ("0", "-5"):
             code, payload = run(["comb", "-n", "3", "a1.3 a1.2", "--budget", budget])

@@ -1,10 +1,13 @@
 """Cohen, Brunnian, generalized, and unary predicates plus constructors."""
 
+from __future__ import annotations
+
+from dataclasses import dataclass
+
 import pytest
 
 from braidcalc.braids import BraidWord, a_gen, braid_pow, half_twist, same_braid
 from braidcalc.cohen import (
-    CommutatorTree,
     NotCohenError,
     P3CohenForm,
     P3Refusal,
@@ -22,13 +25,54 @@ from braidcalc.cohen import (
     unary_factor,
 )
 from braidcalc.combing import PureAWord, comb
-from braidcalc.words import GroupWord, a_sym
+from braidcalc.words import GroupWord, a_sym, commutator
 
 from conftest import random_pure_aword
 
 
 def aw(n, *pairs):
     return PureAWord.from_pairs(n, list(pairs))
+
+
+@dataclass(frozen=True)
+class CommutatorTree:
+    """Formal commutator over band-power leaves, for the covering test.
+
+    A leaf is (i, j, exp); an inner node holds two subtrees and denotes
+    the commutator of their values.
+    """
+
+    leaf: tuple[int, int, int] | None = None
+    left: CommutatorTree | None = None
+    right: CommutatorTree | None = None
+
+    def __post_init__(self) -> None:
+        if (self.leaf is None) == (self.left is None or self.right is None):
+            raise ValueError("node must be either a leaf or have two children")
+
+    @classmethod
+    def band(cls, i: int, j: int, exp: int = 1) -> CommutatorTree:
+        return cls(leaf=(i, j, exp))
+
+    @classmethod
+    def bracket(cls, left: CommutatorTree, right: CommutatorTree) -> CommutatorTree:
+        return cls(left=left, right=right)
+
+    def index_set(self) -> frozenset[int]:
+        if self.leaf is not None:
+            return frozenset(self.leaf[:2])
+        return self.left.index_set() | self.right.index_set()
+
+    def evaluate(self, n: int) -> PureAWord:
+        return PureAWord(n, self._word(n))
+
+    def _word(self, n: int) -> GroupWord:
+        if self.leaf is not None:
+            i, j, exp = self.leaf
+            if exp == 0:
+                return GroupWord.identity(f"A{n}")
+            return GroupWord.single(a_sym(i, j, n), exp)
+        return commutator(self.left._word(n), self.right._word(n))
 
 
 def all_indices_commutator_check(tree, n):

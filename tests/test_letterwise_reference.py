@@ -18,7 +18,7 @@ from itertools import combinations
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidcalc.braids import BudgetExceededError
+from braidcalc.braids import BudgetExceededError, same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
@@ -33,8 +33,6 @@ from braidcalc.words import (
     a_alphabet,
     a_sym,
     commutator,
-    x_alphabet,
-    x_sym,
 )
 
 
@@ -91,7 +89,7 @@ def reference_comb(w: PureAWord, component_budget: int) -> CombedForm:
                 sign = 1 if h_exp > 0 else -1
                 for _ in range(abs(h_exp)):
                     mapping = {t: conj_rule(h_sym, sign, t) for t, _ in c.syllables}
-                    c = c.substitute(mapping, alphabet=c.alphabet)
+                    c = c.substitute(mapping)
                     if c.letter_count() > component_budget:
                         raise BudgetExceededError("reference image passed the budget")
         comps[j - 2] = c * comps[j - 2]
@@ -212,20 +210,24 @@ class TestProducts:
         for f in factors:
             folded = folded * f.word
         assert folded == expected
-        # x_1^(e_1) .. x_m^(e_m) with x_k sent to factor k, so the images
-        # meet in the same order, each repeated |e_k| times
+        # A_(1,N)^(e_1) .. A_(m,N)^(e_m) with A_(k,N) sent to factor k on N
+        # strands, so the images meet in the same order, each repeated |e_k| times
         m = len(factors)
+        big = max(n, m + 1)
         exps = [*exps, *[1] * m][:m]
-        source = GroupWord(x_alphabet(m), tuple((x_sym(k, m), e) for k, e in enumerate(exps, 1)))
-        mapping = {x_sym(k, m): f.word for k, f in enumerate(factors, 1)}
+        embedded = [f.embed(big).word for f in factors]
+        source = GroupWord(a_alphabet(big), tuple(
+            (a_sym(k, big, big), e) for k, e in enumerate(exps, 1)
+        ))
+        mapping = {a_sym(k, big, big): f for k, f in enumerate(embedded, 1)}
         raw = []
-        for f, e in zip(factors, exps):
-            syllables = f.word.syllables
+        for f, e in zip(embedded, exps):
+            syllables = f.syllables
             if e < 0:
                 syllables = tuple((sym, -x) for sym, x in reversed(syllables))
             raw.extend(syllables * abs(e))
-        substituted = source.substitute(mapping, alphabet=a_alphabet(n))
-        assert substituted == GroupWord.from_letters(a_alphabet(n), raw)
+        substituted = source.substitute(mapping)
+        assert substituted == GroupWord.from_letters(a_alphabet(big), raw)
 
     @settings(max_examples=60, deadline=None)
     @given(band_words(max_strands=4, max_syllables=6), st.integers(0, 3))
@@ -274,4 +276,6 @@ class TestComb:
             expected = reference_comb(w, REFERENCE_BUDGET)
         except BudgetExceededError:
             assume(False)
-        assert comb(w, component_budget=REFERENCE_BUDGET, verify=True) == expected
+        form = comb(w, component_budget=REFERENCE_BUDGET)
+        assert same_braid(form.as_single_word(), w)
+        assert form == expected

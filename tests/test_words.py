@@ -9,15 +9,14 @@ from braidcalc.words import (
     a_alphabet,
     a_sym,
     commutator,
-    x_alphabet,
-    x_sym,
 )
 
 RANK = 4
 
 
-def word_from(pairs, n=RANK):
-    return GroupWord.from_letters(x_alphabet(n), [(x_sym(i, n), e) for i, e in pairs])
+def word_from(pairs, n=RANK + 1):
+    """The word in the bands A_(i,n), one syllable per pair (i, exponent)."""
+    return GroupWord.from_letters(a_alphabet(n), [(a_sym(i, n, n), e) for i, e in pairs])
 
 
 letters = st.lists(
@@ -33,7 +32,7 @@ class TestReduction:
 
     def test_nested_cancellation(self):
         w = word_from([(1, 1), (2, 1), (3, 1), (3, -1), (2, -1)])
-        assert str(w) == "x1"
+        assert str(w) == "A1,5"
 
     def test_syllables_merge(self):
         w = word_from([(1, 1)]) * word_from([(1, 1)]) * word_from([(1, 1)])
@@ -97,29 +96,35 @@ class TestAbelianization:
 
 class TestSubstitution:
     def test_substitute_generator_image(self):
-        w = word_from([(1, 2), (2, -1)], n=2)
-        target = a_alphabet(3)
+        w = word_from([(1, 2), (2, -1)], n=3)
         image = {
-            x_sym(1, 2): GroupWord.single(a_sym(1, 3, 3)),
-            x_sym(2, 2): GroupWord.single(a_sym(2, 3, 3)),
+            a_sym(1, 3, 3): GroupWord.from_letters(
+                a_alphabet(3), [(a_sym(1, 2, 3), 1), (a_sym(1, 3, 3), 1)]
+            ),
+            a_sym(2, 3, 3): GroupWord.single(a_sym(2, 3, 3)),
         }
-        out = w.substitute(image, target)
-        assert str(out) == "A1,3^2 A2,3^-1"
+        out = w.substitute(image)
+        assert str(out) == "A1,2 A1,3 A1,2 A1,3 A2,3^-1"
 
     def test_substitution_is_homomorphism_on_sample(self):
-        a = word_from([(1, 1), (2, 1)], n=2)
-        b = word_from([(2, -1), (1, 1)], n=2)
+        a = word_from([(1, 1), (2, 1)], n=3)
+        b = word_from([(2, -1), (1, 1)], n=3)
         image = {
-            x_sym(1, 2): word_from([(2, 1), (1, 1)], n=2),
-            x_sym(2, 2): word_from([(1, -1)], n=2),
+            a_sym(1, 3, 3): word_from([(2, 1), (1, 1)], n=3),
+            a_sym(2, 3, 3): word_from([(1, -1)], n=3),
         }
-        target = x_alphabet(2)
-        lhs = (a * b).substitute(image, target)
-        rhs = a.substitute(image, target) * b.substitute(image, target)
+        lhs = (a * b).substitute(image)
+        rhs = a.substitute(image) * b.substitute(image)
         assert lhs == rhs
+
+    def test_image_over_another_alphabet_rejected(self):
+        w = word_from([(1, 2)], n=3)
+        image = {a_sym(1, 3, 3): GroupWord.single(a_sym(1, 3, 4))}
+        with pytest.raises(AlphabetMismatchError):
+            w.substitute(image)
 
     def test_mixed_alphabets_rejected(self):
         w = word_from([(1, 1)], n=3)
-        other = GroupWord.single(a_sym(1, 2, 3))
+        other = GroupWord.single(a_sym(1, 2, 4))
         with pytest.raises(AlphabetMismatchError):
             w * other
