@@ -73,11 +73,15 @@ class BraidWord:
     """A word in the Artin generators of B_n; letters are (index, sign).
 
     Shares its members with the band words of combing.PureAWord:
-    strands, identity, product, *, inverse, face, coface, to_braid, perm.
+    strands, identity, product, *, inverse, face, coface, to_braid, perm,
+    letter_count, exponent_sum, products_reduce.
     """
 
     strands: int
     letters: tuple[tuple[int, int], ...] = ()
+
+    # products only concatenate: no letters cancel where factors meet
+    products_reduce = False
 
     def __post_init__(self) -> None:
         if self.strands < 0:
@@ -106,6 +110,13 @@ class BraidWord:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    def letter_count(self) -> int:
+        return len(self.letters)
+
+    def exponent_sum(self) -> int:
+        """The image under the homomorphism B_n -> Z sending each s_i to 1."""
+        return sum(sign for _, sign in self.letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         """Concatenation: self happens first, then other."""
@@ -362,8 +373,9 @@ def left_normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
     """Equality in B_n of two crossing words, two band words or one of each.
 
-    Equal words are equal braids; otherwise both sides are expanded to
-    crossings and compared by permutation, then by left normal form.
+    Equal words are equal braids, and braids with different exponent
+    sums differ; otherwise both sides are expanded to crossings and
+    compared by permutation, then by left normal form.
     """
     if a.strands != b.strands:
         raise ValueError(
@@ -371,6 +383,8 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
         )
     if a == b:
         return True
+    if a.exponent_sum() != b.exponent_sum():
+        return False
     a, b = a.to_braid(), b.to_braid()
     if a.perm() != b.perm():
         return False

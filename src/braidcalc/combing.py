@@ -124,11 +124,15 @@ class PureAWord:
     """A word over the band alphabet of B_n, representing a pure braid.
 
     Has the members of braids.BraidWord: strands, identity, product, *,
-    inverse, face, coface, to_braid, perm.
+    inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
+    products_reduce.
     """
 
     strands: int
     word: GroupWord
+
+    # products are freely reduced where factors meet
+    products_reduce = True
 
     def __post_init__(self) -> None:
         if self.word.alphabet != a_alphabet(self.strands):
@@ -165,6 +169,13 @@ class PureAWord:
 
     def is_identity(self) -> bool:
         return self.word.is_identity()
+
+    def letter_count(self) -> int:
+        return self.word.letter_count()
+
+    def exponent_sum(self) -> int:
+        """Exponent sum of the crossing expansion: each band is two crossings."""
+        return 2 * sum(exp for _, exp in self.word.syllables)
 
     def perm(self) -> Perm:
         """The identity: a band word is pure, so nothing is expanded."""

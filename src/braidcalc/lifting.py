@@ -17,13 +17,23 @@ Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
     position most significant, and the leftmost index is applied first;
   - James-Hopf multi-indices are enumerated colexicographically,
-    rightmost position most significant.
+    rightmost position most significant;
+  - the spread order of James-Hopf multi-indices sorts by the top kept
+    strand, then lexicographically by the insertions below it.  In this
+    order the James-Hopf product of a Brunnian w is full_lift word for
+    word;
+  - the solver decomposes band words in both orders and reassembles the
+    one whose bound sum_k C(n, k) letters(delta_k) on the answer is
+    shorter; ties go to colex.  Crossing-word products never reduce, so
+    there the bounds always tie and the solver runs colex alone.
+    james_hopf, reassemble and hopf_decompose are colex.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import Callable, Iterator, Sequence
 
 from .braids import Perm, half_twist, is_pure
 from .cohen import Braidlike, common_face, is_brunnian
@@ -96,6 +106,38 @@ def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
     ))
 
 
+_Order = Callable[[int, int], Sequence[tuple[int, ...]]]
+
+
+def _colex(n: int, r: int) -> list[tuple[int, ...]]:
+    """The r-insertion tuples on n strands, rightmost position most significant."""
+    return sorted(combinations(range(1, n + 1), r), key=lambda t: t[::-1])
+
+
+def _spread(n: int, r: int) -> list[tuple[int, ...]]:
+    """The r-insertion tuples on n strands, spread order.
+
+    Sorted by the top kept strand, then lexicographically by the
+    insertions below it, which is the factor order of full_lift.
+    """
+    kept = n - r
+    return [
+        (*below, *range(top + 1, n + 1))
+        for top in range(kept, n + 1)
+        for below in combinations(range(1, top), top - kept)
+    ]
+
+
+def _james_hopf(k: int, n: int, b: Braidlike, order: _Order) -> Braidlike:
+    return b.product(n, (b.coface(*indices) for indices in order(n, n - k)))
+
+
+def _reassemble(deltas: Sequence[Braidlike], n: int, order: _Order) -> Braidlike:
+    return deltas[0].product(n, (
+        _james_hopf(k, n, d, order) for k, d in enumerate(deltas, start=1)
+    ))
+
+
 def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
     """Ordered product of coface images d^(i_(n-k)) .. d^(i_1) of b.
 
@@ -109,43 +151,82 @@ def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
         raise ValueError("target rank must be at least the source rank")
     if check and not is_brunnian(b):
         raise ValueError("james_hopf requires a Brunnian input")
-    ordered = sorted(
-        combinations(range(1, n + 1), n - k), key=lambda t: tuple(reversed(t))
-    )
-    return b.product(n, (b.coface(*indices) for indices in ordered))
+    return _james_hopf(k, n, b, _colex)
 
 
 def reassemble(
     deltas: Sequence[Braidlike], n: int
 ) -> Braidlike:
     """Product of james_hopf(k, n, delta_k) for k = 1 .. len(deltas)."""
-    return deltas[0].product(n, (
-        james_hopf(k, n, d, check=False) for k, d in enumerate(deltas, start=1)
-    ))
+    return _reassemble(deltas, n, _colex)
+
+
+def _face_chain(a: Braidlike) -> list[Braidlike]:
+    """a_2, .., a_n: a_n = a and a_(k-1) = common_face(a_k), bottom-up.
+
+    The faces are taken top-down, so NotCohenError names the highest
+    rank whose faces disagree.
+    """
+    chain = [a]
+    while chain[-1].strands > 2:
+        chain.append(common_face(chain[-1]))
+    return chain[::-1]
+
+
+def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlike]:
+    """Yield the Brunnian layers delta_1, delta_2, .. of the chain's top.
+
+    The layers of a_(k-1) determine delta_1 .. delta_(k-1), and delta_k
+    is what remains of a_k after dividing out their James-Hopf images,
+    taken in the given order.  Each layer is Brunnian (asserted).
+    """
+    bottom = chain[0]
+    if bottom.strands <= 1:
+        yield bottom
+        return
+    layers = [bottom.identity(1), bottom]
+    yield from layers
+    for a in chain[1:]:
+        top = _reassemble(layers, a.strands, order).inverse() * a
+        if not is_brunnian(top):
+            raise AssertionError("residual top layer is not Brunnian")
+        layers.append(top)
+        yield top
 
 
 def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """Split a pure Cohen braid into Brunnian layers delta_1 .. delta_n.
 
-    Recursion on the common face: the layers of the face determine
-    delta_1 .. delta_(n-1), and the top layer is what remains of a
-    after dividing out their James-Hopf images.  Reassembling the
-    layers reproduces a, and each layer is Brunnian (asserted).
+    Reassembling the layers (colex order) reproduces a, and each layer
+    is Brunnian (asserted).
     """
     if not is_pure(a):
         raise ValueError("hopf_decompose requires a pure braid")
-    n = a.strands
-    if n <= 1:
-        return (a,)
-    if n == 2:
-        return (a.identity(1), a)
-    shared = common_face(a)
-    lower = hopf_decompose(shared)
-    partial = reassemble(lower, n)
-    top = partial.inverse() * a
-    if not is_brunnian(top):
-        raise AssertionError("residual top layer is not Brunnian")
-    return (*lower, top)
+    return tuple(_hopf_layers(_face_chain(a), _colex))
+
+
+def _solve_pure(a: Braidlike, n: int) -> Braidlike:
+    """Reassemble on n strands the layers of the order with the smaller bound.
+
+    The answer has at most sum_k C(n, k) letters(delta_k) letters.  Both
+    orders decompose the same face chain, and each step advances the
+    one whose running bound is smaller (colex on a tie), so the first to
+    run out of layers has the smaller final bound and the other stops
+    at most one layer past it.  Where products do not reduce, the layers
+    of both orders have equal lengths, so colex runs alone.
+    """
+    chain = _face_chain(a)
+    orders = (_colex, _spread) if a.products_reduce else (_colex,)
+    runs = [(order, _hopf_layers(chain, order), []) for order in orders]
+    bounds = [0] * len(runs)
+    while True:
+        side = bounds.index(min(bounds))
+        order, layers, done = runs[side]
+        layer = next(layers, None)
+        if layer is None:
+            return _reassemble(done, n, order)
+        done.append(layer)
+        bounds[side] += comb(n, len(done)) * layer.letter_count()
 
 
 def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
@@ -153,16 +234,17 @@ def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
 
     Requires all faces of a to agree (NotCohenError with a witness pair
     otherwise).  Pure inputs are rebuilt from their Brunnian layers one
-    rank up; a non-pure input is reduced to the pure case by a half
+    rank up, in colex or spread order, whichever bounds the answer
+    shorter; a non-pure input is reduced to the pure case by a half
     twist, whose own faces are again half twists.
     """
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
     pm = a.perm()
     if pm.is_identity():
-        # hopf_decompose raises NotCohenError through common_face; a pure
+        # the face chain raises NotCohenError through common_face; a pure
         # braid on two strands or fewer has its faces in the trivial B_1 or B_0
-        return reassemble(hopf_decompose(a), n)
+        return _solve_pure(a, n)
     common_face(a)  # the witness names the faces of a, not of the twisted braid
     if pm != Perm.order_reversal(a.strands):
         raise AssertionError(

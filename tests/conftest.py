@@ -10,6 +10,7 @@ import pytest
 
 from braidcalc.braids import BraidWord
 from braidcalc.combing import PureAWord
+from braidcalc.words import GroupWord, a_sym, commutator
 
 
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -29,6 +30,19 @@ def random_pure_aword(rng: random.Random, n: int, max_sylls: int,
         e = rng.choice((1, -1)) * rng.randint(1, max_exp)
         pairs.append((i, j, e))
     return PureAWord.from_pairs(n, pairs)
+
+
+def signed_brunnian(rng: random.Random, m: int) -> PureAWord:
+    """Left-normed commutator of A_(t,m)^(+-1) over a shuffled t = 1..m-1."""
+    if m == 1:
+        return PureAWord.identity(1)
+    order = list(range(1, m))
+    rng.shuffle(order)
+    leaves = [GroupWord.single(a_sym(t, m, m), rng.choice((1, -1))) for t in order]
+    word = leaves[0]
+    for leaf in leaves[1:]:
+        word = commutator(word, leaf)
+    return PureAWord(m, word)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcalc import braids
 from braidcalc.braids import (
     BraidWord,
     BudgetExceededError,
@@ -174,6 +175,15 @@ class TestOracle:
 
     def test_perm_short_circuit_detects_unequal_perms(self):
         assert not same_braid(sig(3, (1, 1)), sig(3, (1, 1), (2, 1)))
+
+    def test_exponent_sum_short_circuit_skips_the_normal_form(self, monkeypatch):
+        def unreachable(b):
+            raise AssertionError("normal form computed")
+
+        monkeypatch.setattr(braids, "left_normal_form", unreachable)
+        pure = sig(3, (1, 1), (1, 1), (2, 1), (2, 1))
+        assert not same_braid(pure, sig(3))
+        assert not same_braid(pure, pure.inverse())
 
     def test_conjugate_of_generator(self):
         lhs = sig(3, (1, 1)).inverse() * (half_twist(3) * sig(3, (1, 1)))

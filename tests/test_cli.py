@@ -16,7 +16,9 @@ from braidcalc.cli import run
 from braidcalc.combing import PureAWord, comb
 from braidcalc.expr import format_aword
 from braidcalc.lifting import reassemble
-from braidcalc.words import GroupWord, a_sym, commutator
+from braidcalc.words import GroupWord, a_sym
+
+from conftest import signed_brunnian
 
 
 def payload_keys(payload):
@@ -271,26 +273,13 @@ class TestLiftingCommands:
         # abelianization, so the refusal needs no combing of their quotient.
         for seed in range(1, 5):
             rng = random.Random(seed)
-            alpha = reassemble([_signed_brunnian(rng, m) for m in range(1, 6)], 5)
+            alpha = reassemble([signed_brunnian(rng, m) for m in range(1, 6)], 5)
             kink = PureAWord(5, GroupWord.single(a_sym(1, 2, 5), rng.choice((1, -1))))
             text = format_aword(alpha * kink)
             code, payload = run(["solve", "-n", "6", "--verify", text])
             assert code == 1
             assert payload["result"] == "refused"
             assert len(payload["witnesses"]["violating_pair"]) == 2
-
-
-def _signed_brunnian(rng: random.Random, m: int) -> PureAWord:
-    """Left-normed commutator of A_(t,m)^(+-1) over a shuffled t = 1..m-1."""
-    if m == 1:
-        return PureAWord.identity(1)
-    order = list(range(1, m))
-    rng.shuffle(order)
-    leaves = [GroupWord.single(a_sym(t, m, m), rng.choice((1, -1))) for t in order]
-    word = leaves[0]
-    for leaf in leaves[1:]:
-        word = commutator(word, leaf)
-    return PureAWord(m, word)
 
 
 class TestFiniteModelCommands:

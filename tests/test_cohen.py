@@ -25,6 +25,7 @@ from braidcalc.cohen import (
     unary_factor,
 )
 from braidcalc.combing import PureAWord, comb
+from braidcalc.lifting import full_lift
 from braidcalc.words import GroupWord, a_sym, commutator
 
 from conftest import random_pure_aword
@@ -147,6 +148,14 @@ class TestPredicates:
             g = brunnian_generator(4, conjugators=conj)
             assert is_brunnian(g)
             assert is_cohen(g)
+
+    def test_extra_top_band_breaks_cohen(self):
+        # faces 1..n-2 keep the extra band and faces n-1, n delete it, so
+        # the exponent sums of the faces differ
+        w = band_commutator(2, -1)
+        for n in (6, 7, 8):
+            b = full_lift(3, n, w) * aw(n, (n - 1, n, 1))
+            assert not is_cohen(b)
 
     def test_nonpure_half_twist_is_cohen(self):
         d = half_twist(3)

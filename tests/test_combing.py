@@ -193,6 +193,10 @@ class TestEquality:
                 a.to_braid(), b.to_braid(), budget=10**7
             )
 
+    @given(band_words())
+    def test_exponent_sum_survives_expansion(self, w):
+        assert w.exponent_sum() == w.to_braid().exponent_sum()
+
     def test_central_square_commutes_with_everything(self):
         delta2 = split_power_word(4, 1)
         w = aw(4, (1, 3, 1), (2, 4, -1))

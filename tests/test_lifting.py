@@ -1,18 +1,30 @@
 """Coface images, spreads, James-Hopf products, decomposition, and the solver."""
 
+import random
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcalc.braids import BraidWord, braid_pow, half_twist, is_pure, same_braid
 from braidcalc.cohen import (
     NotCohenError,
     all_faces,
     band_commutator,
+    brunnian_generator,
     delta_square_word,
     is_brunnian,
     is_cohen,
 )
+from braidcalc import lifting
 from braidcalc.combing import PureAWord
 from braidcalc.lifting import (
+    _colex,
+    _face_chain,
+    _hopf_layers,
+    _james_hopf,
+    _reassemble,
+    _spread,
     cohen_lift,
     full_lift,
     hopf_decompose,
@@ -21,6 +33,8 @@ from braidcalc.lifting import (
     solve_cohen_system,
     tau_spread,
 )
+
+from conftest import signed_brunnian
 
 
 def aw(n, *pairs):
@@ -164,3 +178,83 @@ class TestSolver:
         beta = solve_cohen_system(alpha, 4)
         for i in range(1, 5):
             assert same_braid(beta.face(i), alpha)
+
+
+class TestSpreadOrder:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_spread_product_is_the_full_lift(self, m):
+        w = brunnian_generator(m)
+        for n in range(m, m + 3):
+            image = _james_hopf(m, n, w, _spread)
+            assert image == full_lift(m, n, w)
+            lower = _james_hopf(m, n - 1, w, _spread) if n > m else None
+            for f in all_faces(image):
+                if lower is None:
+                    assert same_braid(f, f.identity(f.strands))
+                else:
+                    assert same_braid(f, lower)
+
+    def test_spread_and_colex_hold_the_same_factors(self):
+        for n in range(1, 7):
+            for r in range(n + 1):
+                assert sorted(_spread(n, r)) == sorted(_colex(n, r))
+
+
+def _signed_layers(seed, n):
+    """Brunnian layers delta_1 .. delta_n, each drawn or trivial."""
+    rng = random.Random(seed)
+    return [
+        signed_brunnian(rng, m) if rng.random() < 0.8 else PureAWord.identity(m)
+        for m in range(1, n + 1)
+    ]
+
+
+def _bound(layers, n):
+    return sum(comb(n, k) * d.letter_count() for k, d in enumerate(layers, start=1))
+
+
+class TestSolverOrder:
+    @pytest.mark.parametrize("n,letters", [(4, 60), (5, 120), (6, 210)])
+    def test_full_lift_is_solved_by_the_next_full_lift(self, n, letters):
+        w = band_commutator(2, -1)
+        beta = solve_cohen_system(full_lift(3, n, w), n + 1)
+        assert beta == full_lift(3, n + 1, w)
+        assert beta.letter_count() == letters
+
+    def test_tie_goes_to_colex(self):
+        # both orders give the single layer w, so the bounds tie
+        w = band_commutator(2, -1)
+        beta = solve_cohen_system(w, 4)
+        assert beta == james_hopf(3, 4, w)
+        assert beta != full_lift(3, 4, w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32), st.integers(3, 5))
+    def test_the_smaller_bound_wins(self, seed, n):
+        a = reassemble(_signed_layers(seed, n), n)
+        beta = solve_cohen_system(a, n + 1)
+        colex = hopf_decompose(a)
+        spread = tuple(_hopf_layers(_face_chain(a), _spread))
+        if _bound(spread, n + 1) < _bound(colex, n + 1):
+            assert beta == _reassemble(spread, n + 1, _spread)
+        else:
+            assert beta == reassemble(colex, n + 1)
+
+    def test_crossing_words_run_colex_alone(self, monkeypatch):
+        # crossing products never reduce, so the spread bound always ties
+        def no_spread(n, r):
+            raise AssertionError("spread order used on a crossing word")
+
+        monkeypatch.setattr(lifting, "_spread", no_spread)
+        a = reassemble(_signed_layers(7, 4), 4).to_braid()
+        beta = solve_cohen_system(a, 5)
+        assert beta == reassemble(hopf_decompose(a), 5)
+        assert all(same_braid(f, a) for f in all_faces(beta))
+
+    def test_refusal_names_the_top_faces(self):
+        # the faces of the top rank disagree; the chain stops there
+        a = full_lift(3, 5, band_commutator(2, -1)) * aw(5, (4, 5, 1))
+        with pytest.raises(NotCohenError) as exc:
+            solve_cohen_system(a, 6)
+        assert exc.value.witness_indices == (1, 4)
+        assert exc.value.witness_faces[0].strands == 4

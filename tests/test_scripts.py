@@ -1,9 +1,10 @@
 """The self-checking experiment scripts run to completion.
 
 Each script asserts its own findings, so exit status 0 means they still
-hold.
+hold.  The summary of scripts/bench_pairs.py is checked on fixed runs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,31 @@ def test_script_exits_cleanly(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_bench_pairs_report():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def result(qps, letters, failed=0):
+        return {"correct": True, "attempted": 100, "failed": failed, "metrics": {
+            "queries_per_s": {"value": qps, "unit": "1/s"},
+            "answer_letters": {"value": letters, "unit": "letters"},
+        }}
+
+    end_to_end = [
+        {"name": "queries_per_s", "better": "higher"},
+        {"name": "answer_letters", "better": "lower"},
+    ]
+    runs = {
+        "parent": [result(q, 10) for q in (10, 20, 30, 40, 50)],
+        "change": [result(q, 10, failed=1) for q in (15, 25, 35, 45, 45)],
+    }
+    report = bench_pairs._report(runs, end_to_end)
+    assert report["parent"]["metrics"]["queries_per_s"] == {
+        "median": 30, "q1": 20, "q3": 40, "iqr": 20,
+    }
+    assert report["change"]["metrics"]["queries_per_s"]["median"] == 35
+    assert report["change_wins"] == {"queries_per_s": 4, "answer_letters": 0}
+    assert report["change"]["failed"] == [1] * 5
