@@ -95,6 +95,13 @@ class BraidWord:
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
 
     @classmethod
+    def _unchecked(cls, strands: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
+        """A word built from checked words, so in range already: no check."""
+        word = object.__new__(cls)
+        word.__dict__.update(strands=strands, letters=letters)
+        return word
+
+    @classmethod
     def identity(cls, strands: int) -> BraidWord:
         return cls(strands, ())
 
@@ -106,7 +113,7 @@ class BraidWord:
             if f.strands != strands:
                 raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
             letters.extend(f.letters)
-        return cls(strands, tuple(letters))
+        return cls._unchecked(strands, tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -122,10 +129,12 @@ class BraidWord:
         """Concatenation: self happens first, then other."""
         if self.strands != other.strands:
             raise ValueError(f"strand mismatch: {self.strands} vs {other.strands}")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._unchecked(self.strands, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
+        return BraidWord._unchecked(
+            self.strands, tuple((i, -s) for i, s in reversed(self.letters))
+        )
 
     def to_braid(self) -> BraidWord:
         return self
@@ -162,7 +171,7 @@ class BraidWord:
                 out.append((j - 1, sign))
             else:
                 out.append((j, sign))
-        return BraidWord(n - 1, tuple(out))
+        return BraidWord._unchecked(n - 1, tuple(out))
 
     def coface(self, *positions: int) -> BraidWord:
         """Insert trivial strands at the positions in turn, leftmost first.
@@ -187,13 +196,13 @@ class BraidWord:
                     out.append((j + 1, sign))
             letters = out
             n += 1
-        return BraidWord(n, tuple(letters))
+        return BraidWord._unchecked(n, tuple(letters))
 
 
 def braid_pow(a: BraidWord, k: int) -> BraidWord:
     if k < 0:
         return braid_pow(a.inverse(), -k)
-    return BraidWord(a.strands, a.letters * k)
+    return BraidWord._unchecked(a.strands, a.letters * k)
 
 
 def half_twist(n: int) -> BraidWord:

@@ -29,16 +29,7 @@ from .cohen import (
     unary_factor,
 )
 from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb
-from .expr import (
-    NotAWordError,
-    ParseError,
-    format_aword,
-    format_braid,
-    parse,
-    to_aword,
-    to_braid,
-    uses_only_bands,
-)
+from .expr import NotAWordError, ParseError, format_aword, format_braid, parse, parse_bands
 from .finite_models import (
     build_p2_rp2,
     build_p3_s2,
@@ -136,22 +127,6 @@ def _fmt(b: Braidlike) -> str:
     return format_braid(b)
 
 
-def _read(text: str, n: int) -> Braidlike:
-    """Parse to a band word when possible, else to a crossing word."""
-    expr = parse(text, n)
-    if uses_only_bands(expr):
-        return to_aword(expr, n)
-    return to_braid(expr, n)
-
-
-def _read_bands(text: str, n: int, refusal: str) -> PureAWord:
-    """Parse to a band word; raise NotAWordError(refusal) on crossing letters."""
-    expr = parse(text, n)
-    if not uses_only_bands(expr):
-        raise NotAWordError(refusal)
-    return to_aword(expr, n)
-
-
 def _parse_blocks(spec: str, n: int) -> StrandPartition:
     blocks = []
     for chunk in spec.split(";"):
@@ -241,10 +216,10 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         inputs.update(ranks)
         lo, hi = ranks.values()
         if cmd == "hopf":
-            b = _read(args.expr, lo)
+            b = parse(args.expr, lo)
             result = james_hopf(lo, hi, b)
         else:
-            w = _read_bands(args.expr, lo, "this construction needs a word in the bands")
+            w = parse_bands(args.expr, lo, "this construction needs a word in the bands")
             result = tau_spread(lo, hi, w) if cmd == "tau" else full_lift(lo, hi, w)
         payload["result"] = _fmt(result)
         if args.verify and cmd == "tau":
@@ -264,14 +239,14 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     if cmd == "eq":
         inputs["expr"] = [args.expr1, args.expr2]
-        equal = same_braid(_read(args.expr1, n), _read(args.expr2, n))
+        equal = same_braid(parse(args.expr1, n), parse(args.expr2, n))
         payload["result"] = equal
         payload["witnesses"]["method"] = "garside"
         return 0 if equal else 1
 
     inputs["expr"] = args.expr
     if cmd == "perm":
-        pm = _read(args.expr, n).perm()
+        pm = parse(args.expr, n).perm()
         payload["result"] = list(pm.images)
         if pm.is_identity():
             payload["witnesses"]["class"] = "identity"
@@ -282,20 +257,20 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "pure":
-        value = is_pure(_read(args.expr, n))
+        value = is_pure(parse(args.expr, n))
         payload["result"] = value
         return 0 if value else 1
 
     if cmd in ("del", "ins"):
         inputs["index"] = args.index
-        b = _read(args.expr, n)
+        b = parse(args.expr, n)
         out = b.face(args.index) if cmd == "del" else b.coface(args.index)
         payload["result"] = _fmt(out)
         payload["witnesses"]["strands"] = out.strands
         return 0
 
     if cmd == "cohen":
-        b = _read(args.expr, n)
+        b = parse(args.expr, n)
         try:
             shared = common_face(b)
         except NotCohenError as e:
@@ -311,7 +286,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "brunnian":
-        b = _read(args.expr, n)
+        b = parse(args.expr, n)
         bad = [
             k
             for k, f in enumerate(all_faces(b), start=1)
@@ -325,12 +300,12 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
     if cmd == "gcohen":
         inputs["blocks"] = args.blocks
         partition = _parse_blocks(args.blocks, n)
-        value = is_generalized_cohen(_read(args.expr, n), partition)
+        value = is_generalized_cohen(parse(args.expr, n), partition)
         payload["result"] = value
         return 0 if value else 1
 
     if cmd == "unary":
-        b = _read(args.expr, n).to_braid()
+        b = parse(args.expr, n).to_braid()
         value = is_unary(b)
         payload["result"] = value
         if value:
@@ -338,7 +313,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0 if value else 1
 
     if cmd == "comb":
-        w = _read_bands(args.expr, n, "comb consumes band words only")
+        w = parse_bands(args.expr, n, "comb consumes band words only")
         form = comb(w, component_budget=args.budget)
         if args.verify and not same_braid(form.as_single_word(), w):
             raise AssertionError("combing verification failed: expansion differs")
@@ -349,7 +324,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "lift":
-        w = _read_bands(args.expr, n, "lift consumes band words only")
+        w = parse_bands(args.expr, n, "lift consumes band words only")
         if not is_brunnian(w):
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "input is not Brunnian"
@@ -361,7 +336,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "decompose":
-        b = _read(args.expr, n)
+        b = parse(args.expr, n)
         if not is_pure(b):
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "decomposition needs a pure braid"
@@ -371,7 +346,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "solve":
-        b = _read(args.expr, n - 1)
+        b = parse(args.expr, n - 1)
         out = solve_cohen_system(b, n)
         payload["result"] = _fmt(out)
         if args.verify:

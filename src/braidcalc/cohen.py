@@ -37,7 +37,6 @@ __all__ = [
     "is_cohen",
     "is_generalized_cohen",
     "is_unary",
-    "split_power_word",
     "unary_factor",
 ]
 
@@ -205,16 +204,6 @@ def delta_square_word(n: int, k: int) -> PureAWord:
         )
         word = word * block ** k
     return PureAWord(n, word)
-
-
-def split_power_word(n: int, k: int) -> PureAWord:
-    """A_12^k (A_13^k A_23^k) ... : each band powered separately."""
-    if n < 2:
-        raise ValueError("need at least two strands")
-    letters = [
-        (a_sym(i, j, n), k) for j in range(2, n + 1) for i in range(1, j)
-    ]
-    return PureAWord(n, GroupWord.from_letters(f"A{n}", letters))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,13 @@ class PureAWord:
                 raise ValueError(f"band {sym} out of range for {self.strands} strands")
 
     @classmethod
+    def _unchecked(cls, strands: int, word: GroupWord) -> PureAWord:
+        """A word built from checked words, so its bands fit: no check."""
+        pure = object.__new__(cls)
+        pure.__dict__.update(strands=strands, word=word)
+        return pure
+
+    @classmethod
     def identity(cls, strands: int) -> PureAWord:
         return cls(strands, GroupWord.identity(a_alphabet(strands)))
 
@@ -165,7 +172,8 @@ class PureAWord:
             if f.strands != strands:
                 raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
             _join(stack, f.word.syllables)
-        return cls(strands, GroupWord(a_alphabet(strands), tuple(stack)))
+        word = GroupWord._unchecked(a_alphabet(strands), tuple(stack))
+        return cls._unchecked(strands, word)
 
     def is_identity(self) -> bool:
         return self.word.is_identity()
@@ -185,21 +193,21 @@ class PureAWord:
         letters: list[tuple[int, int]] = []
         for sym, exp in self.word.syllables:
             letters.extend(band_power_letters(sym.index[0], sym.index[1], exp))
-        return BraidWord(self.strands, tuple(letters))
+        return BraidWord._unchecked(self.strands, tuple(letters))
 
     def __mul__(self, other: PureAWord) -> PureAWord:
         if self.strands != other.strands:
             raise ValueError("strand mismatch")
-        return PureAWord(self.strands, self.word * other.word)
+        return PureAWord._unchecked(self.strands, self.word * other.word)
 
     def inverse(self) -> PureAWord:
-        return PureAWord(self.strands, self.word.inverse())
+        return PureAWord._unchecked(self.strands, self.word.inverse())
 
     def embed(self, strands: int) -> PureAWord:
         """The same bands read in a larger braid group."""
         if strands < self.strands:
             raise ValueError("cannot embed into fewer strands")
-        return PureAWord(strands, GroupWord(a_alphabet(strands), tuple(
+        return PureAWord._unchecked(strands, GroupWord._unchecked(a_alphabet(strands), tuple(
             (a_sym(sym.index[0], sym.index[1], strands), exp)
             for sym, exp in self.word.syllables
         )))
@@ -230,7 +238,8 @@ class PureAWord:
             else:
                 out.append((faced, exp))
                 gap = False
-        return PureAWord(n - 1, GroupWord(a_alphabet(n - 1), tuple(out)))
+        word = GroupWord._unchecked(a_alphabet(n - 1), tuple(out))
+        return PureAWord._unchecked(n - 1, word)
 
     def coface(self, *positions: int) -> PureAWord:
         """Insert trivial strands at the positions in turn, leftmost first.
@@ -252,7 +261,7 @@ class PureAWord:
                 for i in positions:
                     pair = coface_on_pure_gen(i, pair)
                 image[sym] = a_sym(*pair, m)
-        return PureAWord(m, GroupWord(a_alphabet(m), tuple(
+        return PureAWord._unchecked(m, GroupWord._unchecked(a_alphabet(m), tuple(
             (image[sym], exp) for sym, exp in self.word.syllables
         )))
 
@@ -282,7 +291,7 @@ class CombedForm:
 
     def as_single_word(self) -> PureAWord:
         # components hold bands of distinct levels, so nothing reduces
-        return PureAWord(self.strands, GroupWord(
+        return PureAWord._unchecked(self.strands, GroupWord._unchecked(
             a_alphabet(self.strands),
             tuple(syl for comp in self.components for syl in comp.syllables),
         ))
@@ -354,7 +363,7 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
             images[k].clear()
     alphabet = a_alphabet(n)
     return CombedForm(n, tuple(
-        GroupWord(alphabet, tuple(reversed(stack)))
+        GroupWord._unchecked(alphabet, tuple(reversed(stack)))
         for stack in stacks
     ))
 

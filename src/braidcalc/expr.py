@@ -1,4 +1,4 @@
-"""Token grammar for braid expressions.
+"""Token grammar for braid expressions, read straight to words.
 
 Tokens are whitespace separated:
 
@@ -12,37 +12,46 @@ Tokens are whitespace separated:
     tok^<k>     integer power, attached     s1^-2  a1.3^4  D^2  )^3  ]^2
 
 A prime is shorthand for ^-1 and cannot be combined with an explicit
-power.  Indices are validated against the declared strand count at
-parse time, with character offsets in error messages.
+power.  Indices are validated against the declared strand count as
+they are read, with character offsets in error messages.
+
+parse reads the tokens once, left to right, evaluating as it goes.  A
+text of bands alone becomes a PureAWord: each band syllable is pushed
+onto one reduced stack, and a group is built apart only under
+( ... )^k or [ , ], then joined back with _join.  A text with any
+crossing or twist becomes a BraidWord whose letters are its plain
+expansion: a band is s_(j-1) .. s_(i+1) s_i^2 s_(i+1)^-1 .. s_(j-1)^-1,
+a power repeats its base, and nothing cancels.  No band-only text
+contains an s or a D, so the kind is known before the first token.
+parse_bands, for commands that take band words only, runs the same
+loop but only checks crossing text, building nothing: a ParseError
+still comes first, then NotAWordError.
+
+Words are checked once, where they enter the library: here, token by
+token and again by the checked constructor that the reader returns through,
+and in the public constructors, from_letters and from_pairs.  Words the
+library builds from checked words skip the check through the private
+GroupWord._unchecked, BraidWord._unchecked and PureAWord._unchecked:
+products, *, inverse, powers, substitute, face, coface, embed,
+to_braid, and the components of comb and their single word.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import Sequence
 
-from .braids import BraidWord, band_power_letters, braid_pow, half_twist
+from .braids import BraidWord, band_power_letters, half_twist
 from .combing import PureAWord
-from .words import GroupWord, a_alphabet, a_sym, commutator
+from .words import GenSym, GroupWord, Syllable, _invert, _join, _pow, a_alphabet
 
 __all__ = [
-    "BandAtom",
-    "Commutator",
-    "Concat",
-    "Expression",
     "NotAWordError",
     "ParseError",
-    "Power",
-    "SigmaAtom",
-    "TwistAtom",
     "format_aword",
     "format_braid",
-    "format_expression",
     "parse",
-    "to_aword",
-    "to_braid",
-    "uses_only_bands",
+    "parse_bands",
 ]
 
 
@@ -57,190 +66,156 @@ class NotAWordError(ValueError):
     """The expression contains crossings or twists, not only bands."""
 
 
-@dataclass(frozen=True)
-class SigmaAtom:
-    index: int
+class _BadToken(Exception):
+    """A bad atom token; the reader raises it again as a ParseError at its offset."""
 
-
-@dataclass(frozen=True)
-class BandAtom:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class TwistAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expression"
-    exp: int
-
-
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["Expression", ...]
-
-
-@dataclass(frozen=True)
-class Commutator:
-    left: "Expression"
-    right: "Expression"
-
-
-Expression = Union[SigmaAtom, BandAtom, TwistAtom, Power, Concat, Commutator]
 
 _SIGMA = re.compile(r"s(\d+)(?:(')|\^(-?\d+))?$")
 _BAND = re.compile(r"a(\d+)\.(\d+)(?:(')|\^(-?\d+))?$")
 _TWIST = re.compile(r"D(?:(')|\^(-?\d+))?$")
 _CLOSE = re.compile(r"([)\]])(?:\^(-?\d+))?$")
+_NONZERO = "powers must be nonzero (use e for the empty word)"
 
 
-def _wrap_power(node: Expression, prime: str | None, power: str | None, offset: int) -> Expression:
+def _offset(text: str, k: int) -> int:
+    """Character offset of the k-th token; only errors need it."""
+    return [m.start() for m in re.finditer(r"\S+", text)][k]
+
+
+def _exponent(prime: str | None, power: str | None) -> int:
     if prime:
-        return Power(node, -1)
-    if power is not None:
-        k = int(power)
-        if k == 0:
-            raise ParseError("powers must be nonzero (use e for the empty word)", offset)
-        if k == 1:
-            return node
-        return Power(node, k)
-    return node
+        return -1
+    return 1 if power is None else int(power)
 
 
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tokens = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
-        self.pos = 0
-        self.n = n
-
-    def peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.tokens[-1][1] if self.tokens else 0)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Expression:
-        node = self.sequence(stoppers=())
-        if self.pos != len(self.tokens):
-            tok, off = self.tokens[self.pos]
-            raise ParseError(f"unexpected token {tok!r}", off)
-        return node
-
-    def sequence(self, stoppers: tuple[str, ...]) -> Expression:
-        parts: list[Expression] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0].split("^")[0] in stoppers or tok[0] in stoppers:
-                break
-            parts.append(self.item())
-        if not parts:
-            return Concat(())
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
-
-    def item(self) -> Expression:
-        tok, off = self.take()
-        if tok == "(":
-            inner = self.sequence(stoppers=(")",))
-            close, coff = self.take()
-            m = _CLOSE.match(close)
-            if not m or m.group(1) != ")":
-                raise ParseError("expected )", coff)
-            return _wrap_power(inner, None, m.group(2), coff)
-        if tok == "[":
-            left = self.sequence(stoppers=(",",))
-            comma, coff = self.take()
-            if comma != ",":
-                raise ParseError("expected , inside commutator", coff)
-            right = self.sequence(stoppers=("]",))
-            close, coff = self.take()
-            m = _CLOSE.match(close)
-            if not m or m.group(1) != "]":
-                raise ParseError("expected ]", coff)
-            return _wrap_power(Commutator(left, right), None, m.group(2), coff)
-        if tok == "e":
-            return Concat(())
-        m = _SIGMA.match(tok)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= self.n - 1:
-                raise ParseError(f"crossing index {i} out of range for n={self.n}", off)
-            return _wrap_power(SigmaAtom(i), m.group(2), m.group(3), off)
-        m = _BAND.match(tok)
-        if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            if not 1 <= i < j <= self.n:
-                raise ParseError(f"band ({i},{j}) out of range for n={self.n}", off)
-            return _wrap_power(BandAtom(i, j), m.group(3), m.group(4), off)
-        m = _TWIST.match(tok)
-        if m:
-            return _wrap_power(TwistAtom(), m.group(1), m.group(2), off)
-        raise ParseError(f"unrecognized token {tok!r}", off)
+def _repeat(letters: Sequence[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """Crossing letters of a base to the k-th power: repeated, never reduced."""
+    if k < 0:
+        return _invert(letters) * -k
+    return list(letters) * k
 
 
-def parse(text: str, n: int) -> Expression:
-    """Parse an expression for a braid on n strands."""
+def _atom(tok: str, n: int) -> tuple[str, tuple[int, ...], int]:
+    """The kind ("s", "a" or "D"), indices and power of an atom token.
+
+    Raises _BadToken with the ParseError message when the token is bad.
+    """
+    if m := _SIGMA.match(tok):
+        i = int(m.group(1))
+        if not 1 <= i <= n - 1:
+            raise _BadToken(f"crossing index {i} out of range for n={n}")
+        atom = ("s", (i,), _exponent(m.group(2), m.group(3)))
+    elif m := _BAND.match(tok):
+        i, j = int(m.group(1)), int(m.group(2))
+        if not 1 <= i < j <= n:
+            raise _BadToken(f"band ({i},{j}) out of range for n={n}")
+        atom = ("a", (i, j), _exponent(m.group(3), m.group(4)))
+    elif m := _TWIST.match(tok):
+        atom = ("D", (), _exponent(m.group(1), m.group(2)))
+    else:
+        raise _BadToken(f"unrecognized token {tok!r}")
+    if atom[2] == 0:
+        raise _BadToken(_NONZERO)
+    return atom
+
+
+def _band(n: int, kind: str, index: tuple[int, ...], k: int) -> list[Syllable]:
+    """The one syllable of a band atom in a band word."""
+    return [(GenSym(a_alphabet(n), index), k)]
+
+
+def _crossings(n: int, kind: str, index: tuple[int, ...], k: int) -> list[tuple[int, int]]:
+    """The crossing letters of an atom; a band is its conjugated square, repeated."""
+    if kind == "s":
+        return [(index[0], 1 if k > 0 else -1)] * abs(k)
+    return _repeat(band_power_letters(*index, 1) if kind == "a" else half_twist(n).letters, k)
+
+
+def _skip(*_) -> tuple:
+    """Build nothing: parse_bands only checks crossing text."""
+    return ()
+
+
+def parse(text: str, n: int) -> BraidWord | PureAWord:
+    """Read an expression on n strands: a PureAWord if it uses bands alone, else a BraidWord."""
+    return _read(text, n, None)
+
+
+def parse_bands(text: str, n: int, refusal: str) -> PureAWord:
+    """Read a band expression as parse does; raise NotAWordError(refusal) on crossings.
+
+    A ParseError comes first, as in parse, but crossing text is only
+    checked, never expanded, so a large crossing power is refused at once.
+    """
+    return _read(text, n, refusal)
+
+
+def _read(text: str, n: int, refusal: str | None) -> BraidWord | PureAWord:
+    """The one reader behind parse (refusal None) and parse_bands."""
     if n < 0:
         raise ValueError("strand count must be nonnegative")
-    if not text.strip():
+    tokens = text.split()
+    if not tokens:
         raise ParseError("empty input (use e for the empty word)", 0)
-    return _Parser(text, n).parse()
-
-
-def uses_only_bands(expr: Expression) -> bool:
-    if isinstance(expr, BandAtom):
-        return True
-    if isinstance(expr, (SigmaAtom, TwistAtom)):
-        return False
-    if isinstance(expr, Power):
-        return uses_only_bands(expr.base)
-    if isinstance(expr, Concat):
-        return all(uses_only_bands(p) for p in expr.parts)
-    return uses_only_bands(expr.left) and uses_only_bands(expr.right)
-
-
-def to_braid(expr: Expression, n: int) -> BraidWord:
-    """Evaluate an expression to a word in the crossing letters."""
-    if isinstance(expr, SigmaAtom):
-        return BraidWord(n, ((expr.index, 1),))
-    if isinstance(expr, BandAtom):
-        return BraidWord(n, band_power_letters(expr.i, expr.j, 1))
-    if isinstance(expr, TwistAtom):
-        return half_twist(n)
-    if isinstance(expr, Power):
-        return braid_pow(to_braid(expr.base, n), expr.exp)
-    if isinstance(expr, Concat):
-        return BraidWord.product(n, (to_braid(p, n) for p in expr.parts))
-    left, right = to_braid(expr.left, n), to_braid(expr.right, n)
-    return BraidWord.product(n, (left.inverse(), right.inverse(), left, right))
-
-
-def to_aword(expr: Expression, n: int) -> PureAWord:
-    """Evaluate a bands-only expression to a word over the band alphabet."""
-    return PureAWord(n, _aword(expr, n))
-
-
-def _aword(expr: Expression, n: int) -> GroupWord:
-    if isinstance(expr, BandAtom):
-        return GroupWord.single(a_sym(expr.i, expr.j, n))
-    if isinstance(expr, (SigmaAtom, TwistAtom)):
-        raise NotAWordError("expression uses crossings or twists, not only bands")
-    if isinstance(expr, Power):
-        return _aword(expr.base, n) ** expr.exp
-    if isinstance(expr, Concat):
-        return GroupWord.from_letters(
-            a_alphabet(n), (syl for p in expr.parts for syl in _aword(p, n).syllables)
-        )
-    return commutator(_aword(expr.left, n), _aword(expr.right, n))
+    crossing = "s" in text or "D" in text  # no band-only text has either
+    alphabet = a_alphabet(n)
+    if not crossing:
+        join, power, letters = _join, _pow, _band
+    elif refusal is None:
+        join, power, letters = list.extend, _repeat, _crossings
+    else:  # checked for a ParseError, never expanded
+        join = power = letters = _skip
+    # the run of each atom token read so far; one run may be joined many
+    # times, so it is shared and join and power must never change it
+    runs: dict[str, Sequence] = {}
+    out: list = []
+    # one frame per open group: (its closing token, the enclosing
+    # buffer, the finished left side when it is a commutator)
+    frames: list[tuple[str, list, list | None]] = []
+    for pos, tok in enumerate(tokens):
+        if tok == "(" or tok == "[":
+            frames.append((")" if tok == "(" else ",", out, None))
+            out = []
+        elif tok == "e":
+            continue
+        elif frames and (tok == frames[-1][0] or tok.startswith(frames[-1][0] + "^")):
+            stop, parent, left = frames.pop()
+            if stop == ",":
+                if tok != ",":
+                    raise ParseError("expected , inside commutator", _offset(text, pos))
+                frames.append(("]", parent, out))
+                out = []
+                continue
+            m = _CLOSE.match(tok)
+            if not m:
+                raise ParseError(f"expected {stop}", _offset(text, pos))
+            k = _exponent(None, m.group(2))
+            if k == 0:
+                raise ParseError(_NONZERO, _offset(text, pos))
+            if left is not None:
+                group = _invert(left)
+                join(group, _invert(out))
+                join(group, left)
+                join(group, out)
+                out = group
+            join(parent, power(out, k))
+            out = parent
+        else:
+            run = runs.get(tok)
+            if run is None:
+                try:
+                    atom = _atom(tok, n)
+                except _BadToken as e:
+                    raise ParseError(str(e), _offset(text, pos)) from None
+                run = runs[tok] = letters(n, *atom)
+            join(out, run)
+    if frames:
+        raise ParseError("unexpected end of input", _offset(text, len(tokens) - 1))
+    if not crossing:
+        return PureAWord(n, GroupWord(alphabet, tuple(out)))
+    if refusal is not None:
+        raise NotAWordError(refusal)
+    return BraidWord(n, tuple(out))
 
 
 def format_braid(b: BraidWord) -> str:
@@ -277,25 +252,3 @@ def format_aword(w: PureAWord | GroupWord) -> str:
         else:
             out.append(f"a{i}.{j}^{exp}")
     return " ".join(out) if out else "e"
-
-
-def format_expression(expr: Expression) -> str:
-    """Print an expression tree back into the grammar."""
-    if isinstance(expr, SigmaAtom):
-        return f"s{expr.index}"
-    if isinstance(expr, BandAtom):
-        return f"a{expr.i}.{expr.j}"
-    if isinstance(expr, TwistAtom):
-        return "D"
-    if isinstance(expr, Power):
-        base = format_expression(expr.base)
-        if isinstance(expr.base, (SigmaAtom, BandAtom, TwistAtom)):
-            return f"{base}'" if expr.exp == -1 else f"{base}^{expr.exp}"
-        if isinstance(expr.base, Commutator):
-            return f"{base}^{expr.exp}"
-        return f"( {base} )^{expr.exp}"
-    if isinstance(expr, Concat):
-        if not expr.parts:
-            return "e"
-        return " ".join(format_expression(p) for p in expr.parts)
-    return f"[ {format_expression(expr.left)} , {format_expression(expr.right)} ]"

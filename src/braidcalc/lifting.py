@@ -182,7 +182,8 @@ def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlik
     """
     bottom = chain[0]
     if bottom.strands <= 1:
-        yield bottom
+        # delta_1 lives on one strand, also when the chain is a 0-strand word
+        yield bottom.identity(1)
         return
     layers = [bottom.identity(1), bottom]
     yield from layers

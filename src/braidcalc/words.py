@@ -18,6 +18,16 @@ substitutions join runs with _join, which works at the junction and
 copies the rest across; only from_letters, the path for raw input,
 reduces syllable by syllable.
 
+Words are checked once, where they enter the library: in the public
+constructors, from_letters, combing.PureAWord.from_pairs and the reader
+expr.parse.  A word built from checked words is valid by construction,
+so it is made with the private unchecked constructor of its class,
+GroupWord._unchecked, braids.BraidWord._unchecked or
+combing.PureAWord._unchecked, which skip the check.  They serve
+products (product and *), inverse, powers (** and braids.braid_pow),
+substitute, face, coface, embed, to_braid, the components of
+combing.comb and CombedForm.as_single_word, and nothing else.
+
 Alphabets are identified by strings: "A<r>" is the band alphabet
 {A_{i,j} : 1 <= i < j <= r}.  Operations never mix alphabets silently;
 a mismatch raises AlphabetMismatchError.
@@ -163,6 +173,13 @@ class GroupWord:
     # -- construction ------------------------------------------------
 
     @classmethod
+    def _unchecked(cls, alphabet: str, syllables: tuple[Syllable, ...]) -> GroupWord:
+        """A word built from checked words, so reduced already: no check."""
+        word = object.__new__(cls)
+        word.__dict__.update(alphabet=alphabet, syllables=syllables)
+        return word
+
+    @classmethod
     def identity(cls, alphabet: str) -> GroupWord:
         return cls(alphabet, ())
 
@@ -211,13 +228,13 @@ class GroupWord:
             )
         stack = list(self.syllables)
         _join(stack, other.syllables)
-        return GroupWord(self.alphabet, tuple(stack))
+        return GroupWord._unchecked(self.alphabet, tuple(stack))
 
     def inverse(self) -> GroupWord:
-        return GroupWord(self.alphabet, tuple(_invert(self.syllables)))
+        return GroupWord._unchecked(self.alphabet, tuple(_invert(self.syllables)))
 
     def __pow__(self, k: int) -> GroupWord:
-        return GroupWord(self.alphabet, tuple(_pow(self.syllables, k)))
+        return GroupWord._unchecked(self.alphabet, tuple(_pow(self.syllables, k)))
 
     def conjugate(self, by: GroupWord) -> GroupWord:
         """g^{-1} * self * g for g = `by`."""
@@ -245,7 +262,7 @@ class GroupWord:
                 _join(stack, _invert(image.syllables))
             else:
                 _join(stack, _pow(image.syllables, exp))
-        return GroupWord(self.alphabet, tuple(stack))
+        return GroupWord._unchecked(self.alphabet, tuple(stack))
 
     def __str__(self) -> str:
         if not self.syllables:

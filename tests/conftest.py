@@ -32,6 +32,15 @@ def random_pure_aword(rng: random.Random, n: int, max_sylls: int,
     return PureAWord.from_pairs(n, pairs)
 
 
+def split_power_word(n: int, k: int) -> PureAWord:
+    """A_12^k (A_13^k A_23^k) ... : each band powered separately."""
+    if n < 2:
+        raise ValueError("need at least two strands")
+    return PureAWord.from_pairs(
+        n, [(i, j, k) for j in range(2, n + 1) for i in range(1, j)]
+    )
+
+
 def signed_brunnian(rng: random.Random, m: int) -> PureAWord:
     """Left-normed commutator of A_(t,m)^(+-1) over a shuffled t = 1..m-1."""
     if m == 1:

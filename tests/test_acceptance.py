@@ -40,7 +40,6 @@ from braidcalc.cohen import (
     delta_square_word,
     is_brunnian,
     is_cohen,
-    split_power_word,
 )
 from braidcalc.combing import (
     PureAWord,
@@ -62,6 +61,8 @@ from braidcalc.lifting import (
     solve_cohen_system,
 )
 from braidcalc.words import GroupWord, a_sym, commutator
+
+from conftest import split_power_word
 
 RNG_SEED = 0xACCE
 

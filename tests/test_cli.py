@@ -191,6 +191,11 @@ class TestNormalForms:
         assert code == 2
         assert "band words only" in payload["witnesses"]["reason"]
 
+    def test_comb_reports_a_syntax_error_before_refusing_crossings(self):
+        code, payload = run(["comb", "-n", "3", "( s1^1000 )^1000 s5"])
+        assert code == 2
+        assert payload["witnesses"]["reason"] == "crossing index 5 out of range for n=3 (at offset 17)"
+
     def test_decompose(self):
         code, payload = run(["decompose", "-n", "3", "D^2"])
         assert code == 0
@@ -263,10 +268,12 @@ class TestLiftingCommands:
         _, payload = run(["solve", "-n", "3", "a1.2", "--verify"])
         assert payload["witnesses"]["faces_equal_input"] is True
 
-    def test_solve_on_zero_strands_is_an_error(self):
-        code, payload = run(["solve", "-n", "1", "e"])
-        assert code == 2
-        assert payload["result"] == "error"
+    def test_solve_on_zero_strands_answers_e(self):
+        # the one braid on one strand; its face is the 0-strand input
+        code, payload = run(["solve", "-n", "1", "--verify", "e"])
+        assert code == 0
+        assert payload["result"] == "e"
+        assert payload["witnesses"]["faces_equal_input"] is True
 
     def test_solve_refuses_a_kinked_reassembly_with_a_witness(self):
         # A 5-strand Cohen word times A1,2^(+-1): its faces differ in

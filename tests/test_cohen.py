@@ -21,14 +21,13 @@ from braidcalc.cohen import (
     is_cohen,
     is_generalized_cohen,
     is_unary,
-    split_power_word,
     unary_factor,
 )
 from braidcalc.combing import PureAWord, comb
 from braidcalc.lifting import full_lift
 from braidcalc.words import GroupWord, a_sym, commutator
 
-from conftest import random_pure_aword
+from conftest import random_pure_aword, split_power_word
 
 
 def aw(n, *pairs):

@@ -10,11 +10,10 @@ from braidcalc.combing import (
     comb,
     conj_rule,
 )
-from braidcalc.cohen import split_power_word
 from braidcalc.words import a_sym
 
 from artin_oracle import artin_equal
-from conftest import random_pure_aword
+from conftest import random_pure_aword, split_power_word
 
 
 def aw(n, *pairs):

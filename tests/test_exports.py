@@ -89,3 +89,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse((ROOT / path).read_text(), filename=path))
     assert not unused, f"{path} imports names it never uses: {unused}"
+
+
+def test_text_enters_through_one_reader():
+    """expr exports the reader, its errors and the printers, and no second evaluator."""
+    expr = importlib.import_module("braidcalc.expr")
+    assert sorted(expr.__all__) == [
+        "NotAWordError", "ParseError", "format_aword", "format_braid", "parse", "parse_bands",
+    ]

@@ -7,25 +7,35 @@ reduce the raw concatenation letter by letter (`from_letters`, or `*` left
 to right); free reduction is confluent, so both must give the same
 syllables, not merely equal braids.
 
+The reader evaluates expression text in one pass.  Its band words are
+checked against a left fold of `*`, `**` and `commutator` over the same
+expression, and its crossing words against the plain letterwise
+expansion: each band its conjugated square, each power its base
+repeated, nothing cancelled.
+
 Combing conjugates each band through the reduced subword of lower-level
 input letters or through the lower components, whichever is shorter,
 and memoises the images.  Its reference conjugates every incoming
 syllable through the components u_2 .. u_{j-1}; each U_j is free, so
 both must give the same components.
+
+Words built from checked words skip the constructor checks; every such
+word must still pass them when rebuilt through the checked constructor.
 """
 
 from itertools import combinations
+from typing import NamedTuple
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidcalc.braids import BudgetExceededError, same_braid
+from braidcalc.braids import BraidWord, BudgetExceededError, braid_pow, same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
     comb,
     conj_rule,
 )
-from braidcalc.expr import BandAtom, Commutator, Concat, Power, to_aword
+from braidcalc.expr import parse
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
 from braidcalc.words import (
@@ -62,19 +72,6 @@ def james_hopf_reference(k: int, n: int, b: PureAWord) -> GroupWord:
             factor = PureAWord(factor.strands + 1, coface_reference(factor, i))
         word = word * factor.word
     return word
-
-
-def aword_reference(expr, n: int) -> GroupWord:
-    if isinstance(expr, BandAtom):
-        return GroupWord.single(a_sym(expr.i, expr.j, n))
-    if isinstance(expr, Power):
-        return aword_reference(expr.base, n) ** expr.exp
-    if isinstance(expr, Concat):
-        word = GroupWord.identity(a_alphabet(n))
-        for part in expr.parts:
-            word = word * aword_reference(part, n)
-        return word
-    return commutator(aword_reference(expr.left, n), aword_reference(expr.right, n))
 
 
 def reference_comb(w: PureAWord, component_budget: int) -> CombedForm:
@@ -115,16 +112,85 @@ def band_words(draw, min_strands=2, max_strands=7, max_syllables=12,
     return PureAWord.from_pairs(n, pairs)
 
 
+class Text(NamedTuple):
+    """Expression text with its references.
+
+    kind says what a power attaches to: "atom" and "commutator" take
+    ^k directly, anything else is grouped first.  word is the left fold
+    over the band alphabet, None once a crossing or twist occurs;
+    letters is the letterwise crossing expansion.
+    """
+
+    text: str
+    kind: str
+    word: GroupWord | None
+    letters: list
+
+
+def band_letters(i: int, j: int) -> list:
+    """A_(i,j): strand j swung over j-1..i+1, twisted round strand i, brought back."""
+    return [(t, 1) for t in range(j - 1, i, -1)] + [(i, 1), (i, 1)] + [
+        (t, -1) for t in range(i + 1, j)
+    ]
+
+
+def inverted(letters: list) -> list:
+    return [(i, -sign) for i, sign in reversed(letters)]
+
+
+def powered(base: Text, k: int) -> Text:
+    if base.kind == "atom":
+        text = base.text + ("'" if k == -1 else f"^{k}")
+    elif base.kind == "commutator":
+        text = f"{base.text}^{k}"
+    else:
+        text = f"( {base.text} )" + ("" if k == 1 else f"^{k}")
+    word = None if base.word is None else base.word ** k
+    letters = base.letters * k if k > 0 else inverted(base.letters) * -k
+    return Text(text, "group", word, letters)
+
+
+def concatenated(alphabet: str, parts: list[Text]) -> Text:
+    word = GroupWord.identity(alphabet)
+    for part in parts:
+        word = None if word is None or part.word is None else word * part.word
+    text = " ".join(part.text for part in parts) or "e"
+    return Text(text, "group", word, [x for part in parts for x in part.letters])
+
+
+def commuted(left: Text, right: Text) -> Text:
+    both = left.word is not None and right.word is not None
+    return Text(
+        f"[ {left.text} , {right.text} ]",
+        "commutator",
+        commutator(left.word, right.word) if both else None,
+        inverted(left.letters) + inverted(right.letters) + left.letters + right.letters,
+    )
+
+
 @st.composite
-def band_expressions(draw):
+def expressions(draw, crossings: bool):
+    """Expression text over bands, e, ( ), [ , ] and powers; s and D too if crossings."""
     n = draw(st.integers(2, 7))
-    leaves = bands(n).map(lambda p: BandAtom(*p))
+    alphabet = a_alphabet(n)
+    leaves = [
+        bands(n).map(lambda p: Text(
+            f"a{p[0]}.{p[1]}", "atom", GroupWord.single(a_sym(*p, n)), band_letters(*p)
+        )),
+        st.just(Text("e", "group", GroupWord.identity(alphabet), [])),
+    ]
+    if crossings:
+        twist = [(i, 1) for top in range(n - 1, 0, -1) for i in range(1, top + 1)]
+        leaves += [
+            st.integers(1, n - 1).map(lambda i: Text(f"s{i}", "atom", None, [(i, 1)])),
+            st.just(Text("D", "atom", None, twist)),
+        ]
     tree = st.recursive(
-        leaves,
+        st.one_of(leaves),
         lambda inner: st.one_of(
-            st.tuples(inner, st.sampled_from([-2, -1, 2, 3])).map(lambda t: Power(*t)),
-            st.lists(inner, max_size=5).map(lambda ps: Concat(tuple(ps))),
-            st.tuples(inner, inner).map(lambda t: Commutator(*t)),
+            st.tuples(inner, st.sampled_from([-2, -1, 1, 2, 3])).map(lambda t: powered(*t)),
+            st.lists(inner, max_size=5).map(lambda parts: concatenated(alphabet, parts)),
+            st.tuples(inner, inner).map(lambda t: commuted(*t)),
         ),
         max_leaves=16,
     )
@@ -237,12 +303,25 @@ class TestProducts:
         out = james_hopf(k, k + extra, b, check=False)
         assert out.word == james_hopf_reference(k, k + extra, b)
 
+
+class TestReader:
     @settings(max_examples=150)
-    @given(band_expressions())
-    @example((Concat(()), 3))
-    def test_to_aword_matches_left_fold(self, case):
+    @given(expressions(crossings=False))
+    @example((Text("e", "group", GroupWord.identity(a_alphabet(3)), []), 3))
+    def test_band_text_matches_left_fold(self, case):
         expr, n = case
-        assert to_aword(expr, n).word == aword_reference(expr, n)
+        assert parse(expr.text, n) == PureAWord(n, expr.word)
+
+    @settings(max_examples=150)
+    @given(expressions(crossings=True))
+    @example((Text("a1.3^2 s1", "group", None, band_letters(1, 3) * 2 + [(1, 1)]), 3))
+    def test_crossing_text_matches_letterwise_expansion(self, case):
+        expr, n = case
+        word = parse(expr.text, n)
+        if expr.word is None:
+            assert word == BraidWord(n, tuple(expr.letters))
+        else:
+            assert word == PureAWord(n, expr.word)
 
 
 COMB_EXPONENTS = (1, -1, 2, -2, 3, -3)
@@ -279,3 +358,56 @@ class TestComb:
         form = comb(w, component_budget=REFERENCE_BUDGET)
         assert same_braid(form.as_single_word(), w)
         assert form == expected
+
+
+def rechecked(word):
+    """Rebuild a word through its checked constructor, which raises on any flaw."""
+    if isinstance(word, BraidWord):
+        return BraidWord(word.strands, word.letters)
+    if isinstance(word, PureAWord):
+        return PureAWord(word.strands, rechecked(word.word))
+    return GroupWord(word.alphabet, word.syllables)
+
+
+@st.composite
+def crossing_words(draw, n: int):
+    letters = draw(st.lists(
+        st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=12
+    ))
+    return BraidWord(n, tuple(letters))
+
+
+@st.composite
+def word_sets(draw):
+    """Two band words and two crossing words on one strand count in 2..6."""
+    n = draw(st.integers(2, 6))
+    bands_n = band_words(min_strands=n, max_strands=n, max_syllables=6,
+                         exponents=COMB_EXPONENTS)
+    return draw(bands_n), draw(bands_n), draw(crossing_words(n)), draw(crossing_words(n))
+
+
+class TestBuiltWordsPassTheCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(word_sets(), st.sampled_from((-3, -2, -1, 0, 1, 2, 3)))
+    @example((CASCADE, CASCADE.inverse(), BraidWord(4, ((1, 1),)), BraidWord(4, ())), -2)
+    def test_every_built_word_passes_the_check(self, words, k):
+        a, b, x, y = words
+        n = a.strands
+        built = [
+            a * b, a * a.inverse(), a.inverse(), a.embed(n + 1), a.to_braid(),
+            PureAWord.product(n, (a, b, b.inverse(), a)),
+            a.word ** k, a.word.substitute({sym: b.word ** k for sym, _ in a.word.syllables}),
+            x * y, x.inverse(), braid_pow(x, k), BraidWord.product(n, (x, y, x.inverse())),
+            a.coface(1, n + 1), x.coface(1, n + 1),
+        ]
+        for w in (a, b, x):
+            built += [w.face(i) for i in range(1, n + 1)]
+            built += [w.coface(i) for i in range(1, n + 2)]
+        try:
+            form = comb(a * b, component_budget=REFERENCE_BUDGET)
+        except BudgetExceededError:
+            form = None
+        if form is not None:
+            built += [*form.components, form.as_single_word()]
+        for w in built:
+            assert rechecked(w) == w

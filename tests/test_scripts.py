@@ -60,3 +60,15 @@ def test_bench_pairs_report():
     assert report["change"]["metrics"]["queries_per_s"]["median"] == 35
     assert report["change_wins"] == {"queries_per_s": 4, "answer_letters": 0}
     assert report["change"]["failed"] == [1] * 5
+
+
+def test_payload_digest_repeats():
+    cmd = [sys.executable, str(ROOT / "scripts" / "payload_digest.py"), "--limit", "8"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = runs[0].stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["band-solve", "band-comb", "crossing-eq"]
+    assert all(": 16 queries, sha256 " in line for line in lines)
+    assert runs[0].stdout == runs[1].stdout
