@@ -131,7 +131,7 @@ def main():
                 target = conj.inverse() * band(i, j, n) * conj
                 played = BraidWord(n, ())
                 for sym, exp in rule.syllables:
-                    g = band(sym.index[0], sym.index[1], n)
+                    g = band(*sym, n)
                     piece = g if exp > 0 else g.inverse()
                     for _ in range(abs(exp)):
                         played = played * piece

@@ -30,7 +30,7 @@ def random_brunnian(rng, n):
     rng.shuffle(order)
     conjugators = []
     for _ in range(n - 1):
-        u = GroupWord.identity(f"A{n}")
+        u = GroupWord()
         if rng.random() < 0.5:
             u = GroupWord.single(
                 a_sym(rng.randint(1, n - 1), n, n), rng.choice((1, -1))

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .braids import BraidWord, is_pure, same_braid
 from .combing import PureAWord, comb
-from .words import GroupWord, a_sym, commutator
+from .words import GroupWord, _band_name, a_sym, commutator
 
 __all__ = [
     "Braidlike",
@@ -152,8 +152,8 @@ def unary_factor(b: BraidWord) -> BraidWord:
 
 def band_commutator(l: int, m: int) -> PureAWord:
     """[A_13^l, A_23^m] on three strands; Brunnian whenever l, m != 0."""
-    x = GroupWord.single(a_sym(1, 3, 3), l) if l else GroupWord.identity("A3")
-    y = GroupWord.single(a_sym(2, 3, 3), m) if m else GroupWord.identity("A3")
+    x = GroupWord.single(a_sym(1, 3, 3), l)
+    y = GroupWord.single(a_sym(2, 3, 3), m)
     return PureAWord(3, commutator(x, y))
 
 
@@ -174,18 +174,18 @@ def brunnian_generator(
     order = tuple(perm) if perm is not None else tuple(range(1, n))
     if sorted(order) != list(range(1, n)):
         raise ValueError(f"{order} is not a permutation of 1..{n - 1}")
-    alphabet = f"A{n}"
     if conjugators is None:
-        conjugators = [GroupWord.identity(alphabet)] * (n - 1)
+        conjugators = [GroupWord()] * (n - 1)
     if len(conjugators) != n - 1:
         raise ValueError("need one conjugator per band")
     leaves = []
     for t, u in zip(order, conjugators):
-        if u.alphabet != alphabet:
-            raise ValueError("conjugator alphabet mismatch")
         for sym, _ in u.syllables:
-            if sym.index[1] != n:
-                raise ValueError(f"conjugator uses {sym}, not a last-column band")
+            i, j = sym
+            if j != n or not 1 <= i < n:
+                raise ValueError(
+                    f"conjugator uses {_band_name(sym)}, not a last-column band"
+                )
         leaves.append(GroupWord.single(a_sym(t, n, n)).conjugate(u))
     acc = leaves[0]
     for g in leaves[1:]:
@@ -197,7 +197,7 @@ def delta_square_word(n: int, k: int) -> PureAWord:
     """A_12^k (A_13 A_23)^k ... (A_1n .. A_{n-1,n})^k, the full twist to the k."""
     if n < 2:
         raise ValueError("need at least two strands")
-    word = GroupWord.identity(f"A{n}")
+    word = GroupWord()
     for j in range(2, n + 1):
         block = GroupWord.from_letters(
             f"A{n}", [(a_sym(i, j, n), 1) for i in range(1, j)]

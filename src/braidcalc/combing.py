@@ -21,6 +21,12 @@ and then frozen.  The tests check every entry against the Garside normal
 form once, so comb applies the table unchecked.  Entries are written
 over the roles r, s, i and instantiated with second index j.
 
+A band A_{i,j} is the pair (i, j), the same pair on any number of
+strands, so embed keeps the word and coface maps pairs alone.  The
+strand count lives in PureAWord.strands, whose check bounds every band
+by 1 <= i < j <= strands; CombedForm checks that u_k holds only bands
+(i, k) with 1 <= i < k.
+
 Combed components are canonical: since each U_k is free, two pure
 braids are equal iff their combed components agree syllable by
 syllable.  Combing is a decision procedure of its own, which the tests
@@ -43,16 +49,7 @@ from .braids import (
     band_power_letters,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
-from .words import (
-    GenSym,
-    GroupWord,
-    Syllable,
-    _join,
-    _push,
-    a_alphabet,
-    a_sym,
-    alphabet_rank,
-)
+from .words import Band, GroupWord, Syllable, _band_name, _join, _push
 
 __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
@@ -97,31 +94,28 @@ def _pattern(r: int, s: int, i: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def conj_rule(g_sym: GenSym, g_sign: int, h_sym: GenSym) -> GroupWord:
+def conj_rule(g_sym: Band, g_sign: int, h_sym: Band) -> GroupWord:
     """Reduced U_j word equal to g^{-1} h g for g = A_{r,s}^{g_sign}.
 
     Requires r < s < j and i < j where h = A_{i,j}.
     """
-    r, s = g_sym.index
-    i, j = h_sym.index
+    r, s = g_sym
+    i, j = h_sym
     if g_sign not in (1, -1):
         raise ValueError("conjugator sign must be +1 or -1")
     if not (r < s < j and i < j):
         raise ValueError(
             f"conj_rule needs r < s < j and i < j, got A_{r},{s} acting on A_{i},{j}"
         )
-    rank = alphabet_rank(h_sym.alphabet)
     template = _CONJ_TEMPLATES[(_pattern(r, s, i), g_sign)]
     slots = {"r": r, "s": s, "i": i}
-    return GroupWord.from_letters(
-        h_sym.alphabet,
-        [(a_sym(slots[role], j, rank), exp) for role, exp in template],
-    )
+    # each template is reduced, and its roles name distinct slots
+    return GroupWord(tuple(((slots[role], j), exp) for role, exp in template))
 
 
 @dataclass(frozen=True)
 class PureAWord:
-    """A word over the band alphabet of B_n, representing a pure braid.
+    """A word in the bands of B_n, representing a pure braid.
 
     Has the members of braids.BraidWord: strands, identity, product, *,
     inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
@@ -135,14 +129,12 @@ class PureAWord:
     products_reduce = True
 
     def __post_init__(self) -> None:
-        if self.word.alphabet != a_alphabet(self.strands):
-            raise ValueError(
-                f"word alphabet {self.word.alphabet} does not match {self.strands} strands"
-            )
         for sym, _ in self.word.syllables:
-            i, j = sym.index
+            i, j = sym
             if not 1 <= i < j <= self.strands:
-                raise ValueError(f"band {sym} out of range for {self.strands} strands")
+                raise ValueError(
+                    f"band {_band_name(sym)} out of range for {self.strands} strands"
+                )
 
     @classmethod
     def _unchecked(cls, strands: int, word: GroupWord) -> PureAWord:
@@ -153,13 +145,13 @@ class PureAWord:
 
     @classmethod
     def identity(cls, strands: int) -> PureAWord:
-        return cls(strands, GroupWord.identity(a_alphabet(strands)))
+        return cls(strands, GroupWord())
 
     @classmethod
     def from_pairs(cls, strands: int, pairs: list[tuple[int, int, int]]) -> PureAWord:
         """Build from (i, j, exponent) triples."""
-        letters = [(a_sym(i, j, strands), e) for i, j, e in pairs]
-        return cls(strands, GroupWord.from_letters(a_alphabet(strands), letters))
+        letters = [((i, j), e) for i, j, e in pairs]
+        return cls(strands, GroupWord.from_letters(f"A{strands}", letters))
 
     @classmethod
     def product(cls, strands: int, factors: Iterable[PureAWord]) -> PureAWord:
@@ -172,8 +164,7 @@ class PureAWord:
             if f.strands != strands:
                 raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
             _join(stack, f.word.syllables)
-        word = GroupWord._unchecked(a_alphabet(strands), tuple(stack))
-        return cls._unchecked(strands, word)
+        return cls._unchecked(strands, GroupWord._unchecked(tuple(stack)))
 
     def is_identity(self) -> bool:
         return self.word.is_identity()
@@ -192,7 +183,7 @@ class PureAWord:
     def to_braid(self) -> BraidWord:
         letters: list[tuple[int, int]] = []
         for sym, exp in self.word.syllables:
-            letters.extend(band_power_letters(sym.index[0], sym.index[1], exp))
+            letters.extend(band_power_letters(*sym, exp))
         return BraidWord._unchecked(self.strands, tuple(letters))
 
     def __mul__(self, other: PureAWord) -> PureAWord:
@@ -207,10 +198,7 @@ class PureAWord:
         """The same bands read in a larger braid group."""
         if strands < self.strands:
             raise ValueError("cannot embed into fewer strands")
-        return PureAWord._unchecked(strands, GroupWord._unchecked(a_alphabet(strands), tuple(
-            (a_sym(sym.index[0], sym.index[1], strands), exp)
-            for sym, exp in self.word.syllables
-        )))
+        return PureAWord._unchecked(strands, self.word)
 
     def face(self, i: int) -> PureAWord:
         """Delete strand i, letterwise on bands.
@@ -238,8 +226,7 @@ class PureAWord:
             else:
                 out.append((faced, exp))
                 gap = False
-        word = GroupWord._unchecked(a_alphabet(n - 1), tuple(out))
-        return PureAWord._unchecked(n - 1, word)
+        return PureAWord._unchecked(n - 1, GroupWord._unchecked(tuple(out)))
 
     def coface(self, *positions: int) -> PureAWord:
         """Insert trivial strands at the positions in turn, leftmost first.
@@ -254,14 +241,14 @@ class PureAWord:
                     f"insertion position {i} out of range for {n + k} strands"
                 )
         m = n + len(positions)
-        image: dict[GenSym, GenSym] = {}
+        image: dict[Band, Band] = {}
         for sym, _ in self.word.syllables:
             if sym not in image:
-                pair = sym.index
+                pair = sym
                 for i in positions:
                     pair = coface_on_pure_gen(i, pair)
-                image[sym] = a_sym(*pair, m)
-        return PureAWord._unchecked(m, GroupWord._unchecked(a_alphabet(m), tuple(
+                image[sym] = pair
+        return PureAWord._unchecked(m, GroupWord._unchecked(tuple(
             (image[sym], exp) for sym, exp in self.word.syllables
         )))
 
@@ -277,12 +264,11 @@ class CombedForm:
         if len(self.components) != max(self.strands - 1, 0):
             raise ValueError("expected one component per k in 2..n")
         for k, comp in enumerate(self.components, start=2):
-            if comp.alphabet != a_alphabet(self.strands):
-                raise ValueError("component alphabet mismatch")
             for sym, _ in comp.syllables:
-                if sym.index[1] != k:
+                i, j = sym
+                if j != k or not 1 <= i < k:
                     raise ValueError(
-                        f"component u_{k} contains the foreign band {sym}"
+                        f"component u_{k} contains the foreign band {_band_name(sym)}"
                     )
 
     def component(self, k: int) -> GroupWord:
@@ -292,7 +278,6 @@ class CombedForm:
     def as_single_word(self) -> PureAWord:
         # components hold bands of distinct levels, so nothing reduces
         return PureAWord._unchecked(self.strands, GroupWord._unchecked(
-            a_alphabet(self.strands),
             tuple(syl for comp in self.components for syl in comp.syllables),
         ))
 
@@ -329,7 +314,7 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
     sizes = [0 for _ in stacks]
     lower: list[list[Syllable]] = [[] for _ in range(n + 1)]
     lower_sizes = [0 for _ in lower]
-    images: list[dict[GenSym, GroupWord]] = [{} for _ in range(n + 1)]
+    images: list[dict[Band, GroupWord]] = [{} for _ in range(n + 1)]
 
     def refuse(observed: int, what: str, reached: int, where: str = "") -> BudgetExceededError:
         return BudgetExceededError(
@@ -340,7 +325,7 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
 
     for p in range(total - 1, -1, -1):
         sym, exp = syllables[p]
-        j = sym.index[1]
+        j = sym[1]
         done = total - 1 - p
         image = images[j].get(sym)
         if image is None:
@@ -350,36 +335,34 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
                 combed = (syl for stack in stacks[:j - 2] for syl in reversed(stack))
                 image = _conjugate(sym, combed, component_budget)
                 if image.letter_count() > component_budget:
-                    raise refuse(image.letter_count(), f"image of {sym}", done)
+                    raise refuse(image.letter_count(), f"image of {_band_name(sym)}", done)
             images[j][sym] = image
         c = image if exp == 1 else image ** exp
         if exp != 1 and c.letter_count() > component_budget:
-            raise refuse(c.letter_count(), f"image of {sym}", done)
+            raise refuse(c.letter_count(), f"image of {_band_name(sym)}", done)
         sizes[j - 2] += c.letter_count() - 2 * _join(stacks[j - 2], c.syllables[::-1])
         if sizes[j - 2] > component_budget:
             raise refuse(sizes[j - 2], f"u_{j}", done + 1, f" in u_{j}")
         for k in range(j + 1, n + 1):
             lower_sizes[k] += _push(lower[k], sym, exp)
             images[k].clear()
-    alphabet = a_alphabet(n)
     return CombedForm(n, tuple(
-        GroupWord._unchecked(alphabet, tuple(reversed(stack)))
-        for stack in stacks
+        GroupWord._unchecked(tuple(reversed(stack))) for stack in stacks
     ))
 
 
 @lru_cache(maxsize=256)
-def _face_table(n: int, i: int) -> dict[GenSym, GenSym | None]:
+def _face_table(n: int, i: int) -> dict[Band, Band | None]:
     """The image of every band of P_n under deleting strand i; None if it dies."""
-    table: dict[GenSym, GenSym | None] = {}
-    for s, t in combinations(range(1, n + 1), 2):
-        faced = face_on_pure_gen(i, (s, t), n).syllables
-        table[a_sym(s, t, n)] = faced[0][0] if faced else None
+    table: dict[Band, Band | None] = {}
+    for band in combinations(range(1, n + 1), 2):
+        faced = face_on_pure_gen(i, band, n).syllables
+        table[band] = faced[0][0] if faced else None
     return table
 
 
 def _conjugate(
-    band: GenSym, prefix: Iterable[tuple[GenSym, int]], budget: int
+    band: Band, prefix: Iterable[Syllable], budget: int
 ) -> GroupWord:
     """The band conjugated by the prefix syllables, leftmost first.
 

@@ -16,12 +16,13 @@ power.  Indices are validated against the declared strand count as
 they are read, with character offsets in error messages.
 
 parse reads the tokens once, left to right, evaluating as it goes.  A
-text of bands alone becomes a PureAWord: each band syllable is pushed
-onto one reduced stack, and a group is built apart only under
-( ... )^k or [ , ], then joined back with _join.  A text with any
-crossing or twist becomes a BraidWord whose letters are its plain
-expansion: a band is s_(j-1) .. s_(i+1) s_i^2 s_(i+1)^-1 .. s_(j-1)^-1,
-a power repeats its base, and nothing cancels.  No band-only text
+text of bands alone becomes a PureAWord: a band a<i>.<j> is the pair
+(i, j), each band syllable is pushed onto one reduced stack, and a
+group is built apart only under ( ... )^k or [ , ], then joined back
+with _join.  A text with any crossing or twist becomes a BraidWord
+whose letters are its plain expansion: a band is
+s_(j-1) .. s_(i+1) s_i^2 s_(i+1)^-1 .. s_(j-1)^-1, a power repeats its
+base, and nothing cancels.  No band-only text
 contains an s or a D, so the kind is known before the first token.
 parse_bands, for commands that take band words only, runs the same
 loop but only checks crossing text, building nothing: a ParseError
@@ -43,7 +44,7 @@ from typing import Sequence
 
 from .braids import BraidWord, band_power_letters, half_twist
 from .combing import PureAWord
-from .words import GenSym, GroupWord, Syllable, _invert, _join, _pow, a_alphabet
+from .words import GroupWord, Syllable, _invert, _join, _pow
 
 __all__ = [
     "NotAWordError",
@@ -121,7 +122,7 @@ def _atom(tok: str, n: int) -> tuple[str, tuple[int, ...], int]:
 
 def _band(n: int, kind: str, index: tuple[int, ...], k: int) -> list[Syllable]:
     """The one syllable of a band atom in a band word."""
-    return [(GenSym(a_alphabet(n), index), k)]
+    return [(index, k)]
 
 
 def _crossings(n: int, kind: str, index: tuple[int, ...], k: int) -> list[tuple[int, int]]:
@@ -158,7 +159,6 @@ def _read(text: str, n: int, refusal: str | None) -> BraidWord | PureAWord:
     if not tokens:
         raise ParseError("empty input (use e for the empty word)", 0)
     crossing = "s" in text or "D" in text  # no band-only text has either
-    alphabet = a_alphabet(n)
     if not crossing:
         join, power, letters = _join, _pow, _band
     elif refusal is None:
@@ -212,7 +212,7 @@ def _read(text: str, n: int, refusal: str | None) -> BraidWord | PureAWord:
     if frames:
         raise ParseError("unexpected end of input", _offset(text, len(tokens) - 1))
     if not crossing:
-        return PureAWord(n, GroupWord(alphabet, tuple(out)))
+        return PureAWord(n, GroupWord(tuple(out)))
     if refusal is not None:
         raise NotAWordError(refusal)
     return BraidWord(n, tuple(out))
@@ -244,7 +244,7 @@ def format_aword(w: PureAWord | GroupWord) -> str:
     word = w.word if isinstance(w, PureAWord) else w
     out = []
     for sym, exp in word.syllables:
-        i, j = sym.index
+        i, j = sym
         if exp == 1:
             out.append(f"a{i}.{j}")
         elif exp == -1:

@@ -16,7 +16,7 @@ braids.same_braid.
 
 from __future__ import annotations
 
-from .words import GroupWord, a_alphabet, a_sym
+from .words import GroupWord
 
 __all__ = [
     "coface_on_pure_gen",
@@ -28,8 +28,8 @@ def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> GroupWord:
     """Image of the band symbol A_{s,t} under strand-i deletion.
 
     The band dies when the deleted strand is one of its two ends and is
-    renumbered otherwise.  Output is a word over the (n-1)-strand band
-    alphabet: empty or a single symbol.
+    renumbered otherwise.  Output is a word in the (n-1)-strand bands:
+    empty or a single band.
     """
     s, t = pair
     if not 1 <= s < t <= n:
@@ -37,10 +37,10 @@ def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> GroupWord:
     if not 1 <= i <= n:
         raise ValueError(f"strand {i} out of range for {n} strands")
     if i in (s, t):
-        return GroupWord.identity(a_alphabet(n - 1))
+        return GroupWord()
     s2 = s - 1 if s > i else s
     t2 = t - 1 if t > i else t
-    return GroupWord.single(a_sym(s2, t2, n - 1))
+    return GroupWord.single((s2, t2))
 
 
 def coface_on_pure_gen(i: int, pair: tuple[int, int]) -> tuple[int, int]:

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 from .braids import Perm, half_twist, is_pure
 from .cohen import Braidlike, common_face, is_brunnian
 from .combing import PureAWord
-from .words import GroupWord
+from .words import GroupWord, _band_name
 
 __all__ = [
     "cohen_lift",
@@ -53,9 +53,9 @@ __all__ = [
 
 def _require_last_column(word: GroupWord, n: int) -> None:
     for sym, _ in word.syllables:
-        if sym.index[1] != n:
+        if sym[1] != n:
             raise ValueError(
-                f"expected a word in the bands A_(.,{n}), found {sym}"
+                f"expected a word in the bands A_(.,{n}), found {_band_name(sym)}"
             )
 
 
@@ -129,7 +129,9 @@ def _spread(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _james_hopf(k: int, n: int, b: Braidlike, order: _Order) -> Braidlike:
-    return b.product(n, (b.coface(*indices) for indices in order(n, n - k)))
+    # on fewer than k strands there are C(n, k) = 0 factors
+    indices = order(n, n - k) if k <= n else ()
+    return b.product(n, (b.coface(*ins) for ins in indices))
 
 
 def _reassemble(deltas: Sequence[Braidlike], n: int, order: _Order) -> Braidlike:

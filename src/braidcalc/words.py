@@ -1,8 +1,9 @@
-"""Freely reduced words over finite generator alphabets.
+"""Freely reduced words; in the library their symbols are bands.
 
 Words are the basic currency for everything downstream: pure braids
-are written over the band alphabet A_{i,j}, and combed normal forms keep
-one word per fiber.
+are written over the bands A_{i,j}, and combed normal forms keep one
+word per fiber.  A band is the plain pair (i, j).  It keeps its name
+when strands are added, so a word does not record a rank.
 
 Representation: a word is a tuple of syllables (symbol, exponent) with
 every exponent nonzero and no two adjacent syllables sharing a symbol,
@@ -20,17 +21,17 @@ reduces syllable by syllable.
 
 Words are checked once, where they enter the library: in the public
 constructors, from_letters, combing.PureAWord.from_pairs and the reader
-expr.parse.  A word built from checked words is valid by construction,
-so it is made with the private unchecked constructor of its class,
-GroupWord._unchecked, braids.BraidWord._unchecked or
+expr.parse.  A GroupWord checks free reduction only.  The strand count
+that bounds its bands lives in combing.PureAWord, which checks
+1 <= i < j <= strands, and combing.CombedForm checks the level of each
+component; from_letters checks every raw band against the range that
+its alphabet "A<r>" names.  A word built from checked words is valid by
+construction, so it is made with the private unchecked constructor of
+its class, GroupWord._unchecked, braids.BraidWord._unchecked or
 combing.PureAWord._unchecked, which skip the check.  They serve
 products (product and *), inverse, powers (** and braids.braid_pow),
 substitute, face, coface, embed, to_braid, the components of
 combing.comb and CombedForm.as_single_word, and nothing else.
-
-Alphabets are identified by strings: "A<r>" is the band alphabet
-{A_{i,j} : 1 <= i < j <= r}.  Operations never mix alphabets silently;
-a mismatch raises AlphabetMismatchError.
 
 All values here are immutable and safe to share between threads.
 """
@@ -38,53 +39,32 @@ All values here are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "AlphabetMismatchError",
-    "GenSym",
     "GroupWord",
-    "a_alphabet",
     "a_sym",
-    "alphabet_rank",
     "commutator",
 ]
 
-
-class AlphabetMismatchError(ValueError):
-    """An operation mixed words or symbols from different alphabets."""
+Band = tuple[int, int]
 
 
-class GenSym(NamedTuple):
-    """A generator symbol: an alphabet identifier plus an index tuple."""
-
-    alphabet: str
-    index: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"A{self.index[0]},{self.index[1]}"
-
-
-def a_alphabet(rank: int) -> str:
-    return f"A{rank}"
-
-
-def alphabet_rank(alphabet: str) -> int:
-    """Number of strands/generator slots encoded in an alphabet id."""
-    return int(alphabet[1:])
-
-
-def a_sym(i: int, j: int, rank: int) -> GenSym:
-    """The band symbol A_{i,j}, requiring 1 <= i < j <= rank."""
+def a_sym(i: int, j: int, rank: int) -> Band:
+    """The band A_{i,j}, requiring 1 <= i < j <= rank."""
     if not 1 <= i < j <= rank:
         raise ValueError(f"A_{i},{j} is out of range for rank {rank}")
-    return GenSym(a_alphabet(rank), (i, j))
+    return (i, j)
 
 
-Syllable = tuple[GenSym, int]
+def _band_name(band: Band) -> str:
+    return f"A{band[0]},{band[1]}"
 
 
-def _push(stack: list[Syllable], sym: GenSym, exp: int) -> int:
+Syllable = tuple[Band, int]
+
+
+def _push(stack: list[Syllable], sym: Band, exp: int) -> int:
     """Append one raw syllable to a reduced stack, merging and cancelling.
 
     Returns the change in the stack's letter count.
@@ -152,18 +132,13 @@ def _pow(syllables: Sequence[Syllable], k: int) -> Sequence[Syllable]:
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A freely reduced word over a single alphabet."""
+    """A freely reduced word; the empty word is GroupWord()."""
 
-    alphabet: str
     syllables: tuple[Syllable, ...] = ()
 
     def __post_init__(self) -> None:
-        prev: GenSym | None = None
+        prev = None
         for sym, exp in self.syllables:
-            if sym.alphabet != self.alphabet:
-                raise AlphabetMismatchError(
-                    f"symbol {sym} does not belong to alphabet {self.alphabet}"
-                )
             if exp == 0:
                 raise ValueError("zero exponent in a reduced word")
             if sym == prev:
@@ -173,33 +148,30 @@ class GroupWord:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def _unchecked(cls, alphabet: str, syllables: tuple[Syllable, ...]) -> GroupWord:
+    def _unchecked(cls, syllables: tuple[Syllable, ...]) -> GroupWord:
         """A word built from checked words, so reduced already: no check."""
         word = object.__new__(cls)
-        word.__dict__.update(alphabet=alphabet, syllables=syllables)
+        word.__dict__["syllables"] = syllables
         return word
 
     @classmethod
-    def identity(cls, alphabet: str) -> GroupWord:
-        return cls(alphabet, ())
-
-    @classmethod
-    def single(cls, sym: GenSym, exp: int = 1) -> GroupWord:
-        if exp == 0:
-            return cls(sym.alphabet, ())
-        return cls(sym.alphabet, ((sym, exp),))
+    def single(cls, sym: Band, exp: int = 1) -> GroupWord:
+        return cls(((sym, exp),) if exp else ())
 
     @classmethod
     def from_letters(cls, alphabet: str, letters: Iterable[Syllable]) -> GroupWord:
-        """Freely reduce a raw syllable sequence.  Idempotent."""
+        """Freely reduce raw band syllables.  Idempotent.
+
+        The alphabet "A<r>" names the bands A_{i,j} with 1 <= i < j <= r;
+        every raw band is checked against that range.
+        """
+        if not alphabet.startswith("A"):
+            raise ValueError(f"{alphabet!r} is not a band alphabet A<r>")
+        rank = int(alphabet[1:])
         stack: list[Syllable] = []
         for sym, exp in letters:
-            if sym.alphabet != alphabet:
-                raise AlphabetMismatchError(
-                    f"symbol {sym} does not belong to alphabet {alphabet}"
-                )
-            _push(stack, sym, exp)
-        return cls(alphabet, tuple(stack))
+            _push(stack, a_sym(*sym, rank), exp)
+        return cls(tuple(stack))
 
     # -- queries -----------------------------------------------------
 
@@ -212,9 +184,9 @@ class GroupWord:
     def letter_count(self) -> int:
         return sum(abs(exp) for _, exp in self.syllables)
 
-    def abelianize(self) -> dict[GenSym, int]:
+    def abelianize(self) -> dict[Band, int]:
         """Exponent vector; symbols with total exponent zero are omitted."""
-        totals: dict[GenSym, int] = {}
+        totals: dict[Band, int] = {}
         for sym, exp in self.syllables:
             totals[sym] = totals.get(sym, 0) + exp
         return {sym: exp for sym, exp in totals.items() if exp != 0}
@@ -222,54 +194,46 @@ class GroupWord:
     # -- group operations ---------------------------------------------
 
     def __mul__(self, other: GroupWord) -> GroupWord:
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError(
-                f"cannot multiply words over {self.alphabet} and {other.alphabet}"
-            )
         stack = list(self.syllables)
         _join(stack, other.syllables)
-        return GroupWord._unchecked(self.alphabet, tuple(stack))
+        return GroupWord._unchecked(tuple(stack))
 
     def inverse(self) -> GroupWord:
-        return GroupWord._unchecked(self.alphabet, tuple(_invert(self.syllables)))
+        return GroupWord._unchecked(tuple(_invert(self.syllables)))
 
     def __pow__(self, k: int) -> GroupWord:
-        return GroupWord._unchecked(self.alphabet, tuple(_pow(self.syllables, k)))
+        return GroupWord._unchecked(tuple(_pow(self.syllables, k)))
 
     def conjugate(self, by: GroupWord) -> GroupWord:
         """g^{-1} * self * g for g = `by`."""
         return by.inverse() * self * by
 
-    def substitute(self, mapping: Mapping[GenSym, GroupWord]) -> GroupWord:
-        """Apply the induced endomorphism of the word's alphabet letterwise.
+    def substitute(self, mapping: Mapping[Band, GroupWord]) -> GroupWord:
+        """Apply the induced endomorphism letterwise.
 
-        Every symbol occurring in the word must be mapped to a word over
-        the same alphabet.
+        Every symbol occurring in the word must be mapped.
         """
         stack: list[Syllable] = []
         for sym, exp in self.syllables:
             image = mapping.get(sym)
             if image is None:
                 raise ValueError(f"substitute: no image for symbol {sym}")
-            if image.alphabet != self.alphabet:
-                raise AlphabetMismatchError(
-                    f"substitute maps {sym} to a word over {image.alphabet}, "
-                    f"not {self.alphabet}"
-                )
             if exp == 1:
                 _join(stack, image.syllables)
             elif exp == -1:
                 _join(stack, _invert(image.syllables))
             else:
                 _join(stack, _pow(image.syllables, exp))
-        return GroupWord._unchecked(self.alphabet, tuple(stack))
+        return GroupWord._unchecked(tuple(stack))
 
     def __str__(self) -> str:
+        """The bands as A<i>,<j>, a power as A<i>,<j>^<k>; e when empty."""
         if not self.syllables:
             return "e"
         parts = []
         for sym, exp in self.syllables:
-            parts.append(str(sym) if exp == 1 else f"{sym}^{exp}")
+            name = _band_name(sym)
+            parts.append(name if exp == 1 else f"{name}^{exp}")
         return " ".join(parts)
 
 

@@ -9,8 +9,10 @@ their endomorphisms agree on every generator.  That makes it a decision
 procedure independent of the library's Garside normal form, and the
 tests cross-check one against the other.
 
-The free words are over the oracle's own alphabet "x<r>" of generators
-x_1..x_r, which the library never sees; it lends only its GroupWord.
+The free words are over the oracle's own generators x_1..x_r, the
+integers 1..r, which the library never sees; it lends only its
+GroupWord, whose words are symbol-agnostic.  An endomorphism is built
+from the generator images of its letters, so its images stay in x_1..x_r.
 
 Reduced images can grow exponentially in the word length, so every
 composition is checked against a letter budget and raises
@@ -22,29 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from braidcalc.braids import BraidWord, BudgetExceededError
-from braidcalc.words import GenSym, GroupWord
+from braidcalc.words import GroupWord
 
 LETTER_BUDGET = 10**6
 
 
-class XSym(GenSym):
-    """A free-group generator x_i; prints as x<i>."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"x{self.index[0]}"
-
-
-def x_alphabet(rank: int) -> str:
-    return f"x{rank}"
-
-
-def x_sym(i: int, rank: int) -> XSym:
-    """The free-group generator x_i in the rank-`rank` alphabet."""
+def x_sym(i: int, rank: int) -> int:
+    """The free-group generator x_i of F_rank, the integer i."""
     if not 1 <= i <= rank:
         raise ValueError(f"x_{i} is out of range for rank {rank}")
-    return XSym(x_alphabet(rank), (i,))
+    return i
+
+
+def format_x(word: GroupWord) -> str:
+    """A free word as x<i>, a power as x<i>^<k>; e when empty."""
+    parts = [f"x{i}" if exp == 1 else f"x{i}^{exp}" for i, exp in word.syllables]
+    return " ".join(parts) if parts else "e"
 
 
 @dataclass(frozen=True)
@@ -57,10 +52,6 @@ class FreeEndo:
     def __post_init__(self) -> None:
         if len(self.images) != self.rank:
             raise ValueError("image count must equal the rank")
-        alphabet = x_alphabet(self.rank)
-        for img in self.images:
-            if img.alphabet != alphabet:
-                raise ValueError(f"image alphabet {img.alphabet} != {alphabet}")
 
     @classmethod
     def identity(cls, rank: int) -> FreeEndo:
@@ -97,11 +88,8 @@ class FreeEndo:
 
     def preserves_boundary(self) -> bool:
         """The product x_1 x_2 .. x_n must be fixed."""
-        alphabet = x_alphabet(self.rank)
-        boundary = GroupWord.from_letters(
-            alphabet, [(x_sym(i, self.rank), 1) for i in range(1, self.rank + 1)]
-        )
-        image = GroupWord.identity(alphabet)
+        boundary = GroupWord(tuple((x_sym(i, self.rank), 1) for i in range(1, self.rank + 1)))
+        image = GroupWord()
         for img in self.images:
             image = image * img
         return image == boundary
@@ -127,14 +115,13 @@ class FreeEndo:
 
 
 def _letter_rule(n: int, i: int, sign: int) -> FreeEndo:
-    alphabet = x_alphabet(n)
     images = []
     for k in range(1, n + 1):
         xk = x_sym(k, n)
         if k == i:
             if sign == 1:
                 xi, xj = x_sym(i, n), x_sym(i + 1, n)
-                images.append(GroupWord(alphabet, ((xi, 1), (xj, 1), (xi, -1))))
+                images.append(GroupWord(((xi, 1), (xj, 1), (xi, -1))))
             else:
                 images.append(GroupWord.single(x_sym(i + 1, n)))
         elif k == i + 1:
@@ -142,7 +129,7 @@ def _letter_rule(n: int, i: int, sign: int) -> FreeEndo:
                 images.append(GroupWord.single(x_sym(i, n)))
             else:
                 xi, xj = x_sym(i, n), x_sym(i + 1, n)
-                images.append(GroupWord(alphabet, ((xj, -1), (xi, 1), (xj, 1))))
+                images.append(GroupWord(((xj, -1), (xi, 1), (xj, 1))))
         else:
             images.append(GroupWord.single(xk))
     return FreeEndo(n, tuple(images))

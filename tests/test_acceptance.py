@@ -86,7 +86,7 @@ def random_band_word(rng, n, max_sylls=12):
 
 def comm_band(pairs, l, m, rank):
     """Product of commutators [A_{a,b}^l, A_{c,d}^m] over listed pairs."""
-    acc = GroupWord.identity(f"A{rank}")
+    acc = GroupWord()
     for (a, b), (c, d) in pairs:
         x = GroupWord.single(a_sym(a, b, rank)) ** l
         y = GroupWord.single(a_sym(c, d, rank)) ** m
@@ -122,7 +122,7 @@ def _build_generator_lifts():
             rng.shuffle(order)
             conjugators = []
             for _ in range(n - 1):
-                u = GroupWord.identity(f"A{n}")
+                u = GroupWord()
                 for _ in range(rng.randint(0, 2)):
                     u = u * GroupWord.single(rng.choice(alphabet_syms), rng.choice((1, -1)))
                 conjugators.append(u)
@@ -160,7 +160,7 @@ def _build_planted():
         d3 = band_commutator(l, m)
         conjugators = []
         for _ in range(3):
-            u = GroupWord.identity("A4")
+            u = GroupWord()
             if rng.random() < 0.5:
                 u = GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
             conjugators.append(u)
@@ -207,8 +207,8 @@ def _build_p3_words():
     last_col = [a_sym(1, 3, 3), a_sym(2, 3, 3)]
     out = []
     for _ in range(10):
-        u = GroupWord.identity("A3")
-        v = GroupWord.identity("A3")
+        u = GroupWord()
+        v = GroupWord()
         for _ in range(rng.randint(1, 3)):
             u = u * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))
             v = v * GroupWord.single(rng.choice(last_col), rng.choice((1, -1)))

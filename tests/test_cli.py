@@ -86,7 +86,7 @@ class TestEquality:
         )
         syllables = list(comb(a).as_single_word().word.syllables)
         syllables[10], syllables[11] = syllables[11], syllables[10]
-        b = PureAWord(5, GroupWord.from_letters(a.word.alphabet, syllables))
+        b = PureAWord(5, GroupWord.from_letters("A5", syllables))
         for pair in ((a, b), (b, a)):
             code, payload = run(["eq", "-n", "5", *map(format_aword, pair)])
             assert code == 1

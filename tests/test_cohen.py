@@ -70,7 +70,7 @@ class CommutatorTree:
         if self.leaf is not None:
             i, j, exp = self.leaf
             if exp == 0:
-                return GroupWord.identity(f"A{n}")
+                return GroupWord()
             return GroupWord.single(a_sym(i, j, n), exp)
         return commutator(self.left._word(n), self.right._word(n))
 
@@ -140,13 +140,19 @@ class TestPredicates:
             conj = [
                 GroupWord.from_letters(
                     "A4",
-                    [(a_sym(s.index[0], 4, 4), e) for s, e in u.syllables if s.index[1] == 4],
+                    [(a_sym(s[0], 4, 4), e) for s, e in u.syllables if s[1] == 4],
                 )
                 for u in conj
             ]
             g = brunnian_generator(4, conjugators=conj)
             assert is_brunnian(g)
             assert is_cohen(g)
+
+    def test_conjugator_off_the_last_column_rejected(self):
+        for band in ((1, 3), (1, 5), (4, 4), (0, 4)):
+            conj = [GroupWord(), GroupWord.single(band), GroupWord()]
+            with pytest.raises(ValueError, match="not a last-column band"):
+                brunnian_generator(4, conjugators=conj)
 
     def test_extra_top_band_breaks_cohen(self):
         # faces 1..n-2 keep the extra band and faces n-1, n delete it, so

@@ -10,7 +10,7 @@ from braidcalc.combing import (
     comb,
     conj_rule,
 )
-from braidcalc.words import a_sym
+from braidcalc.words import GroupWord, a_sym
 
 from artin_oracle import artin_equal
 from conftest import random_pure_aword, split_power_word
@@ -83,7 +83,7 @@ class TestConjRule:
         for j in (3, 4, 5):
             img = conj_rule(a_sym(1, 2, j + 1), 1, a_sym(1, j, j + 1))
             shapes.add(
-                tuple((tuple(s.index), e) for s, e in img.syllables)
+                tuple((s, e) for s, e in img.syllables)
             )
         # shapes differ only in the second index, so normalize it away
         normalized = {
@@ -92,13 +92,36 @@ class TestConjRule:
         assert len(normalized) == 1
 
 
+class TestStrandRange:
+    """The strand count bounds the bands in PureAWord alone."""
+
+    def test_band_above_the_strand_count_rejected(self):
+        with pytest.raises(ValueError):
+            PureAWord(4, GroupWord.single(a_sym(1, 5, 5)))
+        with pytest.raises(ValueError):
+            PureAWord.from_pairs(4, [(1, 5, 1)])
+
+    def test_malformed_band_rejected(self):
+        for band in ((0, 2), (2, 2), (3, 2)):
+            with pytest.raises(ValueError):
+                PureAWord(4, GroupWord.single(band))
+
+    def test_embed_and_coface_keep_band_names(self):
+        w = aw(3, (1, 3, 2), (1, 2, -1))
+        assert w.embed(5).word == w.word
+        assert w.coface(4).word == w.word
+        assert w.coface(1).word == aw(4, (2, 4, 2), (2, 3, -1)).word
+
+
 class TestCombedForm:
     def test_component_discipline_enforced(self):
-        from braidcalc.words import GroupWord, a_alphabet
-
-        bad = GroupWord.single(a_sym(1, 2, 4))
-        with pytest.raises(ValueError):
-            CombedForm(4, (GroupWord.identity(a_alphabet(4)), bad))
+        # three components for four strands, so only u_3 is at fault
+        for foreign in ((1, 2), (1, 4), (3, 3), (0, 3)):
+            bad = GroupWord.single(foreign)
+            with pytest.raises(ValueError, match="u_3 contains the foreign band"):
+                CombedForm(4, (GroupWord(), bad, GroupWord()))
+        with pytest.raises(ValueError, match="one component per k"):
+            CombedForm(4, (GroupWord(), GroupWord.single(a_sym(1, 3, 4))))
 
     def test_single_band_combs_to_itself(self):
         form = comb(aw(3, (1, 3, 1)))
@@ -125,7 +148,7 @@ class TestCombedForm:
         form = comb(aw(4, *pairs))
         for k in range(2, 5):
             for sym, _ in form.component(k).syllables:
-                assert sym.index[1] == k
+                assert sym[1] == k
 
     def test_combed_word_is_fixed_by_combing(self):
         w = aw(4, (1, 4, 1), (2, 4, -1), (1, 3, 2))
@@ -164,7 +187,7 @@ class TestEquality:
         if len(syllables) >= 2 and data.draw(st.booleans()):
             k = data.draw(st.integers(0, len(syllables) - 2))
             syllables[k], syllables[k + 1] = syllables[k + 1], syllables[k]
-            b = aw(a.strands, *((*sym.index, e) for sym, e in syllables))
+            b = aw(a.strands, *((*sym, e) for sym, e in syllables))
         by_combing = all(c.is_identity() for c in comb(b * a.inverse()).components)
         assert by_combing == same_braid(b, a)
         assert by_combing == same_braid(b.to_braid(), a.to_braid())

@@ -128,7 +128,7 @@ class TestEvaluation:
         direct = parse("a1.3^2 a2.3' a1.2 s1 s1'", 3)
         played = BraidWord(3, ())
         for sym, exp in parse("a1.3^2 a2.3' a1.2", 3).word.syllables:
-            i, j = sym.index
+            i, j = sym
             played = played * BraidWord(3, band_power_letters(i, j, exp))
         assert isinstance(direct, BraidWord)
         assert same_braid(direct, played)

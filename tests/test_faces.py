@@ -36,7 +36,7 @@ def realize_bands(word: GroupWord, n: int) -> BraidWord:
     """Play a word over the band alphabet back into crossings."""
     out = BraidWord(n, ())
     for sym, exp in word.syllables:
-        band = a_gen(*sym.index, n)
+        band = a_gen(*sym, n)
         piece = band if exp > 0 else band.inverse()
         for _ in range(abs(exp)):
             out = out * piece

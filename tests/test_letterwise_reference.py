@@ -38,34 +38,29 @@ from braidcalc.combing import (
 from braidcalc.expr import parse
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
-from braidcalc.words import (
-    GroupWord,
-    a_alphabet,
-    a_sym,
-    commutator,
-)
+from braidcalc.words import GroupWord, a_sym, commutator
 
 
 def face_reference(w: PureAWord, i: int) -> GroupWord:
     n = w.strands
     letters = []
     for sym, exp in w.word.syllables:
-        letters.extend((face_on_pure_gen(i, sym.index, n) ** exp).syllables)
-    return GroupWord.from_letters(a_alphabet(n - 1), letters)
+        letters.extend((face_on_pure_gen(i, sym, n) ** exp).syllables)
+    return GroupWord.from_letters(f"A{n - 1}", letters)
 
 
 def coface_reference(w: PureAWord, i: int) -> GroupWord:
     n = w.strands
     letters = [
-        (a_sym(*coface_on_pure_gen(i, sym.index), n + 1), exp)
+        (a_sym(*coface_on_pure_gen(i, sym), n + 1), exp)
         for sym, exp in w.word.syllables
     ]
-    return GroupWord.from_letters(a_alphabet(n + 1), letters)
+    return GroupWord.from_letters(f"A{n + 1}", letters)
 
 
 def james_hopf_reference(k: int, n: int, b: PureAWord) -> GroupWord:
     ordered = sorted(combinations(range(1, n + 1), n - k), key=lambda t: t[::-1])
-    word = GroupWord.identity(a_alphabet(n))
+    word = GroupWord()
     for indices in ordered:
         factor = b
         for i in indices:
@@ -77,9 +72,9 @@ def james_hopf_reference(k: int, n: int, b: PureAWord) -> GroupWord:
 def reference_comb(w: PureAWord, component_budget: int) -> CombedForm:
     """Comb by conjugating each syllable through the combed lower components."""
     n = w.strands
-    comps = [GroupWord.identity(a_alphabet(n)) for _ in range(max(n - 1, 0))]
+    comps = [GroupWord() for _ in range(max(n - 1, 0))]
     for sym, exp in reversed(w.word.syllables):
-        j = sym.index[1]
+        j = sym[1]
         c = GroupWord.single(sym, exp)
         for k in range(2, j):
             for h_sym, h_exp in comps[k - 2].syllables:
@@ -117,7 +112,7 @@ class Text(NamedTuple):
 
     kind says what a power attaches to: "atom" and "commutator" take
     ^k directly, anything else is grouped first.  word is the left fold
-    over the band alphabet, None once a crossing or twist occurs;
+    over the bands, None once a crossing or twist occurs;
     letters is the letterwise crossing expansion.
     """
 
@@ -150,8 +145,8 @@ def powered(base: Text, k: int) -> Text:
     return Text(text, "group", word, letters)
 
 
-def concatenated(alphabet: str, parts: list[Text]) -> Text:
-    word = GroupWord.identity(alphabet)
+def concatenated(parts: list[Text]) -> Text:
+    word = GroupWord()
     for part in parts:
         word = None if word is None or part.word is None else word * part.word
     text = " ".join(part.text for part in parts) or "e"
@@ -172,12 +167,11 @@ def commuted(left: Text, right: Text) -> Text:
 def expressions(draw, crossings: bool):
     """Expression text over bands, e, ( ), [ , ] and powers; s and D too if crossings."""
     n = draw(st.integers(2, 7))
-    alphabet = a_alphabet(n)
     leaves = [
         bands(n).map(lambda p: Text(
             f"a{p[0]}.{p[1]}", "atom", GroupWord.single(a_sym(*p, n)), band_letters(*p)
         )),
-        st.just(Text("e", "group", GroupWord.identity(alphabet), [])),
+        st.just(Text("e", "group", GroupWord(), [])),
     ]
     if crossings:
         twist = [(i, 1) for top in range(n - 1, 0, -1) for i in range(1, top + 1)]
@@ -189,7 +183,7 @@ def expressions(draw, crossings: bool):
         st.one_of(leaves),
         lambda inner: st.one_of(
             st.tuples(inner, st.sampled_from([-2, -1, 1, 2, 3])).map(lambda t: powered(*t)),
-            st.lists(inner, max_size=5).map(lambda parts: concatenated(alphabet, parts)),
+            st.lists(inner, max_size=5).map(lambda parts: concatenated(parts)),
             st.tuples(inner, inner).map(lambda t: commuted(*t)),
         ),
         max_leaves=16,
@@ -204,7 +198,7 @@ def cut(word: PureAWord, points: list[int]) -> list[PureAWord]:
     """
     n = word.strands
     letters = [
-        (sym.index[0], sym.index[1], 1 if exp > 0 else -1)
+        (*sym, 1 if exp > 0 else -1)
         for sym, exp in word.word.syllables
         for _ in range(abs(exp))
     ]
@@ -229,7 +223,7 @@ def cancelling_factors(draw):
 
 def raw_product(n: int, factors) -> GroupWord:
     return GroupWord.from_letters(
-        a_alphabet(n), [syl for f in factors for syl in f.word.syllables]
+        f"A{n}", [syl for f in factors for syl in f.word.syllables]
     )
 
 
@@ -272,7 +266,7 @@ class TestProducts:
         n, factors = case
         expected = raw_product(n, factors)
         assert PureAWord.product(n, factors).word == expected
-        folded = GroupWord.identity(a_alphabet(n))
+        folded = GroupWord()
         for f in factors:
             folded = folded * f.word
         assert folded == expected
@@ -282,7 +276,7 @@ class TestProducts:
         big = max(n, m + 1)
         exps = [*exps, *[1] * m][:m]
         embedded = [f.embed(big).word for f in factors]
-        source = GroupWord(a_alphabet(big), tuple(
+        source = GroupWord(tuple(
             (a_sym(k, big, big), e) for k, e in enumerate(exps, 1)
         ))
         mapping = {a_sym(k, big, big): f for k, f in enumerate(embedded, 1)}
@@ -293,7 +287,7 @@ class TestProducts:
                 syllables = tuple((sym, -x) for sym, x in reversed(syllables))
             raw.extend(syllables * abs(e))
         substituted = source.substitute(mapping)
-        assert substituted == GroupWord.from_letters(a_alphabet(big), raw)
+        assert substituted == GroupWord.from_letters(f"A{big}", raw)
 
     @settings(max_examples=60, deadline=None)
     @given(band_words(max_strands=4, max_syllables=6), st.integers(0, 3))
@@ -307,7 +301,7 @@ class TestProducts:
 class TestReader:
     @settings(max_examples=150)
     @given(expressions(crossings=False))
-    @example((Text("e", "group", GroupWord.identity(a_alphabet(3)), []), 3))
+    @example((Text("e", "group", GroupWord(), []), 3))
     def test_band_text_matches_left_fold(self, case):
         expr, n = case
         assert parse(expr.text, n) == PureAWord(n, expr.word)
@@ -366,7 +360,7 @@ def rechecked(word):
         return BraidWord(word.strands, word.letters)
     if isinstance(word, PureAWord):
         return PureAWord(word.strands, rechecked(word.word))
-    return GroupWord(word.alphabet, word.syllables)
+    return GroupWord(word.syllables)
 
 
 @st.composite

@@ -139,6 +139,19 @@ class TestDecomposition:
         layers = hopf_decompose(b)
         assert same_braid(reassemble(layers, 3), b)
 
+    def test_reassemble_inverts_decompose_on_zero_to_four_strands(self):
+        # a k-strand layer has no James-Hopf factor on fewer than k
+        # strands, so a 0-strand word reassembles from its 1-strand delta_1
+        words = [PureAWord.identity(n) for n in range(5)]
+        words += [BraidWord(n, ()) for n in range(5)]
+        words += [delta_square_word(n, k) for n in (2, 3, 4) for k in (1, -2)]
+        words += [band_commutator(1, -1), full_lift(3, 4, band_commutator(2, 1))]
+        for a in words:
+            assert reassemble(hopf_decompose(a), a.strands) == a
+        for n in (2, 3, 4):
+            a = braid_pow(half_twist(n), 2)
+            assert same_braid(reassemble(hopf_decompose(a), n), a)
+
     def test_planted_layers_recovered(self):
         delta2 = aw(2, (1, 2, 2))
         delta3 = band_commutator(1, -1)
