@@ -8,7 +8,7 @@ Garside normal forms; equal band words answer before any expansion.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
-words) and the P3 normal form of pure Cohen 3-braids, read off combing.
+words).
 """
 
 from __future__ import annotations
@@ -17,20 +17,17 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .braids import BraidWord, is_pure, same_braid
-from .combing import PureAWord, comb
+from .combing import PureAWord
 from .words import GroupWord, _band_name, a_sym, commutator
 
 __all__ = [
     "Braidlike",
     "NotCohenError",
     "NotUnaryError",
-    "P3CohenForm",
-    "P3Refusal",
     "StrandPartition",
     "all_faces",
     "band_commutator",
     "brunnian_generator",
-    "cohen_p3_decompose",
     "common_face",
     "delta_square_word",
     "is_brunnian",
@@ -204,55 +201,3 @@ def delta_square_word(n: int, k: int) -> PureAWord:
         )
         word = word * block ** k
     return PureAWord(n, word)
-
-
-@dataclass(frozen=True)
-class P3CohenForm:
-    """A pure Cohen 3-braid written as (full twist)^k times gamma.
-
-    gamma lies in the commutator subgroup of the free group on A_13,
-    A_23; k is the exponent of the central full twist.
-    """
-
-    k: int
-    gamma: GroupWord
-
-
-@dataclass(frozen=True)
-class P3Refusal:
-    """Diagnosis for a pure 3-braid that is not Cohen.
-
-    violations maps band labels to the leftover abelianized exponents
-    after the central part is removed.
-    """
-
-    k: int
-    violations: dict[str, int]
-
-
-def cohen_p3_decompose(b: PureAWord) -> P3CohenForm | P3Refusal:
-    """Normal form for pure Cohen 3-braids; refusal for non-Cohen input.
-
-    Combing gives u_2 = A_12^k and u_3 in the free group on A_13, A_23.
-    The braid is Cohen exactly when u_3 abelianizes to (k, k), i.e. the
-    word is the k-th full twist times a commutator-subgroup element.
-    """
-    if b.strands != 3:
-        raise ValueError("this normal form is specific to three strands")
-    form = comb(b)
-    u2, u3 = form.component(2), form.component(3)
-    k = 0
-    for sym, exp in u2.syllables:
-        k += exp
-    counts = u3.abelianize()
-    leftovers = {
-        "A1,3": counts.get(a_sym(1, 3, 3), 0) - k,
-        "A2,3": counts.get(a_sym(2, 3, 3), 0) - k,
-    }
-    if any(leftovers.values()):
-        return P3Refusal(k, {s: v for s, v in leftovers.items() if v})
-    twist_tail = GroupWord.from_letters(
-        "A3", [(a_sym(1, 3, 3), 1), (a_sym(2, 3, 3), 1)]
-    ) ** k
-    gamma = twist_tail.inverse() * u3
-    return P3CohenForm(k, gamma)

@@ -49,7 +49,7 @@ from .braids import (
     band_power_letters,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
-from .words import Band, GroupWord, Syllable, _band_name, _join, _push
+from .words import Band, GroupWord, Syllable, _band_name, _invert, _join, _pow, _push
 
 __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
@@ -113,6 +113,19 @@ def conj_rule(g_sym: Band, g_sign: int, h_sym: Band) -> GroupWord:
     return GroupWord(tuple(((slots[role], j), exp) for role, exp in template))
 
 
+@lru_cache(maxsize=None)
+def _conj_runs(
+    g_sym: Band, g_sign: int, j: int
+) -> dict[Band, tuple[tuple[Syllable, ...], tuple[Syllable, ...], int]]:
+    """For each band h of level j: conj_rule's syllables for h and for
+    h^-1, and their letter count, the length, as every exponent is +-1."""
+    runs = {}
+    for i in range(1, j):
+        run = conj_rule(g_sym, g_sign, (i, j)).syllables
+        runs[(i, j)] = (run, tuple(_invert(run)), len(run))
+    return runs
+
+
 @dataclass(frozen=True)
 class PureAWord:
     """A word in the bands of B_n, representing a pure braid.
@@ -170,7 +183,7 @@ class PureAWord:
         return self.word.is_identity()
 
     def letter_count(self) -> int:
-        return self.word.letter_count()
+        return sum(abs(exp) for _, exp in self.word.syllables)
 
     def exponent_sum(self) -> int:
         """Exponent sum of the crossing expansion: each band is two crossings."""
@@ -271,6 +284,13 @@ class CombedForm:
                         f"component u_{k} contains the foreign band {_band_name(sym)}"
                     )
 
+    @classmethod
+    def _unchecked(cls, strands: int, components: tuple[GroupWord, ...]) -> CombedForm:
+        """Components combed from a checked word, so each fits its level: no check."""
+        form = object.__new__(cls)
+        form.__dict__.update(strands=strands, components=components)
+        return form
+
     def component(self, k: int) -> GroupWord:
         """u_k for 2 <= k <= n."""
         return self.components[k - 2]
@@ -299,11 +319,13 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
     images of those levels and keeps the rest.  Components are kept as
     reversed reduced stacks, so prepending an image joins it at the top.
 
-    component_budget caps, in letters, every conjugated band image and
-    every component; passing it raises BudgetExceededError.  An image
-    that passes it through the raw subword is redone through the
-    components, so a word is refused only when conjugating through the
-    components refuses it.
+    component_budget caps, in letters, every conjugated band image, its
+    power and every component; passing it raises BudgetExceededError.
+    An image that passes it through the raw subword is redone through
+    the components, so a word is refused only when conjugating through
+    the components refuses it.  No size is recounted: an image comes with
+    its letter count, a power of it is counted from its exponent, and a
+    component's count moves by the letters _join cancels.
     """
     n = w.strands
     syllables = w.word.syllables
@@ -314,7 +336,8 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
     sizes = [0 for _ in stacks]
     lower: list[list[Syllable]] = [[] for _ in range(n + 1)]
     lower_sizes = [0 for _ in lower]
-    images: list[dict[Band, GroupWord]] = [{} for _ in range(n + 1)]
+    # each band's image, in order, with its letter count
+    images: list[dict[Band, tuple[list[Syllable], int]]] = [{} for _ in range(n + 1)]
 
     def refuse(observed: int, what: str, reached: int, where: str = "") -> BudgetExceededError:
         return BudgetExceededError(
@@ -327,26 +350,36 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
         sym, exp = syllables[p]
         j = sym[1]
         done = total - 1 - p
-        image = images[j].get(sym)
-        if image is None:
+        memo = images[j].get(sym)
+        if memo is None:
             if lower_sizes[j] < sum(sizes[:j - 2]):
-                image = _conjugate(sym, reversed(lower[j]), component_budget)
-            if image is None or image.letter_count() > component_budget:
+                memo = _conjugate(sym, reversed(lower[j]), component_budget)
+            if memo is None or memo[1] > component_budget:
                 combed = (syl for stack in stacks[:j - 2] for syl in reversed(stack))
-                image = _conjugate(sym, combed, component_budget)
-                if image.letter_count() > component_budget:
-                    raise refuse(image.letter_count(), f"image of {_band_name(sym)}", done)
-            images[j][sym] = image
-        c = image if exp == 1 else image ** exp
-        if exp != 1 and c.letter_count() > component_budget:
-            raise refuse(c.letter_count(), f"image of {_band_name(sym)}", done)
-        sizes[j - 2] += c.letter_count() - 2 * _join(stacks[j - 2], c.syllables[::-1])
+                memo = _conjugate(sym, combed, component_budget)
+                if memo[1] > component_budget:
+                    raise refuse(memo[1], f"image of {_band_name(sym)}", done)
+            images[j][sym] = memo
+        image, size = memo
+        # the stack is reversed, so the image joins it read backwards
+        if exp == 1:
+            run = image[::-1]
+        elif exp == -1:
+            run = [(band, -e) for band, e in image]
+        else:
+            # a reduced conjugate w^-1 A w of one band has the power
+            # w^-1 A^e w, so |e| - 1 letters more
+            size += abs(exp) - 1
+            if size > component_budget:
+                raise refuse(size, f"image of {_band_name(sym)}", done)
+            run = _pow(image[::-1], exp)
+        sizes[j - 2] += size - 2 * _join(stacks[j - 2], run)
         if sizes[j - 2] > component_budget:
             raise refuse(sizes[j - 2], f"u_{j}", done + 1, f" in u_{j}")
         for k in range(j + 1, n + 1):
             lower_sizes[k] += _push(lower[k], sym, exp)
             images[k].clear()
-    return CombedForm(n, tuple(
+    return CombedForm._unchecked(n, tuple(
         GroupWord._unchecked(tuple(reversed(stack))) for stack in stacks
     ))
 
@@ -363,18 +396,35 @@ def _face_table(n: int, i: int) -> dict[Band, Band | None]:
 
 def _conjugate(
     band: Band, prefix: Iterable[Syllable], budget: int
-) -> GroupWord:
-    """The band conjugated by the prefix syllables, leftmost first.
+) -> tuple[list[Syllable], int]:
+    """The band conjugated by the prefix syllables, leftmost first, and its
+    letter count.
 
-    Stops at the first image that passes the budget and returns it.
+    Each conjugator letter rewrites the image syllable by syllable from
+    the conjugation-rule runs.  The count is the runs' letters less twice
+    what _join cancels, so nothing is recounted.  Stops at the first
+    image that passes the budget and returns it.
     """
-    image = GroupWord.single(band)
+    image: list[Syllable] = [(band, 1)]
+    letters = 1
+    j = band[1]
     for g_sym, g_exp in prefix:
-        sign = 1 if g_exp > 0 else -1
+        rules = _conj_runs(g_sym, 1 if g_exp > 0 else -1, j)
         for _ in range(abs(g_exp)):
-            image = image.substitute(
-                {t_sym: conj_rule(g_sym, sign, t_sym) for t_sym, _ in image.syllables}
-            )
-            if image.letter_count() > budget:
-                return image
-    return image
+            stack: list[Syllable] = []
+            letters = 0
+            for sym, exp in image:
+                plus, minus, size = rules[sym]
+                if exp == 1:
+                    run = plus
+                elif exp == -1:
+                    run = minus
+                else:
+                    # each rule is a reduced conjugate of one band
+                    run = _pow(plus, exp)
+                    size += abs(exp) - 1
+                letters += size - 2 * _join(stack, run)
+            image = stack
+            if letters > budget:
+                return image, letters
+    return image, letters

@@ -32,14 +32,15 @@ Words are checked once, where they enter the library: here, token by
 token and again by the checked constructor that the reader returns through,
 and in the public constructors, from_letters and from_pairs.  Words the
 library builds from checked words skip the check through the private
-GroupWord._unchecked, BraidWord._unchecked and PureAWord._unchecked:
-products, *, inverse, powers, substitute, face, coface, embed,
-to_braid, and the components of comb and their single word.
+GroupWord._unchecked, BraidWord._unchecked, PureAWord._unchecked and
+CombedForm._unchecked: products, *, inverse, powers, face, coface,
+embed, to_braid, and comb and its single word.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Sequence
 
 from .braids import BraidWord, band_power_letters, half_twist
@@ -242,13 +243,15 @@ def format_braid(b: BraidWord) -> str:
 def format_aword(w: PureAWord | GroupWord) -> str:
     """Print a band word in the token grammar."""
     word = w.word if isinstance(w, PureAWord) else w
-    out = []
-    for sym, exp in word.syllables:
-        i, j = sym
-        if exp == 1:
-            out.append(f"a{i}.{j}")
-        elif exp == -1:
-            out.append(f"a{i}.{j}'")
-        else:
-            out.append(f"a{i}.{j}^{exp}")
-    return " ".join(out) if out else "e"
+    return " ".join(map(_band_token, word.syllables)) if word.syllables else "e"
+
+
+@lru_cache(maxsize=4096)
+def _band_token(syllable: Syllable) -> str:
+    """The token of one band syllable; a word repeats few of them."""
+    (i, j), exp = syllable
+    if exp == 1:
+        return f"a{i}.{j}"
+    if exp == -1:
+        return f"a{i}.{j}'"
+    return f"a{i}.{j}^{exp}"

@@ -15,9 +15,10 @@ Every word built here is reduced, and so is its inverse, every power
 and every image of a reduced word under a map that is injective on
 symbols.  When reduced runs are concatenated, letters can therefore
 cancel or merge only where two runs meet.  Products, powers and
-substitutions join runs with _join, which works at the junction and
-copies the rest across; only from_letters, the path for raw input,
-reduces syllable by syllable.
+combing join runs with _join, which works at the junction, copies the
+rest across and returns the letters cancelled, so a caller that knows
+the sizes of its runs knows the size of the result without recounting;
+only from_letters, the path for raw input, reduces syllable by syllable.
 
 Words are checked once, where they enter the library: in the public
 constructors, from_letters, combing.PureAWord.from_pairs and the reader
@@ -27,11 +28,11 @@ that bounds its bands lives in combing.PureAWord, which checks
 component; from_letters checks every raw band against the range that
 its alphabet "A<r>" names.  A word built from checked words is valid by
 construction, so it is made with the private unchecked constructor of
-its class, GroupWord._unchecked, braids.BraidWord._unchecked or
-combing.PureAWord._unchecked, which skip the check.  They serve
-products (product and *), inverse, powers (** and braids.braid_pow),
-substitute, face, coface, embed, to_braid, the components of
-combing.comb and CombedForm.as_single_word, and nothing else.
+its class, GroupWord._unchecked, braids.BraidWord._unchecked,
+combing.PureAWord._unchecked or combing.CombedForm._unchecked, which
+skip the check.  They serve products (product and *), inverse, powers
+(** and braids.braid_pow), face, coface, embed, to_braid, combing.comb
+and CombedForm.as_single_word, and nothing else.
 
 All values here are immutable and safe to share between threads.
 """
@@ -39,7 +40,7 @@ All values here are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "GroupWord",
@@ -207,24 +208,6 @@ class GroupWord:
     def conjugate(self, by: GroupWord) -> GroupWord:
         """g^{-1} * self * g for g = `by`."""
         return by.inverse() * self * by
-
-    def substitute(self, mapping: Mapping[Band, GroupWord]) -> GroupWord:
-        """Apply the induced endomorphism letterwise.
-
-        Every symbol occurring in the word must be mapped.
-        """
-        stack: list[Syllable] = []
-        for sym, exp in self.syllables:
-            image = mapping.get(sym)
-            if image is None:
-                raise ValueError(f"substitute: no image for symbol {sym}")
-            if exp == 1:
-                _join(stack, image.syllables)
-            elif exp == -1:
-                _join(stack, _invert(image.syllables))
-            else:
-                _join(stack, _pow(image.syllables, exp))
-        return GroupWord._unchecked(tuple(stack))
 
     def __str__(self) -> str:
         """The bands as A<i>,<j>, a power as A<i>,<j>^<k>; e when empty."""

@@ -11,8 +11,10 @@ tests cross-check one against the other.
 
 The free words are over the oracle's own generators x_1..x_r, the
 integers 1..r, which the library never sees; it lends only its
-GroupWord, whose words are symbol-agnostic.  An endomorphism is built
-from the generator images of its letters, so its images stay in x_1..x_r.
+GroupWord, whose words are symbol-agnostic, and the run join behind its
+products.  An endomorphism is built from the generator images of its
+letters, so its images stay in x_1..x_r.  substitute applies one to a
+word; the other tests use it on band words too.
 
 Reduced images can grow exponentially in the word length, so every
 composition is checked against a letter budget and raises
@@ -22,11 +24,27 @@ BudgetExceededError rather than thrash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable, Mapping
 
 from braidcalc.braids import BraidWord, BudgetExceededError
-from braidcalc.words import GroupWord
+from braidcalc.words import GroupWord, _join, _pow
 
 LETTER_BUDGET = 10**6
+
+
+def substitute(word: GroupWord, mapping: Mapping[Hashable, GroupWord]) -> GroupWord:
+    """Apply the induced endomorphism letterwise.
+
+    Every symbol occurring in the word must be mapped.  Each image is
+    reduced, and so is each power of it, so they join only at junctions.
+    """
+    stack: list = []
+    for sym, exp in word.syllables:
+        image = mapping.get(sym)
+        if image is None:
+            raise ValueError(f"substitute: no image for symbol {sym}")
+        _join(stack, _pow(image.syllables, exp))
+    return GroupWord(tuple(stack))
 
 
 def x_sym(i: int, rank: int) -> int:
@@ -74,7 +92,7 @@ class FreeEndo:
         new_images = []
         total = 0
         for img in self.images:
-            word = img.substitute(mapping)
+            word = substitute(img, mapping)
             total += word.letter_count()
             if budget is not None and total > budget:
                 raise BudgetExceededError(

@@ -1,15 +1,20 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the 3-strand Cohen form.
 
 Randomized tests use seeded random.Random instances so failures replay
 exactly; hypothesis-based tests carry their own shrinking machinery.
+
+cohen_p3_decompose reads the paper's 3-strand structure off combing:
+a pure Cohen 3-braid is a full-twist power times a commutator.  The
+library's hopf_decompose gives the same k as its layer delta_2 = A1,2^k.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from braidcalc.braids import BraidWord
-from braidcalc.combing import PureAWord
+from braidcalc.combing import PureAWord, comb
 from braidcalc.words import GroupWord, a_sym, commutator
 
 
@@ -52,6 +57,58 @@ def signed_brunnian(rng: random.Random, m: int) -> PureAWord:
     for leaf in leaves[1:]:
         word = commutator(word, leaf)
     return PureAWord(m, word)
+
+
+@dataclass(frozen=True)
+class P3CohenForm:
+    """A pure Cohen 3-braid written as (full twist)^k times gamma.
+
+    gamma lies in the commutator subgroup of the free group on A_13,
+    A_23; k is the exponent of the central full twist.
+    """
+
+    k: int
+    gamma: GroupWord
+
+
+@dataclass(frozen=True)
+class P3Refusal:
+    """Diagnosis for a pure 3-braid that is not Cohen.
+
+    violations maps band labels to the leftover abelianized exponents
+    after the central part is removed.
+    """
+
+    k: int
+    violations: dict[str, int]
+
+
+def cohen_p3_decompose(b: PureAWord) -> P3CohenForm | P3Refusal:
+    """Normal form for pure Cohen 3-braids; refusal for non-Cohen input.
+
+    Combing gives u_2 = A_12^k and u_3 in the free group on A_13, A_23.
+    The braid is Cohen exactly when u_3 abelianizes to (k, k), i.e. the
+    word is the k-th full twist times a commutator-subgroup element.
+    """
+    if b.strands != 3:
+        raise ValueError("this normal form is specific to three strands")
+    form = comb(b)
+    u2, u3 = form.component(2), form.component(3)
+    k = 0
+    for sym, exp in u2.syllables:
+        k += exp
+    counts = u3.abelianize()
+    leftovers = {
+        "A1,3": counts.get(a_sym(1, 3, 3), 0) - k,
+        "A2,3": counts.get(a_sym(2, 3, 3), 0) - k,
+    }
+    if any(leftovers.values()):
+        return P3Refusal(k, {s: v for s, v in leftovers.items() if v})
+    twist_tail = GroupWord.from_letters(
+        "A3", [(a_sym(1, 3, 3), 1), (a_sym(2, 3, 3), 1)]
+    ) ** k
+    gamma = twist_tail.inverse() * u3
+    return P3CohenForm(k, gamma)
 
 
 @pytest.fixture

@@ -31,11 +31,8 @@ from braidcalc.braids import (
 )
 from braidcalc.cohen import (
     NotCohenError,
-    P3CohenForm,
-    P3Refusal,
     band_commutator,
     brunnian_generator,
-    cohen_p3_decompose,
     common_face,
     delta_square_word,
     is_brunnian,
@@ -62,7 +59,7 @@ from braidcalc.lifting import (
 )
 from braidcalc.words import GroupWord, a_sym, commutator
 
-from conftest import split_power_word
+from conftest import P3CohenForm, P3Refusal, cohen_p3_decompose, split_power_word
 
 RNG_SEED = 0xACCE
 

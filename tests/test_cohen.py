@@ -9,12 +9,9 @@ import pytest
 from braidcalc.braids import BraidWord, a_gen, braid_pow, half_twist, same_braid
 from braidcalc.cohen import (
     NotCohenError,
-    P3CohenForm,
-    P3Refusal,
     StrandPartition,
     band_commutator,
     brunnian_generator,
-    cohen_p3_decompose,
     common_face,
     delta_square_word,
     is_brunnian,
@@ -24,10 +21,16 @@ from braidcalc.cohen import (
     unary_factor,
 )
 from braidcalc.combing import PureAWord, comb
-from braidcalc.lifting import full_lift
+from braidcalc.lifting import full_lift, hopf_decompose, reassemble
 from braidcalc.words import GroupWord, a_sym, commutator
 
-from conftest import random_pure_aword, split_power_word
+from conftest import (
+    P3CohenForm,
+    P3Refusal,
+    cohen_p3_decompose,
+    random_pure_aword,
+    split_power_word,
+)
 
 
 def aw(n, *pairs):
@@ -269,6 +272,27 @@ class TestP3Structure:
             out = cohen_p3_decompose(b)
             assert isinstance(out, P3Refusal)
             assert out.violations
+
+    def test_twist_exponent_is_the_exponent_sum_of_delta_2(self, rng):
+        last_col = [a_sym(1, 3, 3), a_sym(2, 3, 3)]
+
+        def word():
+            return GroupWord.from_letters("A3", [
+                (rng.choice(last_col), rng.choice((1, -1, 2, -2)))
+                for _ in range(rng.randint(1, 4))
+            ])
+
+        for _ in range(60):
+            k = rng.randint(-3, 3)
+            delta_3 = GroupWord()
+            for _ in range(rng.randint(0, 2)):
+                delta_3 = delta_3 * commutator(word(), word())
+            layers = (PureAWord.identity(1), aw(2, (1, 2, k)), PureAWord(3, delta_3))
+            b = reassemble(layers, 3)
+            form = cohen_p3_decompose(b)
+            assert isinstance(form, P3CohenForm)
+            delta_2 = hopf_decompose(b)[1]
+            assert form.k == sum(exp for _, exp in delta_2.word.syllables)
 
     def test_certificate_matches_decomposition(self):
         good = delta_square_word(3, 2) * band_commutator(2, 1)

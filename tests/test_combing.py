@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from braidcalc.braids import same_braid
+from braidcalc.braids import BudgetExceededError, same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
     comb,
     conj_rule,
 )
+from braidcalc.expr import parse
 from braidcalc.words import GroupWord, a_sym
 
 from artin_oracle import artin_equal
@@ -155,6 +156,81 @@ class TestCombedForm:
         once = comb(w).as_single_word()
         twice = comb(once).as_single_word()
         assert once.word == twice.word
+
+
+WITNESS_BUDGETS = (30, 100, 300, 1000)
+# (strands, word, outcome at each of WITNESS_BUDGETS): a refusal's
+# (limit, observed, stage), or None when the word combs.  The words were
+# drawn from random.Random(21) on 4-6 strands with exponents +-1..+-3 and
+# chosen so that, between them, the refused syllable takes each exponent
+# in +-1, +-2, +-3 both where an image and where a component passes the
+# budget, and every budget refuses some word; the first two comb at all
+# four.  A miscounted image, power or component moves an outcome.
+REFUSAL_WITNESSES = [
+    (4, "a2.3^2 a1.4^3 a2.3^-3 a1.3^-3 a1.4 a2.4^-3 a1.4^-2 a2.4'", (None, None, None, None)),
+    (6, "a4.6 a2.3 a4.5' a3.6^3 a4.6^-2 a2.6^-2 a3.5' a1.2^-2", (None, None, None, None)),
+    (6, "a1.6^2 a5.6^-3 a4.5^-4 a3.5^-3", (
+        (30, 31, "image of A5,6 after 2 of 4 syllables"),
+        None,
+        None,
+        None,
+    )),
+    (5, "a2.4^2 a3.5' a1.2^2 a1.5^2 a2.5' a3.5^-2 a1.4^-3", (
+        (30, 42, "u_5 after 6 of 7 syllables"),
+        None,
+        None,
+        None,
+    )),
+    (5, "a2.5^-2 a1.3^-3 a1.2' a4.5^-2 a1.2^-3 a3.4' a3.5^-5 a1.4^2 a1.5^2", (
+        (30, 35, "u_5 after 6 of 9 syllables"),
+        (100, 121, "image of A2,5 after 8 of 9 syllables"),
+        (300, 439, "image of A2,5 after 8 of 9 syllables"),
+        None,
+    )),
+    (4, "a3.4^3 a1.3^-2 a2.4^5 a1.2^-2 a2.3^3 a1.3^2 a2.4^3", (
+        (30, 49, "image of A2,4 after 4 of 7 syllables"),
+        (100, 205, "image of A2,4 after 4 of 7 syllables"),
+        (300, 349, "image of A2,4 after 4 of 7 syllables"),
+        (1000, 1147, "u_4 after 7 of 7 syllables"),
+    )),
+    (5, "a4.5^3 a2.5^-3 a3.5^2 a4.5^-4 a2.5^2 a1.4^2 a2.4^2 a1.2^3", (
+        (30, 35, "image of A2,5 after 3 of 8 syllables"),
+        (100, 179, "image of A2,5 after 3 of 8 syllables"),
+        (300, 326, "u_5 after 6 of 8 syllables"),
+        None,
+    )),
+    (4, "a3.4' a2.4^-3 a1.4 a3.4^3 a2.3^-2 a2.4 a3.4' a2.3'", (
+        (30, 31, "u_4 after 7 of 8 syllables"),
+        None,
+        None,
+        None,
+    )),
+    (6, "a5.6^2 a1.5^-2 a1.6' a1.2^-3 a4.5^-2 a2.5^-2 a3.4^-3 a3.6^3 a5.6' a2.3^-3", (
+        (30, 31, "image of A4,5 after 5 of 10 syllables"),
+        (100, 143, "image of A1,6 after 7 of 10 syllables"),
+        (300, 301, "image of A5,6 after 9 of 10 syllables"),
+        (1000, 1051, "image of A5,6 after 9 of 10 syllables"),
+    )),
+    (4, "a1.4^3 a1.2 a1.4 a2.3^-2 a1.2^2 a3.4^3 a2.3^-5", (
+        (30, 33, "image of A1,4 after 4 of 7 syllables"),
+        (100, 104, "u_4 after 5 of 7 syllables"),
+        (300, 321, "image of A1,4 after 6 of 7 syllables"),
+        None,
+    )),
+]
+
+
+class TestRefusalWitnesses:
+    @pytest.mark.parametrize("n, text, outcomes", REFUSAL_WITNESSES)
+    def test_refusals_are_pinned(self, n, text, outcomes):
+        w = parse(text, n)
+        for budget, expected in zip(WITNESS_BUDGETS, outcomes):
+            try:
+                comb(w, component_budget=budget)
+                got = None
+            except BudgetExceededError as e:
+                got = (e.limit, e.observed, e.stage)
+            assert got == expected, f"budget {budget}"
 
 
 @st.composite

@@ -17,7 +17,8 @@ Combing conjugates each band through the reduced subword of lower-level
 input letters or through the lower components, whichever is shorter,
 and memoises the images.  Its reference conjugates every incoming
 syllable through the components u_2 .. u_{j-1}; each U_j is free, so
-both must give the same components.
+both must give the same components.  The letter count that the
+conjugation carries must equal a recount of the reference image.
 
 Words built from checked words skip the constructor checks; every such
 word must still pass them when rebuilt through the checked constructor.
@@ -32,6 +33,7 @@ from braidcalc.braids import BraidWord, BudgetExceededError, braid_pow, same_bra
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
+    _conjugate,
     comb,
     conj_rule,
 )
@@ -39,6 +41,8 @@ from braidcalc.expr import parse
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
 from braidcalc.words import GroupWord, a_sym, commutator
+
+from artin_oracle import substitute
 
 
 def face_reference(w: PureAWord, i: int) -> GroupWord:
@@ -69,21 +73,28 @@ def james_hopf_reference(k: int, n: int, b: PureAWord) -> GroupWord:
     return word
 
 
+def reference_conjugate(word: GroupWord, prefix, budget: int) -> GroupWord:
+    """The word conjugated through the prefix syllables, one letter at a
+    time; stops at the first image that passes the budget."""
+    for h_sym, h_exp in prefix:
+        sign = 1 if h_exp > 0 else -1
+        for _ in range(abs(h_exp)):
+            word = substitute(word, {t: conj_rule(h_sym, sign, t) for t, _ in word.syllables})
+            if word.letter_count() > budget:
+                return word
+    return word
+
+
 def reference_comb(w: PureAWord, component_budget: int) -> CombedForm:
     """Comb by conjugating each syllable through the combed lower components."""
     n = w.strands
     comps = [GroupWord() for _ in range(max(n - 1, 0))]
     for sym, exp in reversed(w.word.syllables):
         j = sym[1]
-        c = GroupWord.single(sym, exp)
-        for k in range(2, j):
-            for h_sym, h_exp in comps[k - 2].syllables:
-                sign = 1 if h_exp > 0 else -1
-                for _ in range(abs(h_exp)):
-                    mapping = {t: conj_rule(h_sym, sign, t) for t, _ in c.syllables}
-                    c = c.substitute(mapping)
-                    if c.letter_count() > component_budget:
-                        raise BudgetExceededError("reference image passed the budget")
+        prefix = [syl for comp in comps[:j - 2] for syl in comp.syllables]
+        c = reference_conjugate(GroupWord.single(sym, exp), prefix, component_budget)
+        if c.letter_count() > component_budget:
+            raise BudgetExceededError("reference image passed the budget")
         comps[j - 2] = c * comps[j - 2]
         if comps[j - 2].letter_count() > component_budget:
             raise BudgetExceededError(f"reference u_{j} passed the budget")
@@ -286,7 +297,7 @@ class TestProducts:
             if e < 0:
                 syllables = tuple((sym, -x) for sym, x in reversed(syllables))
             raw.extend(syllables * abs(e))
-        substituted = source.substitute(mapping)
+        substituted = substitute(source, mapping)
         assert substituted == GroupWord.from_letters(f"A{big}", raw)
 
     @settings(max_examples=60, deadline=None)
@@ -329,7 +340,26 @@ RAW_LETTERS_OVERFLOW = PureAWord.from_pairs(6, [
 ])
 
 
+@st.composite
+def conjugations(draw):
+    """A band of level 3..7 and a prefix of lower-level band syllables."""
+    j = draw(st.integers(3, 7))
+    band = (draw(st.integers(1, j - 1)), j)
+    lower = st.integers(2, j - 1).flatmap(lambda s: st.tuples(st.integers(1, s - 1), st.just(s)))
+    prefix = draw(st.lists(st.tuples(lower, st.sampled_from(COMB_EXPONENTS)), max_size=8))
+    return band, prefix
+
+
 class TestComb:
+    @settings(max_examples=200, deadline=None)
+    @given(conjugations())
+    def test_conjugate_carries_its_letter_count(self, case):
+        band, prefix = case
+        image, letters = _conjugate(band, prefix, REFERENCE_BUDGET)
+        expected = reference_conjugate(GroupWord.single(band), prefix, REFERENCE_BUDGET)
+        assert GroupWord(tuple(image)) == expected
+        assert letters == expected.letter_count()
+
     @settings(max_examples=200, deadline=None)
     @given(band_words(max_strands=6, max_syllables=12, exponents=COMB_EXPONENTS))
     @example(PureAWord.identity(2))
@@ -360,6 +390,8 @@ def rechecked(word):
         return BraidWord(word.strands, word.letters)
     if isinstance(word, PureAWord):
         return PureAWord(word.strands, rechecked(word.word))
+    if isinstance(word, CombedForm):
+        return CombedForm(word.strands, tuple(map(rechecked, word.components)))
     return GroupWord(word.syllables)
 
 
@@ -390,7 +422,7 @@ class TestBuiltWordsPassTheCheck:
         built = [
             a * b, a * a.inverse(), a.inverse(), a.embed(n + 1), a.to_braid(),
             PureAWord.product(n, (a, b, b.inverse(), a)),
-            a.word ** k, a.word.substitute({sym: b.word ** k for sym, _ in a.word.syllables}),
+            a.word ** k, substitute(a.word, {sym: b.word ** k for sym, _ in a.word.syllables}),
             x * y, x.inverse(), braid_pow(x, k), BraidWord.product(n, (x, y, x.inverse())),
             a.coface(1, n + 1), x.coface(1, n + 1),
         ]
@@ -402,6 +434,6 @@ class TestBuiltWordsPassTheCheck:
         except BudgetExceededError:
             form = None
         if form is not None:
-            built += [*form.components, form.as_single_word()]
+            built += [form, *form.components, form.as_single_word()]
         for w in built:
             assert rechecked(w) == w
