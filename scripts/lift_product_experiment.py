@@ -8,7 +8,7 @@ element can differ, but their ratio has every face trivial, i.e. the
 defect of multiplicativity lives in the Brunnian subgroup one rank up.
 This script samples Brunnian pairs, reports how often the two lifts
 coincide outright, and verifies the Brunnian-defect claim on every
-sample with same_braid, the Garside normal form.
+sample with same_braid, the Dynnikov action.
 
 Usage: python3 scripts/lift_product_experiment.py [--samples N]
 """

@@ -1,9 +1,10 @@
 """Braid word calculus.
 
-Free group words, braid words with equality decided by the Garside
-left normal form, strand deletion and insertion, Markov combing, Cohen
-and Brunnian predicates, lifting constructions, the face-system solver,
-and small exactly-verified finite models of surface braid groups.
+Free group words, braid words with equality decided by the Dynnikov
+action on the laminations of the punctured disk, strand deletion and
+insertion, Markov combing, Cohen and Brunnian predicates, lifting
+constructions, the face-system solver, and small exactly-verified
+finite models of surface braid groups.
 """
 
 from .braids import (
@@ -14,7 +15,6 @@ from .braids import (
     braid_pow,
     half_twist,
     is_pure,
-    left_normal_form,
     same_braid,
 )
 from .cohen import (
@@ -120,7 +120,6 @@ __all__ = [
     "is_pure",
     "is_unary",
     "james_hopf",
-    "left_normal_form",
     "parse",
     "reassemble",
     "same_braid",

@@ -1,14 +1,23 @@
-"""Braid words, strand permutations, and the Garside normal form.
+"""Braid words, strand permutations, and equality by Dynnikov coordinates.
 
 A braid on n strands is stored as a plain word in the Artin generators
 sigma_1 .. sigma_{n-1}.  Words are not kept in normal form; same_braid,
 the one equality test of the library, decides equality of any two words
-(crossing words or band words) by computing the left-greedy normal form
-Delta^k P_1 .. P_r of both sides (Garside 1969; ElRifai-Morton 1994;
-Epstein et al., Word Processing in Groups, ch. 9).  Here Delta is the
-half twist and the P_t are permutation braids, each pair left-weighted;
-the form is unique, so two words are equal in B_n exactly when their
-forms agree.  Computing it takes O(|w|^2 n) work, so no budget guards it.
+(crossing words or band words) by the Dynnikov action.
+
+The theorem it uses: B_n acts on the integer laminations of the
+punctured disk, and in Dynnikov's coordinates each generator acts by a
+piecewise linear map (I. Dynnikov, Russian Math. Surveys 57, 2002).
+Embed B_n in B_(n+2) by sigma_i -> sigma_(i+1), so that B_n acts on the
+2n coordinates of the (n+2)-punctured disk; then a braid is trivial
+exactly when it fixes (0, 1, .., 0, 1) (P. Dehornoy, "Efficient
+solutions to the braid isotopy problem", Discrete Appl. Math. 156, 2008;
+Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, ch. XII).  As
+the action is a group action, two words are equal in B_n exactly when
+they send that vector to the same place.  The shift matters: on the
+n-punctured disk itself Delta^2 is a boundary twist and acts trivially.
+Each letter takes O(1) steps on integers that gain O(1) bits, so a word
+costs O(|w|) big-integer steps and no budget guards it.
 
 Conventions, pinned once and relied on everywhere:
 
@@ -42,7 +51,6 @@ __all__ = [
     "braid_pow",
     "half_twist",
     "is_pure",
-    "left_normal_form",
     "same_braid",
 ]
 
@@ -266,117 +274,52 @@ def is_pure(braid: BraidWord) -> bool:
     return braid.perm().is_identity()
 
 
-# Permutation braids (the positive braids in which any two strands cross
-# at most once) are stored as arrangements: arr[p] is the strand, named
-# 0..n-1 by its starting position, that sits at position p at the end.
-# Appending sigma_i swaps arr[i-1] and arr[i].  The finishing set F(A)
-# holds the i with arr_A[i-1] > arr_A[i], the starting set S(B) the i
-# with inv_B[i-1] > inv_B[i], where inv_B[s] is the end position of s.
+def _dynnikov(coords: list[int], letters: Iterable[tuple[int, int]]) -> list[int]:
+    """Act on the Dynnikov coordinates (a_1, b_1, .., a_n, b_n) in place.
 
+    The letter sigma_i^e rewrites the pairs (a_i, b_i) and (a_(i+1),
+    b_(i+1)) alone, with x+ = max(x, 0) and x- = min(x, 0):
 
-def _left_weight(a: list[int], b: list[int]) -> bool:
-    """Move sigma_i from b to a while i is in S(b) but not in F(a).
+        e = +1:  c = a_i - b_i- - a_(i+1) + b_(i+1)+
+          a_i     <- a_i + b_i+ + (b_(i+1)+ - c)+
+          b_i     <- b_(i+1) - c+
+          a_(i+1) <- a_(i+1) + b_(i+1)- + (b_i- + c)-
+          b_(i+1) <- b_i + c+
+        e = -1:  d = a_i + b_i- - a_(i+1) - b_(i+1)+
+          a_i     <- a_i - b_i+ - (b_(i+1)+ + d)+
+          b_i     <- b_(i+1) + d-
+          a_(i+1) <- a_(i+1) - b_(i+1)- - (b_i- - d)-
+          b_(i+1) <- b_i - d-
 
-    Both arrangements are rewritten in place so that a*b is unchanged
-    and S(b) lies in F(a); returns whether anything moved.
+    These are the interior-generator formulas, sigma_(i+1) of B_(n+2)
+    acting on the n coordinate pairs of the (n+2)-punctured disk, so no
+    letter needs a boundary case.  The letters act left to right.
     """
-    n = len(b)
-    inv = [0] * n
-    for p, s in enumerate(b):
-        inv[s] = p
-    moved = False
-    i = 1
-    while i < n:
-        if inv[i - 1] > inv[i] and a[i - 1] < a[i]:
-            a[i - 1], a[i] = a[i], a[i - 1]
-            # b becomes sigma_i^{-1} b: strands i-1 and i trade end positions
-            p, q = inv[i - 1], inv[i]
-            b[p], b[q] = i, i - 1
-            inv[i - 1], inv[i] = q, p
-            moved = True
-            # only the conditions at i-1 and i+1 can have changed
-            if i > 1:
-                i -= 1
-        else:
-            i += 1
-    return moved
-
-
-def _tau(arr: list[int]) -> list[int]:
-    """Conjugation by Delta: sigma_j -> sigma_{n-j}."""
-    n = len(arr)
-    return [n - 1 - s for s in reversed(arr)]
-
-
-def left_normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The left-greedy normal form Delta^k P_1 .. P_r of a braid word.
-
-    Returns (k, factors) with each P_t a permutation braid given by its
-    arrangement tuple, none of them Delta or the identity, and every
-    pair (P_t, P_{t+1}) left-weighted.  Two braid words are equal in B_n
-    exactly when their normal forms are equal.
-
-    The word is read letter by letter.  sigma_i is the factor sigma_i
-    and sigma_i^{-1} is Delta^{-1} (Delta sigma_i^{-1}); the Delta^{-1}
-    moves to the front across every factor, applying tau to each, which
-    is kept as one flag over the whole list instead.  After each factor
-    is appended, one backward pass of left-weighting restores the form,
-    stopping at the first pair that does not change.  Two shortcuts
-    give the same result with less work: a letter that the last factor
-    absorbs, or a sigma_i^{-1} that removes its last crossing, adds no
-    factor; and a factor that the pass turns into Delta goes straight
-    to the front.  Work is O(|b|^2 n) in the worst case.
-    """
-    n = b.strands
-    identity = list(range(n))
-    delta = identity[::-1]
-    k = 0
-    twisted = False  # the stored factors are tau of the true ones
-    factors: list[list[int]] = []
-    for i, sign in b.letters:
-        j = n - i if twisted else i
-        last = factors[-1] if factors else None
+    x = coords
+    for i, sign in letters:
+        k = 2 * i - 2
+        a1, b1, a2, b2 = x[k], x[k + 1], x[k + 2], x[k + 3]
+        b1p, b1n = (b1, 0) if b1 > 0 else (0, b1)
+        b2p, b2n = (b2, 0) if b2 > 0 else (0, b2)
         if sign > 0:
-            if last is not None and last[j - 1] < last[j]:
-                # sigma_j keeps the last factor a permutation braid
-                last[j - 1], last[j] = last[j], last[j - 1]
-                t = len(factors) - 1
-            else:
-                # S(sigma_j) = {j} lies in F(last): nothing to weight
-                f = identity[:]
-                f[j - 1], f[j] = f[j], f[j - 1]
-                factors.append(f)
-                t = 0
-        elif last is not None and last[j - 1] > last[j]:
-            # the last factor ends in sigma_j and loses it; a prefix of a
-            # factor starts with no more than the factor did
-            last[j - 1], last[j] = last[j], last[j - 1]
-            t = 0
+            c = a1 - b1n - a2 + b2p
+            cp = c if c > 0 else 0
+            t = b2p - c
+            u = b1n + c
+            x[k] = a1 + b1p + (t if t > 0 else 0)
+            x[k + 1] = b2 - cp
+            x[k + 2] = a2 + b2n + (u if u < 0 else 0)
+            x[k + 3] = b1 + cp
         else:
-            k -= 1
-            twisted = not twisted
-            j = n - j
-            f = delta[:]
-            f[j - 1], f[j] = f[j], f[j - 1]
-            factors.append(f)
-            t = len(factors) - 1
-        while t > 0 and _left_weight(factors[t - 1], factors[t]):
-            t -= 1
-            if factors[t] == delta:
-                # the rest of the pass would carry Delta to the front,
-                # applying tau to every factor it crosses
-                del factors[t]
-                factors[:t] = [_tau(f) for f in factors[:t]]
-                k += 1
-                break
-        while factors and factors[-1] == identity:
-            factors.pop()
-        while factors and factors[0] == delta:
-            factors.pop(0)
-            k += 1
-    if twisted:
-        factors = [_tau(f) for f in factors]
-    return k, tuple(tuple(f) for f in factors)
+            d = a1 + b1n - a2 - b2p
+            dn = d if d < 0 else 0
+            t = b2p + d
+            u = b1n - d
+            x[k] = a1 - b1p - (t if t > 0 else 0)
+            x[k + 1] = b2 + dn
+            x[k + 2] = a2 - b2n - (u if u < 0 else 0)
+            x[k + 3] = b1 - dn
+    return x
 
 
 def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
@@ -384,7 +327,7 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
 
     Equal words are equal braids, and braids with different exponent
     sums differ; otherwise both sides are expanded to crossings and
-    compared by permutation, then by left normal form.
+    compared by permutation, then by their Dynnikov coordinates.
     """
     if a.strands != b.strands:
         raise ValueError(
@@ -397,4 +340,5 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
     a, b = a.to_braid(), b.to_braid()
     if a.perm() != b.perm():
         return False
-    return left_normal_form(a) == left_normal_form(b)
+    start = [0, 1] * a.strands
+    return _dynnikov(start[:], a.letters) == _dynnikov(start, b.letters)

@@ -173,6 +173,14 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
             "reason": str(e), "limit": e.limit, "observed": e.observed, "stage": e.stage,
         }
         code = 2
+    except MemoryError:
+        # the last resort for an input too large to build: no cap names it
+        payload["result"] = "resource limit"
+        payload["witnesses"] = {
+            "reason": "out of memory", "limit": None, "observed": None,
+            "stage": args.command,
+        }
+        code = 2
     except (ParseError, NotAWordError, ValueError) as e:
         payload["result"] = "error"
         payload["witnesses"] = {"reason": str(e)}
@@ -241,7 +249,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         inputs["expr"] = [args.expr1, args.expr2]
         equal = same_braid(parse(args.expr1, n), parse(args.expr2, n))
         payload["result"] = equal
-        payload["witnesses"]["method"] = "garside"
+        payload["witnesses"]["method"] = "dynnikov"
         return 0 if equal else 1
 
     inputs["expr"] = args.expr

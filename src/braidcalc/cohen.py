@@ -4,7 +4,7 @@ A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
 a BraidWord or a PureAWord and take faces through their shared face
 member.  Every equality goes through braids.same_braid, which compares
-Garside normal forms; equal band words answer before any expansion.
+Dynnikov coordinates; equal band words answer before any expansion.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product

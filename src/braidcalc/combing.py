@@ -17,8 +17,8 @@ letter of lower level is combed.
 The conjugation of a band A_{i,j} by A_{r,s}^{+-1} with s < j depends
 only on the order pattern of (r, s, i); the case table below was
 derived by scripts/derive_conj_rules.py (a bounded brute-force search)
-and then frozen.  The tests check every entry against the Garside normal
-form once, so comb applies the table unchecked.  Entries are written
+and then frozen.  The tests check every entry against braids.same_braid
+once, so comb applies the table unchecked.  Entries are written
 over the roles r, s, i and instantiated with second index j.
 
 A band A_{i,j} is the pair (i, j), the same pair on any number of
@@ -31,7 +31,7 @@ Combed components are canonical: since each U_k is free, two pure
 braids are equal iff their combed components agree syllable by
 syllable.  Combing is a decision procedure of its own, which the tests
 cross-check against braids.same_braid; the library decides equality by
-the Garside normal form alone, since combed components can grow
+the Dynnikov action alone, since combed components can grow
 exponentially.
 """
 

@@ -6,8 +6,9 @@ substitution first, so x^(ab) = (x^a)^b (a right action); this makes
 sigma_1^2 send x_2 to x_1 x_2 x_1^{-1}, the orientation of the band
 generators.  The action is faithful, so two braid words are equal iff
 their endomorphisms agree on every generator.  That makes it a decision
-procedure independent of the library's Garside normal form, and the
-tests cross-check one against the other.
+procedure independent of the Garside normal form of garside_oracle.py
+and of the library's Dynnikov action, and the tests cross-check them
+against each other.
 
 The free words are over the oracle's own generators x_1..x_r, the
 integers 1..r, which the library never sees; it lends only its

@@ -1,7 +1,9 @@
-"""Braid words, permutations, the Garside normal form and equality.
+"""Braid words, permutations, the Dynnikov action and equality.
 
-Equality is cross-checked against the Artin action of tests/artin_oracle.py,
-an independent decision procedure.
+Equality is cross-checked against two independent decision procedures:
+the Garside normal form of tests/garside_oracle.py, on words of any
+length, and the Artin action of tests/artin_oracle.py, on short words.
+The normal form is itself checked against the Artin action.
 """
 
 import random
@@ -18,11 +20,11 @@ from braidcalc.braids import (
     braid_pow,
     half_twist,
     is_pure,
-    left_normal_form,
     same_braid,
 )
 
 from artin_oracle import artin_endo, artin_equal, format_x
+from garside_oracle import garside_equal, left_normal_form
 
 
 def sig(n, *pairs):
@@ -177,10 +179,10 @@ class TestOracle:
         assert not same_braid(sig(3, (1, 1)), sig(3, (1, 1), (2, 1)))
 
     def test_exponent_sum_short_circuit_skips_the_normal_form(self, monkeypatch):
-        def unreachable(b):
-            raise AssertionError("normal form computed")
+        def unreachable(coords, letters):
+            raise AssertionError("Dynnikov coordinates computed")
 
-        monkeypatch.setattr(braids, "left_normal_form", unreachable)
+        monkeypatch.setattr(braids, "_dynnikov", unreachable)
         pure = sig(3, (1, 1), (1, 1), (2, 1), (2, 1))
         assert not same_braid(pure, sig(3))
         assert not same_braid(pure, pure.inverse())
@@ -223,6 +225,126 @@ class TestOracle:
             for s in (1, -1):
                 g = sig(n, (k, s))
                 assert same_braid(delta2 * g, g * delta2)
+
+
+def inverse_letters(letters):
+    return [(i, -s) for i, s in reversed(letters)]
+
+
+@st.composite
+def hard_pairs(draw):
+    """(a, b, planted) on 0-7 strands: equal exponent sums and permutations.
+
+    A third of the pairs are planted equal.  A third insert somewhere the
+    commutator of a random word with a random conjugate of sigma_j^(+-2),
+    a pure braid, so the commutator is pure and usually not trivial.  The
+    rest insert Delta^(2k) somewhere: b moves it to the end,
+    which is the same braid since it is central, or puts sigma_i^(k n(n-1))
+    in its place, a pure braid of the same exponent sum that differs from
+    it on three strands or more.
+    """
+    n = draw(st.integers(0, 7))
+    letter = st.tuples(st.integers(1, max(n - 1, 1)), st.sampled_from((1, -1)))
+    letters = st.lists(letter, max_size=12 if n >= 2 else 0)
+    a = draw(letters)
+    choose = lambda seq: draw(st.sampled_from(seq))  # noqa: E731
+    kind = draw(st.sampled_from(("planted", "commutator", "central")))
+    p = draw(st.integers(0, len(a)))
+    if kind == "planted":
+        moves = draw(st.integers(1, 6)) if n >= 2 else 0
+        return sig(n, *a), sig(n, *plant(choose, n, a, moves)), True
+    if kind == "commutator":
+        u, y = draw(letters), draw(letters)
+        v = y + [(choose(range(1, n)), choose((1, -1)))] * 2 + inverse_letters(y) if n >= 2 else []
+        b = a[:p] + u + v + inverse_letters(u) + inverse_letters(v) + a[p:]
+        return sig(n, *a), sig(n, *b), False
+    k = draw(st.sampled_from((-2, -1, 1, 2)))
+    twist = list(braid_pow(half_twist(n), 2 * k).letters)
+    if n < 2 or draw(st.booleans()):
+        b = a + twist
+    else:
+        sign = 1 if k > 0 else -1
+        b = a[:p] + [(choose(range(1, n)), sign)] * (abs(k) * n * (n - 1)) + a[p:]
+    return sig(n, *(a[:p] + twist + a[p:])), sig(n, *b), False
+
+
+def act(n, coords, letters):
+    return braids._dynnikov(list(coords), letters)
+
+
+@st.composite
+def vectors(draw):
+    """(n, x): n in 2..7 and any integer vector of length 2n."""
+    n = draw(st.integers(2, 7))
+    return n, draw(st.lists(st.integers(-60, 60), min_size=2 * n, max_size=2 * n))
+
+
+class TestDynnikov:
+    """The action of braids._dynnikov, pinned by the relations of B_n.
+
+    The relations are checked on arbitrary integer vectors, not only on
+    the orbit of the start vector, so every case of the piecewise
+    formulas is reached.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors(), st.data())
+    def test_inverse_letter_undoes_a_letter(self, nx, data):
+        n, x = nx
+        i = data.draw(st.integers(1, n - 1))
+        for s in (1, -1):
+            assert act(n, x, [(i, s), (i, -s)]) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors(), st.data())
+    def test_braid_relation(self, nx, data):
+        n, x = nx
+        if n < 3:
+            return
+        i = data.draw(st.integers(1, n - 2))
+        for s in (1, -1):
+            assert act(n, x, [(i, s), (i + 1, s), (i, s)]) == act(
+                n, x, [(i + 1, s), (i, s), (i + 1, s)]
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors(), st.data())
+    def test_far_generators_commute(self, nx, data):
+        n, x = nx
+        if n < 4:
+            return
+        i = data.draw(st.integers(1, n - 3))
+        j = data.draw(st.integers(i + 2, n - 1))
+        s, t = data.draw(st.sampled_from((1, -1))), data.draw(st.sampled_from((1, -1)))
+        assert act(n, x, [(i, s), (j, t)]) == act(n, x, [(j, t), (i, s)])
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_no_generator_and_no_full_twist_fixes_the_start(self, n):
+        # with the shift, Delta^2 and every generator move the start
+        # vector; on the n-punctured disk itself both would fix it
+        start = [0, 1] * n
+        moves = [[(i, s)] for i in range(1, n) for s in (1, -1)]
+        moves += [list(braid_pow(half_twist(n), k).letters) for k in (2, -2, 4)]
+        for letters in moves:
+            assert act(n, start, letters) != start
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_full_twist_differs_from_a_twisted_pair(self, n):
+        # same permutation and exponent sum; both fix the start vector
+        # of the unshifted action
+        delta2 = braid_pow(half_twist(n), 2)
+        assert not same_braid(delta2, braid_pow(sig(n, (1, 1)), n * (n - 1)))
+        assert same_braid(delta2, braid_pow(sig(n, *((i, 1) for i in range(1, n))), n))
+
+    @settings(max_examples=400, deadline=None)
+    @given(hard_pairs())
+    def test_agrees_with_the_garside_form(self, pair):
+        a, b, planted = pair
+        equal = same_braid(a, b)
+        assert equal == garside_equal(a, b)
+        assert same_braid(b, a) == equal
+        if planted:
+            assert equal
 
 
 class TestPerm:

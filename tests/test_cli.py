@@ -6,9 +6,12 @@ payloads as JSON and as plain lines.
 """
 
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +33,7 @@ class TestEquality:
         code, payload = run(["eq", "-n", "3", "s1 s2 s1", "s2 s1 s2"])
         assert code == 0
         assert payload["result"] is True
-        assert payload["witnesses"]["method"] == "garside"
+        assert payload["witnesses"]["method"] == "dynnikov"
 
     def test_distinct_generators_false(self):
         code, payload = run(["eq", "-n", "3", "s1", "s2"])
@@ -68,12 +71,12 @@ class TestEquality:
         assert payload["result"] is False
 
     def test_band_word_equality_needs_no_budget(self):
-        # the normal form decides a quotient that comb refuses at --budget 1
+        # the Dynnikov action decides a quotient that comb refuses at --budget 1
         argv = ["-n", "4", "( a1.3 a2.4 )^6", "( a2.4 a1.3 )^6"]
         code, payload = run(["eq", *argv])
         assert code == 1
         assert payload["result"] is False
-        assert payload["witnesses"]["method"] == "garside"
+        assert payload["witnesses"]["method"] == "dynnikov"
         code, payload = run(["comb", "-n", "4", "( a1.3 a2.4 )^6", "--budget", "1"])
         assert code == 2
         assert payload["result"] == "resource limit"
@@ -389,3 +392,39 @@ class TestConsoleScript:
         )
         assert proc.returncode == 1
         assert "false" in proc.stdout
+
+
+class TestMemoryRefusal:
+    """An input too large to build refuses like a cap, not with a traceback.
+
+    Each run is a subprocess whose address space is capped at 400 MB, so
+    a regression fails the test instead of taking the machine's memory.
+    """
+
+    LIMIT = 400 * 2**20
+
+    def run_capped(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidcalc.cli", *argv, "--json"],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv", [
+        ["pure", "-n", "4", "( a1.2 a1.3 )^1000000000"],
+        ["eq", "-n", "4", "( s1 s2' )^1000000000", "e"],
+    ])
+    def test_huge_power_is_a_resource_refusal(self, argv):
+        payload = self.run_capped(argv)
+        assert payload["result"] == "resource limit"
+        assert payload["witnesses"] == {
+            "reason": "out of memory", "limit": None, "observed": None, "stage": argv[0],
+        }

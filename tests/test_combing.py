@@ -137,8 +137,8 @@ class TestCombedForm:
     @settings(max_examples=40, deadline=None)
     @given(band_pairs)
     def test_round_trip_against_braid_oracle(self, pairs):
-        # same_braid (the Garside form) is itself property-checked
-        # against the Artin oracle in test_braids.py
+        # same_braid (the Dynnikov action) is itself property-checked
+        # against the Garside form and the Artin oracle in test_braids.py
         w = aw(4, *pairs)
         form = comb(w)
         assert same_braid(form.as_single_word().to_braid(), w.to_braid())

@@ -17,7 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "script",
-    ["derive_conj_rules.py", "lift_product_experiment.py", "tau_order_experiment.py"],
+    [
+        "derive_conj_rules.py",
+        "equality_sweep.py",
+        "lift_product_experiment.py",
+        "tau_order_experiment.py",
+    ],
 )
 def test_script_exits_cleanly(script):
     env = dict(os.environ)
@@ -71,7 +76,7 @@ PINNED_DIGESTS = [
     "band-comb: 16 queries, sha256 "
     "90f2ae2b10c18dbcb59bfd53bc58b55df5349d4953068f0837f8f7b4d3433d2f",
     "crossing-eq: 16 queries, sha256 "
-    "2e64faa3750b56a668b44de8d1e345aea3daed015dca5afe5f410805624ed656",
+    "ce726ca6619e234632abf3376f0b65529d29f902ee8287d82ab0aa2cbad908f6",
 ]
 
 
