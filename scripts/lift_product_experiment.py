@@ -19,7 +19,7 @@ import sys
 
 from braidcalc.braids import same_braid
 from braidcalc.cohen import band_commutator, brunnian_generator
-from braidcalc.lifting import cohen_lift
+from braidcalc.lifting import full_lift
 from braidcalc.words import GroupWord, a_sym
 
 
@@ -51,8 +51,8 @@ def main():
         n = rng.choice((3, 3, 4))
         a = random_brunnian(rng, n)
         b = random_brunnian(rng, n)
-        lift_ab = cohen_lift(a * b)
-        lift_a_lift_b = cohen_lift(a) * cohen_lift(b)
+        lift_ab = full_lift(n, n + 1, a * b)
+        lift_a_lift_b = full_lift(n, n + 1, a) * full_lift(n, n + 1, b)
 
         for i in range(1, n + 2):
             assert same_braid(lift_ab.face(i), a * b)

@@ -12,7 +12,6 @@ from .braids import (
     BudgetExceededError,
     Perm,
     a_gen,
-    braid_pow,
     half_twist,
     is_pure,
     same_braid,
@@ -63,7 +62,6 @@ from .finite_models import (
     trivial_model,
 )
 from .lifting import (
-    cohen_lift,
     full_lift,
     hopf_decompose,
     james_hopf,
@@ -92,13 +90,11 @@ __all__ = [
     "a_sym",
     "all_faces",
     "band_commutator",
-    "braid_pow",
     "brunnian_generator",
     "build_p1_rp2",
     "build_p2_rp2",
     "build_p3_s2",
     "coface_on_pure_gen",
-    "cohen_lift",
     "comb",
     "common_face",
     "commutator",

@@ -48,7 +48,6 @@ __all__ = [
     "BraidWord",
     "Perm",
     "a_gen",
-    "braid_pow",
     "half_twist",
     "is_pure",
     "same_braid",
@@ -80,8 +79,8 @@ class BudgetExceededError(RuntimeError):
 class BraidWord:
     """A word in the Artin generators of B_n; letters are (index, sign).
 
-    Shares its members with the band words of combing.PureAWord:
-    strands, identity, product, *, inverse, face, coface, to_braid, perm,
+    Its members besides letters are those of combing.PureAWord: strands,
+    identity, product, *, inverse, face, coface, to_braid, perm,
     letter_count, exponent_sum, products_reduce.
     """
 
@@ -122,9 +121,6 @@ class BraidWord:
                 raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
             letters.extend(f.letters)
         return cls._unchecked(strands, tuple(letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def letter_count(self) -> int:
         return len(self.letters)
@@ -207,12 +203,6 @@ class BraidWord:
         return BraidWord._unchecked(n, tuple(letters))
 
 
-def braid_pow(a: BraidWord, k: int) -> BraidWord:
-    if k < 0:
-        return braid_pow(a.inverse(), -k)
-    return BraidWord._unchecked(a.strands, a.letters * k)
-
-
 def half_twist(n: int) -> BraidWord:
     """Delta_n = (s_1..s_{n-1})(s_1..s_{n-2})...(s_1); Delta_n^2 is central."""
     letters = []
@@ -257,10 +247,6 @@ class Perm:
     @classmethod
     def order_reversal(cls, n: int) -> Perm:
         return cls(tuple(range(n, 0, -1)))
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]

@@ -39,7 +39,6 @@ from .finite_models import (
     h_element_check,
 )
 from .lifting import (
-    cohen_lift,
     full_lift,
     hopf_decompose,
     james_hopf,
@@ -279,6 +278,9 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     if cmd == "cohen":
         b = parse(args.expr, n)
+        if not n:  # no faces to compare: vacuously Cohen, no common face
+            payload["result"] = True
+            return 0
         try:
             shared = common_face(b)
         except NotCohenError as e:
@@ -337,7 +339,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             payload["result"] = "refused"
             payload["witnesses"]["reason"] = "input is not Brunnian"
             return 1
-        out = cohen_lift(w, check=False)
+        out = full_lift(n, n + 1, w, check=False)
         payload["result"] = _fmt(out)
         if args.verify:
             payload["witnesses"]["faces_checked"] = is_cohen(out)
@@ -354,6 +356,8 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         return 0
 
     if cmd == "solve":
+        if n < 1:
+            raise ValueError(f"solve needs n >= 1 strands, got {n}")
         b = parse(args.expr, n - 1)
         out = solve_cohen_system(b, n)
         payload["result"] = _fmt(out)

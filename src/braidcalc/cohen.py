@@ -106,6 +106,10 @@ class StrandPartition:
 
     @classmethod
     def from_lists(cls, n: int, blocks: Sequence[Sequence[int]]) -> StrandPartition:
+        for block in blocks:
+            for k, i in enumerate(block):
+                if i in block[:k]:
+                    raise ValueError(f"strand {i} appears twice in one block")
         return cls(n, tuple(frozenset(b) for b in blocks))
 
 
@@ -183,7 +187,7 @@ def brunnian_generator(
                 raise ValueError(
                     f"conjugator uses {_band_name(sym)}, not a last-column band"
                 )
-        leaves.append(GroupWord.single(a_sym(t, n, n)).conjugate(u))
+        leaves.append(u.inverse() * GroupWord.single(a_sym(t, n, n)) * u)
     acc = leaves[0]
     for g in leaves[1:]:
         acc = commutator(acc, g)

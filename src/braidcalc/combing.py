@@ -132,7 +132,7 @@ class PureAWord:
 
     Has the members of braids.BraidWord: strands, identity, product, *,
     inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
-    products_reduce.
+    products_reduce; and also word, from_pairs, is_identity and embed.
     """
 
     strands: int

@@ -128,8 +128,7 @@ def trivial_model(name: str = "trivial") -> FiniteGroupModel:
 
 def build_p1_rp2() -> FiniteGroupModel:
     """Z/2: the fundamental group of the projective plane."""
-    z2 = _z2("P1(RP2)")
-    return z2
+    return _z2("P1(RP2)")
 
 
 def _z2(name: str, faces: tuple = ()) -> FiniteGroupModel:
@@ -195,7 +194,7 @@ def build_p3_s2() -> FiniteGroupModel:
     """Z/2 generated by the full twist, with three faces to the point."""
     point = trivial_model("P2(S2)")
     face = (point, (0, 0))
-    return FiniteGroupModel("P3(S2)", ("e", "g"), ((0, 1), (1, 0)), 0, (face, face, face))
+    return _z2("P3(S2)", (face,) * 3)
 
 
 def enumerate_cohen(m: FiniteGroupModel) -> list[str]:

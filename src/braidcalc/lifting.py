@@ -4,14 +4,14 @@ The constructions here all follow one mechanism: push a word through
 coface (trivial-strand insertion) maps and multiply the images in a
 fixed order with one product call.  A factor with several insertions
 is one coface(i_1, .., i_r) call.  Every band-word factor is reduced,
-so a product of them reduces only where two factors meet.  One
-insertion of a word in the last-column bands of P_m gives the
-one-strand lift whose every face is the original word; iterating over
-all index combinations gives the multi-strand spread and the full
-lift; the James-Hopf product plays the same game on any braid,
-crossing word or band word.  On top of these
-sit the Hopf decomposition of a pure Cohen braid into Brunnian layers
-and the solver for the face system d_1(beta) = ... = d_n(beta) = alpha.
+so a product of them reduces only where two factors meet.  The
+James-Hopf product does this over all index combinations, on any
+braid.  The full lift of a last-column band word of P_m is by
+definition its James-Hopf product in spread order, and the one-strand
+lift, whose every face is the original word, is full_lift(m, m+1, .).
+On top of these sit the Hopf decomposition of a pure Cohen braid into
+Brunnian layers and the solver for the face system
+d_1(beta) = ... = d_n(beta) = alpha.
 
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
@@ -19,9 +19,9 @@ Order conventions (pinned by worked examples in the test suite):
   - James-Hopf multi-indices are enumerated colexicographically,
     rightmost position most significant;
   - the spread order of James-Hopf multi-indices sorts by the top kept
-    strand, then lexicographically by the insertions below it.  In this
-    order the James-Hopf product of a Brunnian w is full_lift word for
-    word;
+    strand, then lexicographically by the insertions below it; it is
+    the factor order of full_lift, and of the nested product of the
+    spreads tau_(m,k) for k = m .. n;
   - the solver decomposes band words in both orders and reassembles the
     one whose bound sum_k C(n, k) letters(delta_k) on the answer is
     shorter; ties go to colex.  Crossing-word products never reduce, so
@@ -41,7 +41,6 @@ from .combing import PureAWord
 from .words import GroupWord, _band_name
 
 __all__ = [
-    "cohen_lift",
     "full_lift",
     "hopf_decompose",
     "james_hopf",
@@ -57,18 +56,6 @@ def _require_last_column(word: GroupWord, n: int) -> None:
             raise ValueError(
                 f"expected a word in the bands A_(.,{n}), found {_band_name(sym)}"
             )
-
-
-def cohen_lift(w: PureAWord, check: bool = True) -> PureAWord:
-    """One-strand lift d^(n+1)(w) d^1(w) .. d^n(w); every face equals w.
-
-    Input must be a Brunnian word in the last-column bands of P_n.
-    """
-    n = w.strands
-    _require_last_column(w.word, n)
-    if check and not is_brunnian(w):
-        raise ValueError("cohen_lift requires a Brunnian input")
-    return PureAWord.product(n + 1, (w.coface(i) for i in (n + 1, *range(1, n + 1))))
 
 
 def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
@@ -92,18 +79,20 @@ def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
 
 
 def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
-    """Product of the spreads tau_(m,k)(w) for k = m .. n, ascending.
+    """The James-Hopf product of w on n strands, in spread order.
 
-    Sends a Brunnian word in P_m to a Cohen braid in P_n whose faces
-    are all the full lift one rank down.
+    That is the product of the spreads tau_(m,k)(w) for k = m .. n.  For
+    a Brunnian w it is a Cohen braid whose faces are all the full lift
+    one rank down; full_lift(m, m + 1, w) is d^(m+1)(w) d^1(w) .. d^m(w).
     """
-    if not 2 <= m <= n:
-        raise ValueError("need 2 <= m <= n")
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
     if check and not is_brunnian(w):
         raise ValueError("full_lift requires a Brunnian input")
-    return PureAWord.product(n, (
-        tau_spread(m, k, w, check=False).embed(n) for k in range(m, n + 1)
-    ))
+    if w.strands != m:
+        raise ValueError("strand count disagrees with m")
+    _require_last_column(w.word, m)
+    return _james_hopf(m, n, w, _spread)
 
 
 _Order = Callable[[int, int], Sequence[tuple[int, ...]]]
@@ -115,11 +104,7 @@ def _colex(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _spread(n: int, r: int) -> list[tuple[int, ...]]:
-    """The r-insertion tuples on n strands, spread order.
-
-    Sorted by the top kept strand, then lexicographically by the
-    insertions below it, which is the factor order of full_lift.
-    """
+    """The r-insertion tuples on n strands, in spread order."""
     kept = n - r
     return [
         (*below, *range(top + 1, n + 1))

@@ -31,8 +31,8 @@ construction, so it is made with the private unchecked constructor of
 its class, GroupWord._unchecked, braids.BraidWord._unchecked,
 combing.PureAWord._unchecked or combing.CombedForm._unchecked, which
 skip the check.  They serve products (product and *), inverse, powers
-(** and braids.braid_pow), face, coface, embed, to_braid, combing.comb
-and CombedForm.as_single_word, and nothing else.
+(**), face, coface, embed, to_braid, combing.comb and
+CombedForm.as_single_word, and nothing else.
 
 All values here are immutable and safe to share between threads.
 """
@@ -179,18 +179,8 @@ class GroupWord:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def syllable_count(self) -> int:
-        return len(self.syllables)
-
     def letter_count(self) -> int:
         return sum(abs(exp) for _, exp in self.syllables)
-
-    def abelianize(self) -> dict[Band, int]:
-        """Exponent vector; symbols with total exponent zero are omitted."""
-        totals: dict[Band, int] = {}
-        for sym, exp in self.syllables:
-            totals[sym] = totals.get(sym, 0) + exp
-        return {sym: exp for sym, exp in totals.items() if exp != 0}
 
     # -- group operations ---------------------------------------------
 
@@ -204,20 +194,6 @@ class GroupWord:
 
     def __pow__(self, k: int) -> GroupWord:
         return GroupWord._unchecked(tuple(_pow(self.syllables, k)))
-
-    def conjugate(self, by: GroupWord) -> GroupWord:
-        """g^{-1} * self * g for g = `by`."""
-        return by.inverse() * self * by
-
-    def __str__(self) -> str:
-        """The bands as A<i>,<j>, a power as A<i>,<j>^<k>; e when empty."""
-        if not self.syllables:
-            return "e"
-        parts = []
-        for sym, exp in self.syllables:
-            name = _band_name(sym)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return " ".join(parts)
 
 
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:

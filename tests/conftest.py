@@ -18,6 +18,21 @@ from braidcalc.combing import PureAWord, comb
 from braidcalc.words import GroupWord, a_sym, commutator
 
 
+def braid_pow(a: BraidWord, k: int) -> BraidWord:
+    """a^k as a plain word: k copies of a, or -k of its inverse when k < 0."""
+    if k < 0:
+        a, k = a.inverse(), -k
+    return BraidWord(a.strands, a.letters * k)
+
+
+def abelianize(w: GroupWord) -> dict[tuple[int, int], int]:
+    """Exponent vector; symbols with total exponent zero are omitted."""
+    totals: dict[tuple[int, int], int] = {}
+    for sym, exp in w.syllables:
+        totals[sym] = totals.get(sym, 0) + exp
+    return {sym: exp for sym, exp in totals.items() if exp != 0}
+
+
 def random_braid(rng: random.Random, n: int, max_len: int) -> BraidWord:
     length = rng.randint(0, max_len)
     letters = tuple(
@@ -97,7 +112,7 @@ def cohen_p3_decompose(b: PureAWord) -> P3CohenForm | P3Refusal:
     k = 0
     for sym, exp in u2.syllables:
         k += exp
-    counts = u3.abelianize()
+    counts = abelianize(u3)
     leftovers = {
         "A1,3": counts.get(a_sym(1, 3, 3), 0) - k,
         "A2,3": counts.get(a_sym(2, 3, 3), 0) - k,

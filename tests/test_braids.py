@@ -17,13 +17,13 @@ from braidcalc.braids import (
     BudgetExceededError,
     Perm,
     a_gen,
-    braid_pow,
     half_twist,
     is_pure,
     same_braid,
 )
 
 from artin_oracle import artin_endo, artin_equal, format_x
+from conftest import braid_pow
 from garside_oracle import garside_equal, left_normal_form
 
 

@@ -162,6 +162,17 @@ class TestPredicates:
         assert code == 2
         assert "two blocks" in payload["witnesses"]["reason"]
 
+    def test_gcohen_rejects_a_strand_repeated_in_one_block(self):
+        code, payload = run(["gcohen", "-n", "3", "--blocks", "1,1", "s1"])
+        assert code == 2
+        assert payload["witnesses"]["reason"] == "strand 1 appears twice in one block"
+
+    def test_cohen_on_zero_strands_is_vacuously_true(self):
+        # no faces to compare, as for brunnian -n 0, and no common face
+        code, payload = run(["cohen", "-n", "0", "e"])
+        assert code == 0 and payload["result"] is True
+        assert "common_face" not in payload["witnesses"]
+
     def test_unary_true_with_factor(self):
         code, payload = run(["unary", "-n", "3", "s1 s2"])
         assert code == 0
@@ -216,6 +227,15 @@ class TestLiftingCommands:
         code, payload = run(["lift", "-n", "2", "a1.2"])
         assert code == 0
         assert payload["result"] == "a1.2 a2.3 a1.3"
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "-n", "0", "e"],
+        ["lift", "-n", "1", "e"],
+        ["bigT", "1", "3", "e"],
+    ])
+    def test_lifts_from_fewer_than_two_strands_answer_e(self, argv):
+        code, payload = run(argv)
+        assert code == 0 and payload["result"] == "e"
 
     def test_lift_refuses_non_brunnian(self):
         code, payload = run(["lift", "-n", "3", "a1.2"])
@@ -277,6 +297,11 @@ class TestLiftingCommands:
         assert code == 0
         assert payload["result"] == "e"
         assert payload["witnesses"]["faces_equal_input"] is True
+
+    def test_solve_needs_a_strand(self):
+        code, payload = run(["solve", "-n", "0", "e"])
+        assert code == 2
+        assert payload["witnesses"]["reason"] == "solve needs n >= 1 strands, got 0"
 
     def test_solve_refuses_a_kinked_reassembly_with_a_witness(self):
         # A 5-strand Cohen word times A1,2^(+-1): its faces differ in

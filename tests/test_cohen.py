@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from braidcalc.braids import BraidWord, a_gen, braid_pow, half_twist, same_braid
+from braidcalc.braids import BraidWord, a_gen, half_twist, same_braid
 from braidcalc.cohen import (
     NotCohenError,
     StrandPartition,
@@ -21,12 +21,15 @@ from braidcalc.cohen import (
     unary_factor,
 )
 from braidcalc.combing import PureAWord, comb
+from braidcalc.expr import format_aword
 from braidcalc.lifting import full_lift, hopf_decompose, reassemble
 from braidcalc.words import GroupWord, a_sym, commutator
 
 from conftest import (
     P3CohenForm,
     P3Refusal,
+    abelianize,
+    braid_pow,
     cohen_p3_decompose,
     random_pure_aword,
     split_power_word,
@@ -104,7 +107,7 @@ def cohen_commutator_certificate(b):
         return True
     k = sum(exp for _, exp in form.component(2).syllables)
     return all(
-        form.component(j).abelianize().get(a_sym(i, j, n), 0) == k
+        abelianize(form.component(j)).get(a_sym(i, j, n), 0) == k
         for j in range(3, n + 1)
         for i in range(1, j)
     )
@@ -229,7 +232,7 @@ class TestConstructors:
 
     def test_split_power_word_syllables(self):
         w = split_power_word(3, 2)
-        assert str(w.word) == "A1,2^2 A1,3^2 A2,3^2"
+        assert format_aword(w) == "a1.2^2 a1.3^2 a2.3^2"
 
     def test_commutator_tree_evaluates(self):
         t = CommutatorTree.bracket(

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from braidcalc.braids import BraidWord, Perm, a_gen, same_braid
 from braidcalc.combing import PureAWord
+from braidcalc.expr import format_aword
 from braidcalc.faces import (
     coface_on_pure_gen,
     face_on_pure_gen,
@@ -26,7 +27,7 @@ def perm_face(perm: Perm, i: int) -> Perm:
     """Delete i from the domain and perm(i) from the codomain, renumbering."""
     removed = perm(i)
     images = []
-    for k in range(1, perm.size):
+    for k in range(1, len(perm.images)):
         value = perm(k if k < i else k + 1)
         images.append(value if value < removed else value - 1)
     return Perm(tuple(images))
@@ -144,7 +145,7 @@ class TestPureGeneratorTables:
 
     def test_face_shifts_disjoint_band(self):
         out = face_on_pure_gen(1, (2, 4), 5)
-        assert str(out) == "A1,3"
+        assert format_aword(out) == "a1.3"
 
     def test_face_table_agrees_with_strand_deletion(self):
         for n in (3, 4):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidcalc.braids import BraidWord, BudgetExceededError, braid_pow, same_braid
+from braidcalc.braids import BraidWord, BudgetExceededError, same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
@@ -37,7 +37,7 @@ from braidcalc.combing import (
     comb,
     conj_rule,
 )
-from braidcalc.expr import parse
+from braidcalc.expr import format_aword, parse
 from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
 from braidcalc.lifting import james_hopf
 from braidcalc.words import GroupWord, a_sym, commutator
@@ -246,7 +246,7 @@ CASCADE = PureAWord.from_pairs(4, [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 3, -1), 
 
 class TestFaceMaps:
     def test_deleting_a_band_end_merges_its_neighbours(self):
-        assert str(MERGING.face(2).word) == "A1,2^2"
+        assert format_aword(MERGING.face(2)) == "a1.2^2"
 
     @settings(max_examples=150)
     @given(band_words())
@@ -423,7 +423,7 @@ class TestBuiltWordsPassTheCheck:
             a * b, a * a.inverse(), a.inverse(), a.embed(n + 1), a.to_braid(),
             PureAWord.product(n, (a, b, b.inverse(), a)),
             a.word ** k, substitute(a.word, {sym: b.word ** k for sym, _ in a.word.syllables}),
-            x * y, x.inverse(), braid_pow(x, k), BraidWord.product(n, (x, y, x.inverse())),
+            x * y, x.inverse(), BraidWord.product(n, (x, y, x.inverse())),
             a.coface(1, n + 1), x.coface(1, n + 1),
         ]
         for w in (a, b, x):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcalc.braids import BraidWord, braid_pow, half_twist, is_pure, same_braid
+from braidcalc.braids import BraidWord, half_twist, is_pure, same_braid
 from braidcalc.cohen import (
     NotCohenError,
     all_faces,
@@ -18,6 +18,7 @@ from braidcalc.cohen import (
 )
 from braidcalc import lifting
 from braidcalc.combing import PureAWord
+from braidcalc.expr import format_aword
 from braidcalc.lifting import (
     _colex,
     _face_chain,
@@ -25,7 +26,6 @@ from braidcalc.lifting import (
     _james_hopf,
     _reassemble,
     _spread,
-    cohen_lift,
     full_lift,
     hopf_decompose,
     james_hopf,
@@ -34,7 +34,7 @@ from braidcalc.lifting import (
     tau_spread,
 )
 
-from conftest import signed_brunnian
+from conftest import braid_pow, signed_brunnian
 
 
 def aw(n, *pairs):
@@ -45,7 +45,7 @@ class TestSkips:
     def test_apply_skip_relabels_last_column(self):
         w = aw(3, (1, 3, 1), (2, 3, -1))
         out = w.coface(2).word
-        assert str(out) == "A1,4 A3,4^-1"
+        assert format_aword(out) == "a1.4 a3.4'"
 
     def test_apply_skip_rejects_early_columns(self):
         with pytest.raises(ValueError):
@@ -56,14 +56,14 @@ class TestCohenLift:
     def test_all_faces_recover_input(self):
         for (l, m) in [(1, 1), (2, 3)]:
             alpha = band_commutator(l, m)
-            lifted = cohen_lift(alpha)
+            lifted = full_lift(3, 4, alpha)
             assert lifted.strands == 4
             for i in range(1, 5):
                 assert same_braid(lifted.face(i), alpha)
 
     def test_lift_rejects_non_brunnian(self):
         with pytest.raises(ValueError):
-            cohen_lift(aw(3, (1, 3, 1)))
+            full_lift(3, 4, aw(3, (1, 3, 1)))
 
 
 class TestSpreads:
@@ -71,15 +71,15 @@ class TestSpreads:
         # tau_{2,3}(A12) has exactly two factors, one per skip index,
         # enumerated with the smallest skip index first.
         out = tau_spread(2, 3, aw(2, (1, 2, 1)))
-        assert str(out.word) == "A2,3 A1,3"
+        assert format_aword(out) == "a2.3 a1.3"
 
     def test_tau_of_commutator_matches_pinned_word(self):
         # the three skip images of [A13, A23] into rank 4, in order
         lifted = tau_spread(3, 4, band_commutator(1, 1))
-        assert str(lifted.word) == (
-            "A2,4^-1 A3,4^-1 A2,4 A3,4 "
-            "A1,4^-1 A3,4^-1 A1,4 A3,4 "
-            "A1,4^-1 A2,4^-1 A1,4 A2,4"
+        assert format_aword(lifted) == (
+            "a2.4' a3.4' a2.4 a3.4 "
+            "a1.4' a3.4' a1.4 a3.4 "
+            "a1.4' a2.4' a1.4 a2.4"
         )
 
     def test_spread_faces_collapse_to_lower_spread(self):
@@ -91,7 +91,7 @@ class TestSpreads:
         for i in range(1, 5):
             assert same_braid(t5.face(i), t4)
         last = t5.face(5)
-        assert str(last.word) == "e"
+        assert format_aword(last) == "e"
 
     def test_full_lift_is_cohen(self):
         alpha = band_commutator(1, 2)
@@ -103,11 +103,11 @@ class TestSpreads:
 class TestJamesHopf:
     def test_worked_example_letters(self):
         out = james_hopf(2, 4, aw(2, (1, 2, 1)))
-        assert str(out.word) == "A3,4 A2,4 A1,4 A2,3 A1,3 A1,2"
+        assert format_aword(out) == "a3.4 a2.4 a1.4 a2.3 a1.3 a1.2"
 
     def test_powers_thread_through(self):
         out = james_hopf(2, 4, aw(2, (1, 2, 3)))
-        assert str(out.word) == "A3,4^3 A2,4^3 A1,4^3 A2,3^3 A1,3^3 A1,2^3"
+        assert format_aword(out) == "a3.4^3 a2.4^3 a1.4^3 a2.3^3 a1.3^3 a1.2^3"
 
     def test_face_law(self):
         # d_i H_{k,n} = H_{k,n-1} on Brunnian input, k < n <= 5
@@ -164,7 +164,7 @@ class TestDecomposition:
 class TestSolver:
     def test_pure_worked_example(self):
         beta = solve_cohen_system(aw(2, (1, 2, 1)), 3)
-        assert str(beta.word) == "A2,3 A1,3 A1,2"
+        assert format_aword(beta) == "a2.3 a1.3 a1.2"
         for i in range(1, 4):
             assert same_braid(beta.face(i), aw(2, (1, 2, 1)))
 
@@ -211,6 +211,52 @@ class TestSpreadOrder:
         for n in range(1, 7):
             for r in range(n + 1):
                 assert sorted(_spread(n, r)) == sorted(_colex(n, r))
+
+
+@st.composite
+def last_column_words(draw):
+    """A word in the bands A_(i,m) of P_m, m = 0..5, Brunnian or not."""
+    m = draw(st.integers(0, 5))
+    if m >= 2 and draw(st.booleans()):
+        return signed_brunnian(random.Random(draw(st.integers(0, 2**32))), m)
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, max(m - 1, 1)), st.sampled_from((1, -1, 2, -3))),
+        max_size=6 if m >= 2 else 0,
+    ))
+    return aw(m, *((i, m, e) for i, e in pairs))
+
+
+class TestLiftReferences:
+    """full_lift against the explicit products it is defined to equal."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(last_column_words())
+    def test_one_strand_lift_is_the_coface_product(self, w):
+        # d^(m+1)(w) d^1(w) .. d^m(w)
+        m = w.strands
+        factors = (w.coface(i) for i in (m + 1, *range(1, m + 1)))
+        assert full_lift(m, m + 1, w, check=False) == PureAWord.product(m + 1, factors)
+
+    @settings(deadline=None, max_examples=60)
+    @given(last_column_words(), st.integers(0, 3))
+    def test_full_lift_is_the_nested_spread_product(self, w, extra):
+        m = w.strands
+        n = m + extra
+        spreads = (tau_spread(m, k, w, check=False).embed(n) for k in range(m, n + 1))
+        assert full_lift(m, n, w, check=False) == PureAWord.product(n, spreads)
+
+    def test_checks_come_in_their_order(self):
+        # the rank range, then Brunnian, then the strand count, then the bands
+        cases = [
+            ((3, 2, band_commutator(1, 1)), "need 0 <= m <= n"),
+            ((3, 4, aw(3, (1, 2, 1))), "requires a Brunnian input"),
+            ((2, 4, aw(3, (1, 3, 1))), "requires a Brunnian input"),
+            ((2, 4, band_commutator(1, 1), False), "strand count disagrees"),
+            ((3, 4, aw(3, (1, 2, 1)), False), "expected a word in the bands"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                full_lift(*args)
 
 
 def _signed_layers(seed, n):

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from braidcalc.expr import format_aword
 from braidcalc.words import GroupWord, a_sym, commutator
 
 from artin_oracle import substitute
+from conftest import abelianize
 
 RANK = 4
 
@@ -28,11 +30,11 @@ class TestReduction:
 
     def test_nested_cancellation(self):
         w = word_from([(1, 1), (2, 1), (3, 1), (3, -1), (2, -1)])
-        assert str(w) == "A1,5"
+        assert format_aword(w) == "a1.5"
 
     def test_syllables_merge(self):
         w = word_from([(1, 1)]) * word_from([(1, 1)]) * word_from([(1, 1)])
-        assert w.syllable_count() == 1
+        assert len(w.syllables) == 1
         assert w.letter_count() == 3
 
     @given(letters)
@@ -65,11 +67,6 @@ class TestGroupLaws:
         assert w**k == expected
 
     @given(letters, letters)
-    def test_conjugate_definition(self, p, q):
-        w, by = word_from(p), word_from(q)
-        assert w.conjugate(by) == by.inverse() * w * by
-
-    @given(letters, letters)
     def test_commutator_vanishes_iff_product_commutes(self, p, q):
         a, b = word_from(p), word_from(q)
         assert commutator(a, b).is_identity() == (a * b == b * a)
@@ -79,13 +76,13 @@ class TestAbelianization:
     def test_commutator_abelianizes_to_zero(self):
         a = word_from([(1, 1), (2, 1)])
         b = word_from([(3, 1), (1, -1)])
-        assert commutator(a, b).abelianize() == {}
+        assert abelianize(commutator(a, b)) == {}
 
     @given(letters, letters)
     def test_abelianize_is_additive(self, p, q):
         a, b = word_from(p), word_from(q)
-        left = (a * b).abelianize()
-        ra, rb = a.abelianize(), b.abelianize()
+        left = abelianize(a * b)
+        ra, rb = abelianize(a), abelianize(b)
         for sym in set(ra) | set(rb) | set(left):
             assert left.get(sym, 0) == ra.get(sym, 0) + rb.get(sym, 0)
 
@@ -100,7 +97,7 @@ class TestSubstitution:
             a_sym(2, 3, 3): GroupWord.single(a_sym(2, 3, 3)),
         }
         out = substitute(w, image)
-        assert str(out) == "A1,2 A1,3 A1,2 A1,3 A2,3^-1"
+        assert format_aword(out) == "a1.2 a1.3 a1.2 a1.3 a2.3'"
 
     def test_substitution_is_homomorphism_on_sample(self):
         a = word_from([(1, 1), (2, 1)], n=3)
