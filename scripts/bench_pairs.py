@@ -6,8 +6,12 @@
 
 The parent commit (--parent, default HEAD) is unpacked with `git archive`
 into a temporary directory, so it holds the committed files only, as a
-fresh checkout would.  The change is this checkout's working tree.  For
-each workload, perfbench/run.py runs --pairs times on each side, in pairs
+fresh checkout would.  The change is copied into a second temporary
+directory: the tracked files as they stand in this working tree, and the
+untracked files that are not ignored, which is what `git add -A` would
+commit.  So both sides run from a fresh tree without bytecode caches or
+run output, and neither side has a start the other lacks.  For each
+workload, perfbench/run.py runs --pairs times on each side, in pairs
 whose first run alternates between parent and change, with the same seed
 on both sides and the run length set by run_seconds in BENCHMARK.json.
 
@@ -60,6 +64,21 @@ def _unpack(rev: str, into: Path) -> None:
         ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def _copy_worktree(root: Path, into: Path) -> None:
+    """Copy the tracked and the untracked, not ignored files of root."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = root / name
+        if not source.is_file():  # tracked, but deleted in the working tree
+            continue
+        target = into / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -125,9 +144,10 @@ def main() -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        trees = {"parent": scratch / "parent", "change": ROOT}
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}
         trees["parent"].mkdir()
         _unpack(args.parent, trees["parent"])
+        _copy_worktree(ROOT, trees["change"])
 
         result: dict = {"seconds": seconds, "workloads": {}}
         for workload in args.workload or WORKLOADS:

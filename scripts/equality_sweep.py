@@ -1,19 +1,34 @@
 #!/usr/bin/env python3
-"""How braid equality scales with word length: Dynnikov against Garside.
+"""How braid equality scales with word length.
 
     python3 scripts/equality_sweep.py
 
-For 200 to 12,800 letters on 4 and 7 strands, a random word (fixed
-seeds) is compared with itself after one free insertion s_i s_i^-1, an
-equal pair, and after one inserted commutator of two pure braids, an
-unequal pair that no exponent-sum or permutation shortcut separates.
-Both pairs reach the Dynnikov action of braids.same_braid.  The script
-prints the time of same_braid on the equal pair, best of three, and up
-to 3,200 letters the time of the Garside normal form of
-tests/garside_oracle.py, which costs O(|w|^2 n), on the same pair.  It
-asserts that same_braid decides both pairs rightly, that the Garside
-form agrees wherever it runs, and that the 12,800-letter pair on 4
-strands is decided in under 0.2 s.
+Three tables, each timing braids.same_braid, which acts by Dynnikov
+coordinates on the freely and cyclically reduced core of a*b^-1.
+
+Random words: for 200 to 12,800 letters on 4 and 7 strands, a random
+word (fixed seeds) is compared with itself after one free insertion
+s_i s_i^-1, an equal pair, and after one inserted commutator of two
+pure braids, an unequal pair that no exponent-sum or permutation
+shortcut separates.  The table gives the time of same_braid on the equal
+pair, best of three, and up to 3,200 letters the time of the Garside
+normal form of tests/garside_oracle.py, which costs O(|w|^2 n), on the
+same pair.  The script asserts that same_braid decides both pairs
+rightly, that the Garside form agrees wherever it runs, and that the
+12,800-letter pair on 4 strands is decided in under 0.2 s.
+
+Pseudo-Anosov words, equal: P s1 s3 against P s3 s1 on 4 strands, with
+P = (s1 s2^-1)^k, from 20,000 to 640,000 letters.  P stretches the
+Dynnikov coordinates exponentially, so acting on the whole words costs
+O(|w|^2) bit operations; the core is s1 s3 s1^-1 s3^-1 at any k.  The
+script asserts that the pairs are equal and that the 640,000-letter pair
+is decided in under 2 s.
+
+Pseudo-Anosov words, unequal: P s3^2 against s3^2 P, the same exponent
+sum and permutation, whose core P s3^2 P^-1 s3^-2 stays as long as the
+words.  Its coordinates reach O(|w|) bits, so the cost is quadratic;
+the sizes double from 5,000 letters until one pair takes about 1 s.
+The script asserts that every pair is unequal and asserts no time.
 """
 
 from __future__ import annotations
@@ -33,6 +48,10 @@ SIZES = (200, 400, 800, 1600, 3200, 6400, 12800)
 STRANDS = (4, 7)
 GARSIDE_UP_TO = 3200
 LONGEST_4_STRAND_S = 0.2
+PA_SIZES = (20000, 40000, 80000, 160000, 320000, 640000)
+LONGEST_PA_EQUAL_S = 2.0
+PA_UNEQUAL_FROM = 5000
+PA_UNEQUAL_STOP_S = 1.0
 
 
 def best_of(runs: int, f) -> tuple[float, bool]:
@@ -55,8 +74,13 @@ def pairs(n: int, length: int) -> tuple[BraidWord, BraidWord, BraidWord]:
     return BraidWord(n, tuple(w)), BraidWord(n, tuple(free)), BraidWord(n, tuple(hard))
 
 
-def main() -> int:
-    print(f"{'strands':>7} {'letters':>7} {'dynnikov ms':>12} {'garside ms':>11}")
+def pseudo_anosov(length: int) -> tuple[tuple[int, int], ...]:
+    """(s1 s2^-1)^k on `length` letters, rounded down to an even count."""
+    return ((1, 1), (2, -1)) * (length // 2)
+
+
+def random_words() -> None:
+    print(f"{'strands':>7} {'letters':>7} {'same_braid ms':>13} {'garside ms':>11}")
     for n in STRANDS:
         for length in SIZES:
             w, free, hard = pairs(n, length)
@@ -68,9 +92,42 @@ def main() -> int:
                 garside_s, g_equal = best_of(1, lambda: garside_equal(w, free))
                 assert g_equal and not garside_equal(w, hard), "the Garside form disagrees"
                 garside = f"{garside_s * 1e3:.1f}"
-            print(f"{n:>7} {length:>7} {dyn_s * 1e3:>12.2f} {garside:>11}")
+            print(f"{n:>7} {length:>7} {dyn_s * 1e3:>13.2f} {garside:>11}")
             if n == 4 and length == SIZES[-1]:
                 assert dyn_s < LONGEST_4_STRAND_S, f"took {dyn_s:.3f} s"
+
+
+def pseudo_anosov_equal() -> None:
+    print("\nequal P s1 s3 = P s3 s1, P = (s1 s2^-1)^k, 4 strands")
+    print(f"{'letters':>7} {'same_braid ms':>13}")
+    for length in PA_SIZES:
+        p = pseudo_anosov(length)
+        a = BraidWord(4, p + ((1, 1), (3, 1)))
+        b = BraidWord(4, p + ((3, 1), (1, 1)))
+        took, equal = best_of(1, lambda: same_braid(a, b))
+        assert equal, f"{length} letters: judged unequal"
+        print(f"{len(a.letters):>7} {took * 1e3:>13.1f}")
+        if length == PA_SIZES[-1]:
+            assert took < LONGEST_PA_EQUAL_S, f"took {took:.3f} s"
+
+
+def pseudo_anosov_unequal() -> None:
+    print("\nunequal P s3^2 against s3^2 P, 4 strands: the core stays long")
+    print(f"{'letters':>7} {'same_braid ms':>13}")
+    length, took = PA_UNEQUAL_FROM, 0.0
+    while took < PA_UNEQUAL_STOP_S:
+        p, twist = pseudo_anosov(length), ((3, 1), (3, 1))
+        a, b = BraidWord(4, p + twist), BraidWord(4, twist + p)
+        took, equal = best_of(1, lambda: same_braid(a, b))
+        assert not equal, f"{length} letters: judged equal"
+        print(f"{len(a.letters):>7} {took * 1e3:>13.1f}")
+        length *= 2
+
+
+def main() -> int:
+    random_words()
+    pseudo_anosov_equal()
+    pseudo_anosov_unequal()
     return 0
 
 

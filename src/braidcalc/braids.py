@@ -12,12 +12,19 @@ Embed B_n in B_(n+2) by sigma_i -> sigma_(i+1), so that B_n acts on the
 2n coordinates of the (n+2)-punctured disk; then a braid is trivial
 exactly when it fixes (0, 1, .., 0, 1) (P. Dehornoy, "Efficient
 solutions to the braid isotopy problem", Discrete Appl. Math. 156, 2008;
-Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, ch. XII).  As
-the action is a group action, two words are equal in B_n exactly when
-they send that vector to the same place.  The shift matters: on the
-n-punctured disk itself Delta^2 is a boundary twist and acts trivially.
-Each letter takes O(1) steps on integers that gain O(1) bits, so a word
-costs O(|w|) big-integer steps and no budget guards it.
+Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, ch. XII).  The
+shift matters: on the n-punctured disk itself Delta^2 is a boundary
+twist and acts trivially.
+
+Two words a and b are equal exactly when a*b^-1 is trivial, and a braid
+is trivial exactly when any conjugate of it is.  So same_braid reads the
+letters of a and then of b^-1 once, reduces them freely in one stack
+pass and then cyclically, and acts on that core alone: equal words that
+differ in a short stretch leave a short core however long they are.
+Each letter of the core takes O(1) steps on integers that gain O(1)
+bits, so the integers can reach O(|core|) bits, and an unequal pair
+whose core stays long (pseudo-Anosov words, for one) costs O(|w|^2)
+bit operations.  No budget guards equality.
 
 Conventions, pinned once and relied on everywhere:
 
@@ -308,12 +315,43 @@ def _dynnikov(coords: list[int], letters: Iterable[tuple[int, int]]) -> list[int
     return x
 
 
+def _reduced_core(a: BraidWord, b: BraidWord) -> BraidWord:
+    """a*b^-1 freely reduced in one stack pass, then cyclically.
+
+    The result is a conjugate of a*b^-1, so it is trivial exactly when
+    a and b are equal.  The letters of b^-1 are made only where they
+    stay on the stack.
+    """
+    stack = [(0, 0)]  # a sentinel that cancels no letter
+    push, pop = stack.append, stack.pop
+    for letter in a.letters:
+        top = stack[-1]
+        if top[0] == letter[0] and top[1] != letter[1]:
+            pop()
+        else:
+            push(letter)
+    for letter in reversed(b.letters):
+        # b^-1 reads (i, -sign), which cancels a top equal to (i, sign)
+        if stack[-1] == letter:
+            pop()
+        else:
+            push((letter[0], -letter[1]))
+    lo, hi = 1, len(stack) - 1
+    while lo < hi and stack[lo][0] == stack[hi][0] and stack[lo][1] != stack[hi][1]:
+        lo += 1
+        hi -= 1
+    return BraidWord._unchecked(a.strands, tuple(stack[lo:hi + 1]))
+
+
 def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
     """Equality in B_n of two crossing words, two band words or one of each.
 
     Equal words are equal braids, and braids with different exponent
     sums differ; otherwise both sides are expanded to crossings and
-    compared by permutation, then by their Dynnikov coordinates.
+    a*b^-1 is reduced freely and cyclically to a core, a conjugate of
+    it.  An empty core is the trivial braid; otherwise the braids are
+    equal exactly when the core permutes no strand and fixes the start
+    vector of the Dynnikov action.
     """
     if a.strands != b.strands:
         raise ValueError(
@@ -323,8 +361,10 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
         return True
     if a.exponent_sum() != b.exponent_sum():
         return False
-    a, b = a.to_braid(), b.to_braid()
-    if a.perm() != b.perm():
+    core = _reduced_core(a.to_braid(), b.to_braid())
+    if not core.letters:
+        return True
+    if not is_pure(core):
         return False
     start = [0, 1] * a.strands
-    return _dynnikov(start[:], a.letters) == _dynnikov(start, b.letters)
+    return _dynnikov(start[:], core.letters) == start

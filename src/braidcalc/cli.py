@@ -132,7 +132,12 @@ def _parse_blocks(spec: str, n: int) -> StrandPartition:
         chunk = chunk.strip()
         if not chunk:
             continue
-        blocks.append([int(x) for x in chunk.split(",")])
+        try:
+            blocks.append([int(x) for x in chunk.split(",")])
+        except ValueError:
+            raise ValueError(
+                f"--blocks: block {chunk!r} is not a comma-separated list of strands"
+            ) from None
     return StrandPartition.from_lists(n, blocks)
 
 

@@ -22,10 +22,10 @@ once, so comb applies the table unchecked.  Entries are written
 over the roles r, s, i and instantiated with second index j.
 
 A band A_{i,j} is the pair (i, j), the same pair on any number of
-strands, so embed keeps the word and coface maps pairs alone.  The
-strand count lives in PureAWord.strands, whose check bounds every band
-by 1 <= i < j <= strands; CombedForm checks that u_k holds only bands
-(i, k) with 1 <= i < k.
+strands, so PureAWord(n, w.word) reads w on n strands and coface maps
+pairs alone.  The strand count lives in PureAWord.strands, whose check
+bounds every band by 1 <= i < j <= strands; CombedForm checks that u_k
+holds only bands (i, k) with 1 <= i < k.
 
 Combed components are canonical: since each U_k is free, two pure
 braids are equal iff their combed components agree syllable by
@@ -132,7 +132,7 @@ class PureAWord:
 
     Has the members of braids.BraidWord: strands, identity, product, *,
     inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
-    products_reduce; and also word, from_pairs, is_identity and embed.
+    products_reduce; and also word, from_pairs and is_identity.
     """
 
     strands: int
@@ -206,12 +206,6 @@ class PureAWord:
 
     def inverse(self) -> PureAWord:
         return PureAWord._unchecked(self.strands, self.word.inverse())
-
-    def embed(self, strands: int) -> PureAWord:
-        """The same bands read in a larger braid group."""
-        if strands < self.strands:
-            raise ValueError("cannot embed into fewer strands")
-        return PureAWord._unchecked(strands, self.word)
 
     def face(self, i: int) -> PureAWord:
         """Delete strand i, letterwise on bands.

@@ -34,7 +34,7 @@ and in the public constructors, from_letters and from_pairs.  Words the
 library builds from checked words skip the check through the private
 GroupWord._unchecked, BraidWord._unchecked, PureAWord._unchecked and
 CombedForm._unchecked: products, *, inverse, powers, face, coface,
-embed, to_braid, and comb and its single word.
+to_braid, and comb and its single word.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ construction, so it is made with the private unchecked constructor of
 its class, GroupWord._unchecked, braids.BraidWord._unchecked,
 combing.PureAWord._unchecked or combing.CombedForm._unchecked, which
 skip the check.  They serve products (product and *), inverse, powers
-(**), face, coface, embed, to_braid, combing.comb and
+(**), face, coface, to_braid, combing.comb and
 CombedForm.as_single_word, and nothing else.
 
 All values here are immutable and safe to share between threads.

@@ -438,7 +438,7 @@ def test_07_lifting_identities(certified):
              ((1, 5), (4, 5)), ((1, 5), (3, 5)), ((1, 5), (2, 5))],
             l, m, 5,
         )
-        assert beta.word == tilde.embed(5).word * tail
+        assert beta.word == tilde.word * tail
         for i in range(1, 6):
             assert same_braid(beta.face(i), tilde)
 

@@ -21,6 +21,7 @@ from braidcalc.braids import (
     is_pure,
     same_braid,
 )
+from braidcalc.combing import PureAWord
 
 from artin_oracle import artin_endo, artin_equal, format_x
 from conftest import braid_pow
@@ -345,6 +346,72 @@ class TestDynnikov:
         assert same_braid(b, a) == equal
         if planted:
             assert equal
+
+
+@st.composite
+def band_words(draw):
+    """Band words on 2-5 strands, at most 6 syllables, exponents +-1..+-2."""
+    n = draw(st.integers(2, 5))
+    band = st.integers(2, n).flatmap(lambda j: st.tuples(st.integers(1, j - 1), st.just(j)))
+    syllables = draw(st.lists(
+        st.tuples(band, st.sampled_from((-2, -1, 1, 2))).map(lambda t: (*t[0], t[1])),
+        max_size=6,
+    ))
+    return PureAWord.from_pairs(n, syllables)
+
+
+class TestReducedCore:
+    """same_braid acts once, on the freely and cyclically reduced a*b^-1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hard_pairs(), st.data())
+    def test_conjugated_pairs_agree_with_the_garside_form(self, pair, data):
+        # u x u^-1 (u y u^-1)^-1 reduces to a conjugate of x y^-1, so
+        # the long conjugator u is stripped before the action
+        x, y, _ = pair
+        n = x.strands
+        letter = st.tuples(st.integers(1, max(n - 1, 1)), st.sampled_from((1, -1)))
+        u = sig(n, *data.draw(st.lists(letter, max_size=30 if n >= 2 else 0)))
+        conjugated = same_braid(u * x * u.inverse(), u * y * u.inverse())
+        assert conjugated == garside_equal(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(band_words(), st.data())
+    def test_band_and_crossing_words_mix(self, w, data):
+        n = w.strands
+        choose = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+        moves = data.draw(st.integers(1, 4))
+        crossing = sig(n, *plant(choose, n, list(w.to_braid().letters), moves))
+        assert same_braid(w, crossing) and same_braid(crossing, w)
+        # two adjacent syllables swapped: the exponent sum and permutation
+        # stay, so only the action can tell the words apart
+        pairs = [(*sym, e) for sym, e in w.word.syllables]
+        if len(pairs) >= 2:
+            k = data.draw(st.integers(0, len(pairs) - 2))
+            pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+        swapped = PureAWord.from_pairs(n, pairs).to_braid()
+        equal = garside_equal(w, swapped)
+        assert same_braid(w, swapped) == equal
+        assert same_braid(swapped, w) == equal
+
+    def test_long_pseudo_anosov_pairs_act_on_four_letters(self, monkeypatch):
+        # P = (s1 s2^-1)^k stretches the coordinates exponentially; the
+        # whole words would cost quadratic time, their cores are 4 letters
+        read = []
+        dynnikov = braids._dynnikov
+
+        def counted(coords, letters):
+            letters = list(letters)
+            read.extend(letters)
+            return dynnikov(coords, letters)
+
+        monkeypatch.setattr(braids, "_dynnikov", counted)
+        p = ((1, 1), (2, -1)) * 10000
+        assert same_braid(sig(4, *p, (1, 1), (3, 1)), sig(4, *p, (3, 1), (1, 1)))
+        assert len(read) <= 4
+        read.clear()
+        assert not same_braid(sig(4, *p, (1, 1), (1, 1)), sig(4, *p, (3, 1), (3, 1)))
+        assert len(read) <= 4
 
 
 class TestPerm:

@@ -167,6 +167,12 @@ class TestPredicates:
         assert code == 2
         assert payload["witnesses"]["reason"] == "strand 1 appears twice in one block"
 
+    def test_gcohen_names_a_block_that_is_not_strands(self):
+        code, payload = run(["gcohen", "-n", "2", "--blocks", "1,x", "e"])
+        assert code == 2 and payload["result"] == "error"
+        reason = payload["witnesses"]["reason"]
+        assert reason == "--blocks: block '1,x' is not a comma-separated list of strands"
+
     def test_cohen_on_zero_strands_is_vacuously_true(self):
         # no faces to compare, as for brunnian -n 0, and no common face
         code, payload = run(["cohen", "-n", "0", "e"])

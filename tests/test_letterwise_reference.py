@@ -286,7 +286,7 @@ class TestProducts:
         m = len(factors)
         big = max(n, m + 1)
         exps = [*exps, *[1] * m][:m]
-        embedded = [f.embed(big).word for f in factors]
+        embedded = [f.word for f in factors]  # the same bands on big strands
         source = GroupWord(tuple(
             (a_sym(k, big, big), e) for k, e in enumerate(exps, 1)
         ))
@@ -420,7 +420,7 @@ class TestBuiltWordsPassTheCheck:
         a, b, x, y = words
         n = a.strands
         built = [
-            a * b, a * a.inverse(), a.inverse(), a.embed(n + 1), a.to_braid(),
+            a * b, a * a.inverse(), a.inverse(), a.to_braid(),
             PureAWord.product(n, (a, b, b.inverse(), a)),
             a.word ** k, substitute(a.word, {sym: b.word ** k for sym, _ in a.word.syllables}),
             x * y, x.inverse(), BraidWord.product(n, (x, y, x.inverse())),

@@ -242,7 +242,8 @@ class TestLiftReferences:
     def test_full_lift_is_the_nested_spread_product(self, w, extra):
         m = w.strands
         n = m + extra
-        spreads = (tau_spread(m, k, w, check=False).embed(n) for k in range(m, n + 1))
+        spreads = (PureAWord(n, tau_spread(m, k, w, check=False).word)
+                   for k in range(m, n + 1))
         assert full_lift(m, n, w, check=False) == PureAWord.product(n, spreads)
 
     def test_checks_come_in_their_order(self):

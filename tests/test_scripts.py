@@ -1,7 +1,8 @@
 """The self-checking experiment scripts run to completion.
 
 Each script asserts its own findings, so exit status 0 means they still
-hold.  The summary of scripts/bench_pairs.py is checked on fixed runs.
+hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
+and its copy of the change's tree on a small repository.
 """
 
 import importlib.util
@@ -39,10 +40,15 @@ def test_script_exits_cleanly(script):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_bench_pairs_report():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_report():
+    bench_pairs = load_bench_pairs()
 
     def result(qps, letters, failed=0):
         return {"correct": True, "attempted": 100, "failed": failed, "metrics": {
@@ -65,6 +71,39 @@ def test_bench_pairs_report():
     assert report["change"]["metrics"]["queries_per_s"]["median"] == 35
     assert report["change_wins"] == {"queries_per_s": 4, "answer_letters": 0}
     assert report["change"]["failed"] == [1] * 5
+
+
+def test_bench_pairs_copies_what_git_add_would_commit(tmp_path):
+    repo, tree = tmp_path / "repo", tmp_path / "tree"
+    files = {
+        ".gitignore": "out/\n*.pyc\n",
+        "src/kept.py": "committed\n",
+        "src/edited.py": "committed\n",
+        "src/deleted.py": "committed\n",
+    }
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    (repo / "src" / "edited.py").write_text("edited\n")
+    (repo / "src" / "deleted.py").unlink()
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "src" / "cache.pyc").write_text("ignored\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "run.json").write_text("ignored\n")
+
+    load_bench_pairs()._copy_worktree(repo, tree)
+
+    copied = {
+        str(p.relative_to(tree)): p.read_text() for p in tree.rglob("*") if p.is_file()
+    }
+    assert copied == {
+        ".gitignore": "out/\n*.pyc\n",
+        "src/kept.py": "committed\n",
+        "src/edited.py": "edited\n",
+        "src/new.py": "untracked\n",
+    }
 
 
 # The --limit 8 digests: the first 8 queries of seeds 1 and 2 of each
