@@ -21,7 +21,7 @@ Usage: python3 scripts/derive_conj_rules.py [-v]
 import argparse
 import sys
 
-from braidcalc.braids import BraidWord, same_braid
+from braidcalc.braids import BraidWord, band_power_letters, same_braid
 from braidcalc.combing import _CONJ_TEMPLATES, conj_rule
 from braidcalc.words import GroupWord, a_sym
 
@@ -35,9 +35,8 @@ INSTANCES = {
 
 
 def band(i, j, n):
-    from braidcalc.braids import a_gen
-
-    return a_gen(i, j, n)
+    """The band generator A_{i,j} in B_n as a crossing word."""
+    return BraidWord(n, band_power_letters(i, j, 1))
 
 
 def realize(template, r, s, i, j, n):

@@ -11,7 +11,6 @@ from .braids import (
     BraidWord,
     BudgetExceededError,
     Perm,
-    a_gen,
     half_twist,
     is_pure,
     same_braid,
@@ -86,7 +85,6 @@ __all__ = [
     "Perm",
     "PureAWord",
     "StrandPartition",
-    "a_gen",
     "a_sym",
     "all_faces",
     "band_commutator",

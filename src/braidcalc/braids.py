@@ -54,7 +54,6 @@ __all__ = [
     "BudgetExceededError",
     "BraidWord",
     "Perm",
-    "a_gen",
     "half_twist",
     "is_pure",
     "same_braid",
@@ -227,13 +226,6 @@ def band_power_letters(i: int, j: int, exp: int) -> tuple[tuple[int, int], ...]:
     suffix = [(t, -1) for t in range(i + 1, j)]
     core = [(i, sign)] * (2 * abs(exp))
     return tuple(prefix + core + suffix)
-
-
-def a_gen(i: int, j: int, n: int) -> BraidWord:
-    """The band generator A_{i,j} in B_n."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"A_{i},{j} needs 1 <= i < j <= n, got n={n}")
-    return BraidWord(n, band_power_letters(i, j, 1))
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def _parse_blocks(spec: str, n: int) -> StrandPartition:
             raise ValueError(
                 f"--blocks: block {chunk!r} is not a comma-separated list of strands"
             ) from None
-    return StrandPartition.from_lists(n, blocks)
+    return StrandPartition(n, blocks)
 
 
 def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
@@ -237,7 +237,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         if args.verify and cmd == "tau":
             # a spread is never Cohen: d_1 .. d_(k-1) are the spread one rank
             # down and d_k is trivial, and every face is trivial when k = m
-            lower = tau_spread(lo, hi - 1, w, check=False) if hi > lo else None
+            lower = tau_spread(lo, hi - 1, w) if hi > lo else None
             payload["witnesses"]["faces_checked"] = all(
                 same_braid(f, lower if lower is not None and i < hi else f.identity(f.strands))
                 for i, f in enumerate(all_faces(result), start=1)

@@ -87,30 +87,33 @@ def is_brunnian(b: Braidlike) -> bool:
 
 @dataclass(frozen=True)
 class StrandPartition:
-    """Pairwise disjoint nonempty blocks of strand indices in {1..n}."""
+    """Pairwise disjoint nonempty blocks of strand indices in {1..n}.
+
+    Takes each block as any collection of strands, such as a list, and
+    keeps it as a frozenset.
+    """
 
     n: int
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("strand count must be nonnegative")
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
+            mine: set[int] = set()
             for i in block:
                 if not 1 <= i <= self.n:
                     raise ValueError(f"strand {i} out of range for n={self.n}")
+                if i in mine:
+                    raise ValueError(f"strand {i} appears twice in one block")
                 if i in seen:
                     raise ValueError(f"strand {i} appears in two blocks")
+                mine.add(i)
                 seen.add(i)
-
-    @classmethod
-    def from_lists(cls, n: int, blocks: Sequence[Sequence[int]]) -> StrandPartition:
-        for block in blocks:
-            for k, i in enumerate(block):
-                if i in block[:k]:
-                    raise ValueError(f"strand {i} appears twice in one block")
-        return cls(n, tuple(frozenset(b) for b in blocks))
+        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
 
 
 def is_generalized_cohen(b: Braidlike, partition: StrandPartition) -> bool:

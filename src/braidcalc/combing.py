@@ -132,7 +132,7 @@ class PureAWord:
 
     Has the members of braids.BraidWord: strands, identity, product, *,
     inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
-    products_reduce; and also word, from_pairs and is_identity.
+    products_reduce; and also word and is_identity.
     """
 
     strands: int
@@ -142,6 +142,8 @@ class PureAWord:
     products_reduce = True
 
     def __post_init__(self) -> None:
+        if self.strands < 0:
+            raise ValueError("strand count must be nonnegative")
         for sym, _ in self.word.syllables:
             i, j = sym
             if not 1 <= i < j <= self.strands:
@@ -161,12 +163,6 @@ class PureAWord:
         return cls(strands, GroupWord())
 
     @classmethod
-    def from_pairs(cls, strands: int, pairs: list[tuple[int, int, int]]) -> PureAWord:
-        """Build from (i, j, exponent) triples."""
-        letters = [((i, j), e) for i, j, e in pairs]
-        return cls(strands, GroupWord.from_letters(f"A{strands}", letters))
-
-    @classmethod
     def product(cls, strands: int, factors: Iterable[PureAWord]) -> PureAWord:
         """The ordered product of the factors, freely reduced in one pass.
 
@@ -183,7 +179,7 @@ class PureAWord:
         return self.word.is_identity()
 
     def letter_count(self) -> int:
-        return sum(abs(exp) for _, exp in self.word.syllables)
+        return self.word.letter_count()
 
     def exponent_sum(self) -> int:
         """Exponent sum of the crossing expansion: each band is two crossings."""
@@ -268,6 +264,8 @@ class CombedForm:
     components: tuple[GroupWord, ...]
 
     def __post_init__(self) -> None:
+        if self.strands < 0:
+            raise ValueError("strand count must be nonnegative")
         if len(self.components) != max(self.strands - 1, 0):
             raise ValueError("expected one component per k in 2..n")
         for k, comp in enumerate(self.components, start=2):
@@ -381,11 +379,10 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
 @lru_cache(maxsize=256)
 def _face_table(n: int, i: int) -> dict[Band, Band | None]:
     """The image of every band of P_n under deleting strand i; None if it dies."""
-    table: dict[Band, Band | None] = {}
-    for band in combinations(range(1, n + 1), 2):
-        faced = face_on_pure_gen(i, band, n).syllables
-        table[band] = faced[0][0] if faced else None
-    return table
+    return {
+        band: face_on_pure_gen(i, band, n)
+        for band in combinations(range(1, n + 1), 2)
+    }
 
 
 def _conjugate(

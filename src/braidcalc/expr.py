@@ -30,7 +30,7 @@ still comes first, then NotAWordError.
 
 Words are checked once, where they enter the library: here, token by
 token and again by the checked constructor that the reader returns through,
-and in the public constructors, from_letters and from_pairs.  Words the
+and in the public constructors and from_letters.  Words the
 library builds from checked words skip the check through the private
 GroupWord._unchecked, BraidWord._unchecked, PureAWord._unchecked and
 CombedForm._unchecked: products, *, inverse, powers, face, coface,

@@ -16,20 +16,17 @@ braids.same_braid.
 
 from __future__ import annotations
 
-from .words import GroupWord
-
 __all__ = [
     "coface_on_pure_gen",
     "face_on_pure_gen",
 ]
 
 
-def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> GroupWord:
-    """Image of the band symbol A_{s,t} under strand-i deletion.
+def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> tuple[int, int] | None:
+    """Image index pair of A_{s,t} under strand-i deletion.
 
-    The band dies when the deleted strand is one of its two ends and is
-    renumbered otherwise.  Output is a word in the (n-1)-strand bands:
-    empty or a single band.
+    The band dies (None) when the deleted strand is one of its two ends
+    and is renumbered otherwise, to a band on n-1 strands.
     """
     s, t = pair
     if not 1 <= s < t <= n:
@@ -37,10 +34,8 @@ def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> GroupWord:
     if not 1 <= i <= n:
         raise ValueError(f"strand {i} out of range for {n} strands")
     if i in (s, t):
-        return GroupWord()
-    s2 = s - 1 if s > i else s
-    t2 = t - 1 if t > i else t
-    return GroupWord.single((s2, t2))
+        return None
+    return (s - 1 if s > i else s, t - 1 if t > i else t)
 
 
 def coface_on_pure_gen(i: int, pair: tuple[int, int]) -> tuple[int, int]:

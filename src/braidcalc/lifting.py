@@ -58,7 +58,7 @@ def _require_last_column(word: GroupWord, n: int) -> None:
             )
 
 
-def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
+def tau_spread(m: int, k: int, w: PureAWord) -> PureAWord:
     """Product of iterated coface images of w over index combinations.
 
     Factors run over 1 <= i_1 < ... < i_(k-m) <= k-1 in lexicographic
@@ -71,7 +71,7 @@ def tau_spread(m: int, k: int, w: PureAWord, check: bool = True) -> PureAWord:
     if m > k:
         raise ValueError("target rank must be at least the source rank")
     _require_last_column(w.word, m)
-    if check and not is_brunnian(w):
+    if not is_brunnian(w):
         raise ValueError("tau_spread requires a Brunnian input")
     return PureAWord.product(k, (
         w.coface(*indices) for indices in combinations(range(1, k), k - m)
@@ -125,7 +125,7 @@ def _reassemble(deltas: Sequence[Braidlike], n: int, order: _Order) -> Braidlike
     ))
 
 
-def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
+def james_hopf(k: int, n: int, b: Braidlike) -> Braidlike:
     """Ordered product of coface images d^(i_(n-k)) .. d^(i_1) of b.
 
     Multi-indices 1 <= i_1 < ... < i_(n-k) <= n are enumerated
@@ -136,15 +136,15 @@ def james_hopf(k: int, n: int, b: Braidlike, check: bool = True) -> Braidlike:
         raise ValueError("strand count disagrees with k")
     if k > n:
         raise ValueError("target rank must be at least the source rank")
-    if check and not is_brunnian(b):
+    if not is_brunnian(b):
         raise ValueError("james_hopf requires a Brunnian input")
     return _james_hopf(k, n, b, _colex)
 
 
-def reassemble(
-    deltas: Sequence[Braidlike], n: int
-) -> Braidlike:
+def reassemble(deltas: Sequence[Braidlike], n: int) -> Braidlike:
     """Product of james_hopf(k, n, delta_k) for k = 1 .. len(deltas)."""
+    if not deltas:
+        raise ValueError("reassemble needs at least one layer")
     return _reassemble(deltas, n, _colex)
 
 

@@ -21,14 +21,14 @@ the sizes of its runs knows the size of the result without recounting;
 only from_letters, the path for raw input, reduces syllable by syllable.
 
 Words are checked once, where they enter the library: in the public
-constructors, from_letters, combing.PureAWord.from_pairs and the reader
-expr.parse.  A GroupWord checks free reduction only.  The strand count
-that bounds its bands lives in combing.PureAWord, which checks
-1 <= i < j <= strands, and combing.CombedForm checks the level of each
-component; from_letters checks every raw band against the range that
-its alphabet "A<r>" names.  A word built from checked words is valid by
-construction, so it is made with the private unchecked constructor of
-its class, GroupWord._unchecked, braids.BraidWord._unchecked,
+constructors, from_letters and the reader expr.parse.  A GroupWord
+checks free reduction only.  The strand count that bounds its bands
+lives in combing.PureAWord, which checks 1 <= i < j <= strands, and
+combing.CombedForm checks the level of each component; from_letters
+checks every raw band against the range that its alphabet "A<r>"
+names.  A word built from checked words is valid by construction, so
+it is made with the private unchecked constructor of its class,
+GroupWord._unchecked, braids.BraidWord._unchecked,
 combing.PureAWord._unchecked or combing.CombedForm._unchecked, which
 skip the check.  They serve products (product and *), inverse, powers
 (**), face, coface, to_braid, combing.comb and
@@ -166,7 +166,7 @@ class GroupWord:
         The alphabet "A<r>" names the bands A_{i,j} with 1 <= i < j <= r;
         every raw band is checked against that range.
         """
-        if not alphabet.startswith("A"):
+        if not (alphabet.startswith("A") and alphabet[1:].isdecimal()):
             raise ValueError(f"{alphabet!r} is not a band alphabet A<r>")
         rank = int(alphabet[1:])
         stack: list[Syllable] = []

@@ -25,6 +25,17 @@ def braid_pow(a: BraidWord, k: int) -> BraidWord:
     return BraidWord(a.strands, a.letters * k)
 
 
+def aword(n: int, triples) -> PureAWord:
+    """The freely reduced band word of (i, j, exponent) triples on n strands."""
+    letters = [((i, j), e) for i, j, e in triples]
+    return PureAWord(n, GroupWord.from_letters(f"A{n}", letters))
+
+
+def band_braid(i: int, j: int, n: int) -> BraidWord:
+    """The band generator A_{i,j} in B_n as a crossing word."""
+    return PureAWord(n, GroupWord.single((i, j))).to_braid()
+
+
 def abelianize(w: GroupWord) -> dict[tuple[int, int], int]:
     """Exponent vector; symbols with total exponent zero are omitted."""
     totals: dict[tuple[int, int], int] = {}
@@ -49,16 +60,14 @@ def random_pure_aword(rng: random.Random, n: int, max_sylls: int,
         j = rng.randint(i + 1, n)
         e = rng.choice((1, -1)) * rng.randint(1, max_exp)
         pairs.append((i, j, e))
-    return PureAWord.from_pairs(n, pairs)
+    return aword(n, pairs)
 
 
 def split_power_word(n: int, k: int) -> PureAWord:
     """A_12^k (A_13^k A_23^k) ... : each band powered separately."""
     if n < 2:
         raise ValueError("need at least two strands")
-    return PureAWord.from_pairs(
-        n, [(i, j, k) for j in range(2, n + 1) for i in range(1, j)]
-    )
+    return aword(n, [(i, j, k) for j in range(2, n + 1) for i in range(1, j)])
 
 
 def signed_brunnian(rng: random.Random, m: int) -> PureAWord:

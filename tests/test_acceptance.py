@@ -62,6 +62,7 @@ from conftest import (
     P3CohenForm,
     P3Refusal,
     abelianize,
+    aword,
     braid_pow,
     cohen_p3_decompose,
     split_power_word,
@@ -84,7 +85,7 @@ def random_band_word(rng, n, max_sylls=12):
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         pairs.append((i, j, rng.choice((1, -1))))
-    return PureAWord.from_pairs(n, pairs)
+    return aword(n, pairs)
 
 
 def comm_band(pairs, l, m, rank):
@@ -137,8 +138,8 @@ def _build_generator_lifts():
 def _build_hopf_images():
     """(k, n, w, james_hopf(k, n, w)) over Brunnian samples on k strands."""
     samples = {
-        2: [PureAWord.from_pairs(2, [(1, 2, 1)]),
-            PureAWord.from_pairs(2, [(1, 2, -2)])],
+        2: [aword(2, [(1, 2, 1)]),
+            aword(2, [(1, 2, -2)])],
         3: [band_commutator(1, 1), band_commutator(2, -1)],
         4: [brunnian_generator(4), brunnian_generator(4, perm=(2, 1, 3))],
     }
@@ -157,7 +158,7 @@ def _build_planted():
     out = []
     for _ in range(50):
         d1 = PureAWord.identity(1)
-        d2 = PureAWord.from_pairs(2, [(1, 2, rng.randint(-2, 2))])
+        d2 = aword(2, [(1, 2, rng.randint(-2, 2))])
         l = rng.choice((1, -1, 2))
         m = rng.choice((1, -1, 2))
         d3 = band_commutator(l, m)
@@ -395,7 +396,7 @@ def test_05_three_strand_commutator_normal_form():
     assert form.component(2).is_identity()
 
     computed = PureAWord(3, form.component(3))
-    reference = PureAWord.from_pairs(
+    reference = aword(
         3,
         [
             (2, 3, -2), (1, 3, -1), (2, 3, 1), (1, 3, 1), (2, 3, -2),
@@ -456,7 +457,7 @@ def test_08_lifting_lemma_samples(certified):
 def test_09_james_hopf_example_and_face_law(certified):
     """H_{2,4} of the two-strand band is the fixed six-band product,
     and faces step the operation down one rank on Brunnian input."""
-    image = james_hopf(2, 4, PureAWord.from_pairs(2, [(1, 2, 1)]))
+    image = james_hopf(2, 4, aword(2, [(1, 2, 1)]))
     assert format_aword(image) == "a3.4 a2.4 a1.4 a2.3 a1.3 a1.2"
 
     for k, n, w, image in certified["hopf_images"]:
@@ -493,7 +494,7 @@ def test_11_cohen_system_solver(certified):
         for i in range(1, 5):
             assert same_braid(beta.face(i), alpha)
 
-    sour = PureAWord.from_pairs(3, [(1, 3, 1)])
+    sour = aword(3, [(1, 3, 1)])
     with pytest.raises(NotCohenError) as exc:
         solve_cohen_system(sour, 4)
     i, j = exc.value.witness_indices
@@ -518,7 +519,7 @@ def test_12_three_strand_cohen_structure(certified):
         for l in range(-2, 3):
             if (k, l) == (0, 0):
                 continue
-            bad = PureAWord.from_pairs(3, [(1, 3, k), (2, 3, l)])
+            bad = aword(3, [(1, 3, k), (2, 3, l)])
             form = cohen_p3_decompose(bad)
             assert isinstance(form, P3Refusal)
             assert form.violations

@@ -16,15 +16,13 @@ from braidcalc.braids import (
     BraidWord,
     BudgetExceededError,
     Perm,
-    a_gen,
     half_twist,
     is_pure,
     same_braid,
 )
-from braidcalc.combing import PureAWord
 
 from artin_oracle import artin_endo, artin_equal, format_x
-from conftest import braid_pow
+from conftest import aword, band_braid, braid_pow
 from garside_oracle import garside_equal, left_normal_form
 
 
@@ -357,7 +355,7 @@ def band_words(draw):
         st.tuples(band, st.sampled_from((-2, -1, 1, 2))).map(lambda t: (*t[0], t[1])),
         max_size=6,
     ))
-    return PureAWord.from_pairs(n, syllables)
+    return aword(n, syllables)
 
 
 class TestReducedCore:
@@ -389,7 +387,7 @@ class TestReducedCore:
         if len(pairs) >= 2:
             k = data.draw(st.integers(0, len(pairs) - 2))
             pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
-        swapped = PureAWord.from_pairs(n, pairs).to_braid()
+        swapped = aword(n, pairs).to_braid()
         equal = garside_equal(w, swapped)
         assert same_braid(w, swapped) == equal
         assert same_braid(swapped, w) == equal
@@ -427,25 +425,25 @@ class TestPerm:
             assert half_twist(n).perm() == Perm.order_reversal(n)
 
     def test_is_pure_on_bands(self):
-        assert is_pure(a_gen(2, 4, 4))
+        assert is_pure(band_braid(2, 4, 4))
         assert not is_pure(sig(4, (2, 1)))
 
 
 class TestBands:
     def test_band_is_conjugated_square(self):
         # A_{1,3} in B_3 equals sigma_2 sigma_1^2 sigma_2^-1.
-        assert a_gen(1, 3, 3).letters == ((2, 1), (1, 1), (1, 1), (2, -1))
+        assert band_braid(1, 3, 3).letters == ((2, 1), (1, 1), (1, 1), (2, -1))
 
     def test_adjacent_band_is_square(self):
-        assert a_gen(2, 3, 3).letters == ((2, 1), (2, 1))
+        assert band_braid(2, 3, 3).letters == ((2, 1), (2, 1))
 
     def test_bands_generate_pure_braids(self):
-        assert is_pure(a_gen(2, 5, 5))
+        assert is_pure(band_braid(2, 5, 5))
 
     def test_half_twist_square_equals_band_product(self):
         # Delta_3^2 = A12 A13 A23.
         lhs = braid_pow(half_twist(3), 2)
-        rhs = a_gen(1, 2, 3) * (a_gen(1, 3, 3) * a_gen(2, 3, 3))
+        rhs = band_braid(1, 2, 3) * (band_braid(1, 3, 3) * band_braid(2, 3, 3))
         assert same_braid(lhs, rhs)
 
 

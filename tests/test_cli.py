@@ -21,7 +21,7 @@ from braidcalc.expr import format_aword
 from braidcalc.lifting import reassemble
 from braidcalc.words import GroupWord, a_sym
 
-from conftest import signed_brunnian
+from conftest import aword, signed_brunnian
 
 
 def payload_keys(payload):
@@ -84,7 +84,7 @@ class TestEquality:
     def test_band_words_whose_quotient_outgrows_combing_are_decided(self):
         # b is the combed form of a with two adjacent syllables swapped;
         # combing a b^-1 passes the default component budget
-        a = PureAWord.from_pairs(
+        a = aword(
             5, [(3, 4, 2), (1, 2, 2), (1, 3, -2), (2, 3, -3), (2, 5, -1), (3, 4, 2)]
         )
         syllables = list(comb(a).as_single_word().word.syllables)

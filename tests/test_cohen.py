@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from braidcalc.braids import BraidWord, a_gen, half_twist, same_braid
+from braidcalc.braids import BraidWord, half_twist, same_braid
 from braidcalc.cohen import (
     NotCohenError,
     StrandPartition,
@@ -26,6 +26,8 @@ from braidcalc.lifting import full_lift, hopf_decompose, reassemble
 from braidcalc.words import GroupWord, a_sym, commutator
 
 from conftest import (
+    aword,
+    band_braid,
     P3CohenForm,
     P3Refusal,
     abelianize,
@@ -37,7 +39,7 @@ from conftest import (
 
 
 def aw(n, *pairs):
-    return PureAWord.from_pairs(n, list(pairs))
+    return aword(n, list(pairs))
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class TestPredicates:
         b = braid_pow(half_twist(3), 2)
         assert is_cohen(b)
         assert not is_brunnian(b)
-        assert same_braid(common_face(b), a_gen(1, 2, 2))
+        assert same_braid(common_face(b), band_braid(1, 2, 2))
 
     def test_single_band_is_not_cohen(self):
         with pytest.raises(NotCohenError) as exc:
@@ -176,25 +178,34 @@ class TestPredicates:
 
 class TestGeneralized:
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            StrandPartition.from_lists(4, [[1, 2], [2, 3]])
-        with pytest.raises(ValueError):
-            StrandPartition.from_lists(4, [[0, 1]])
-        with pytest.raises(ValueError):
-            StrandPartition.from_lists(4, [[]])
+        cases = [
+            ([[1, 2], [2, 3]], "strand 2 appears in two blocks"),
+            ([[0, 1]], "strand 0 out of range for n=4"),
+            ([[]], "empty block"),
+            ([[1, 3, 1]], "strand 1 appears twice in one block"),
+        ]
+        for blocks, message in cases:
+            with pytest.raises(ValueError, match=message):
+                StrandPartition(4, blocks)
+        with pytest.raises(ValueError, match="strand count must be nonnegative"):
+            StrandPartition(-1, ())
+
+    def test_blocks_are_kept_as_sets(self):
+        assert StrandPartition(4, [[2, 1], [4]]) == StrandPartition(4, ((1, 2), (4,)))
+        assert StrandPartition(4, [[2, 1]]).blocks == (frozenset({1, 2}),)
 
     def test_blockwise_agreement(self):
         b = braid_pow(half_twist(4), 2)
-        assert is_generalized_cohen(b, StrandPartition.from_lists(4, [[1, 2], [3, 4]]))
-        assert is_generalized_cohen(b, StrandPartition.from_lists(4, [[1, 2, 3, 4]]))
+        assert is_generalized_cohen(b, StrandPartition(4, [[1, 2], [3, 4]]))
+        assert is_generalized_cohen(b, StrandPartition(4, [[1, 2, 3, 4]]))
 
     def test_singleton_blocks_always_pass(self):
         w = aw(3, (1, 3, 1))
-        assert is_generalized_cohen(w, StrandPartition.from_lists(3, [[1], [2], [3]]))
+        assert is_generalized_cohen(w, StrandPartition(3, [[1], [2], [3]]))
 
     def test_failing_block(self):
         w = aw(3, (1, 3, 1))
-        assert not is_generalized_cohen(w, StrandPartition.from_lists(3, [[1, 2, 3]]))
+        assert not is_generalized_cohen(w, StrandPartition(3, [[1, 2, 3]]))
 
 
 class TestUnary:
@@ -208,7 +219,7 @@ class TestUnary:
         from braidcalc.braids import is_pure
 
         staircase = BraidWord(3, ((1, 1), (2, 1)))
-        b = staircase * a_gen(2, 3, 3)
+        b = staircase * band_braid(2, 3, 3)
         assert is_unary(b)
         factor = unary_factor(b)
         assert is_pure(factor)

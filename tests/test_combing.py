@@ -14,11 +14,11 @@ from braidcalc.expr import format_aword, parse
 from braidcalc.words import GroupWord, a_sym
 
 from artin_oracle import artin_equal
-from conftest import random_pure_aword, split_power_word
+from conftest import aword, random_pure_aword, split_power_word
 
 
 def aw(n, *pairs):
-    return PureAWord.from_pairs(n, list(pairs))
+    return aword(n, list(pairs))
 
 
 def is_harmonic(w):
@@ -99,7 +99,13 @@ class TestStrandRange:
         with pytest.raises(ValueError):
             PureAWord(4, GroupWord.single(a_sym(1, 5, 5)))
         with pytest.raises(ValueError):
-            PureAWord.from_pairs(4, [(1, 5, 1)])
+            aword(4, [(1, 5, 1)])
+
+    def test_negative_strand_count_rejected(self):
+        with pytest.raises(ValueError, match="strand count must be nonnegative"):
+            PureAWord(-1, GroupWord())
+        with pytest.raises(ValueError, match="strand count must be nonnegative"):
+            CombedForm(-1, ())
 
     def test_malformed_band_rejected(self):
         for band in ((0, 2), (2, 2), (3, 2)):

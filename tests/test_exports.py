@@ -97,3 +97,72 @@ def test_text_enters_through_one_reader():
     assert sorted(expr.__all__) == [
         "NotAWordError", "ParseError", "format_aword", "format_braid", "parse", "parse_bands",
     ]
+
+
+
+def _reads(path: Path) -> list[tuple[str, tuple[str, ...], bool]]:
+    """(name, enclosing definitions, read as an attribute) for every name
+    and attribute the file reads."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, scope, False))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, scope, True))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return reads
+
+
+def _members():
+    """(label, defining module, definition path, attribute only) for each
+    export and each public method of an exported class."""
+    members = []
+    for public in braidcalc.__all__:
+        module = next(
+            name.split(".")[1] for name in MODULES[1:]
+            if public in importlib.import_module(name).__all__
+        )
+        members.append((public, module, (public,), False))
+        cls = getattr(braidcalc, public)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            func = getattr(value, "__func__", value)
+            if inspect.isfunction(func) and not attr.startswith("_"):
+                members.append((f"{public}.{attr}", module, (public, attr), True))
+    return members
+
+
+def test_every_export_and_public_method_has_a_caller():
+    """Library code that only tests read is not shipped.
+
+    Each exported name and each public method of an exported class is
+    read somewhere in the library outside its own definition, in the
+    benchmark or in a script.  An attribute read counts for every
+    method of that name, whatever its class.
+    """
+    reads = [
+        (path.stem if folder == "src/braidcalc" else None, read)
+        for folder in ("src/braidcalc", "perfbench", "scripts")
+        for path in (ROOT / folder).glob("*.py")
+        for read in _reads(path)
+    ]
+
+    def calls(member, stem, read):
+        _, module, definition, attribute_only = member
+        name, scope, is_attribute = read
+        if name != definition[-1] or (attribute_only and not is_attribute):
+            return False
+        return not (stem == module and scope[:len(definition)] == definition)
+
+    unread = [
+        member[0] for member in _members()
+        if not any(calls(member, stem, read) for stem, read in reads)
+    ]
+    assert not unread, f"only tests read these exports and methods: {unread}"

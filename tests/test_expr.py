@@ -15,9 +15,11 @@ from braidcalc.expr import (
 )
 from braidcalc.words import GroupWord, a_sym, commutator
 
+from conftest import aword
+
 
 def band_word(n, *pairs):
-    return PureAWord.from_pairs(n, list(pairs))
+    return aword(n, list(pairs))
 
 
 class TestParsing:

@@ -5,14 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcalc.braids import BraidWord, Perm, a_gen, same_braid
-from braidcalc.combing import PureAWord
-from braidcalc.expr import format_aword
+from braidcalc.braids import BraidWord, Perm, same_braid
 from braidcalc.faces import (
     coface_on_pure_gen,
     face_on_pure_gen,
 )
-from braidcalc.words import GroupWord
+
+from conftest import aword, band_braid
 
 braid_letters = st.lists(
     st.tuples(st.integers(1, 4), st.sampled_from([1, -1])), max_size=16
@@ -31,17 +30,6 @@ def perm_face(perm: Perm, i: int) -> Perm:
         value = perm(k if k < i else k + 1)
         images.append(value if value < removed else value - 1)
     return Perm(tuple(images))
-
-
-def realize_bands(word: GroupWord, n: int) -> BraidWord:
-    """Play a word over the band alphabet back into crossings."""
-    out = BraidWord(n, ())
-    for sym, exp in word.syllables:
-        band = a_gen(*sym, n)
-        piece = band if exp > 0 else band.inverse()
-        for _ in range(abs(exp)):
-            out = out * piece
-    return out
 
 
 class TestDelete:
@@ -108,7 +96,7 @@ band_triples = st.lists(
 
 def some_braids(pairs, triples):
     """A crossing word on 5 strands and a band word on 4."""
-    return BraidWord(5, tuple(pairs)), PureAWord.from_pairs(4, triples)
+    return BraidWord(5, tuple(pairs)), aword(4, triples)
 
 
 class TestMultiCoface:
@@ -129,7 +117,7 @@ class TestMultiCoface:
             assert b.coface() == b
 
     def test_positions_are_checked_against_the_running_strand_count(self):
-        for b in (BraidWord(3, ((1, 1), (2, -1))), PureAWord.from_pairs(3, [(1, 3, 2)])):
+        for b in (BraidWord(3, ((1, 1), (2, -1))), aword(3, [(1, 3, 2)])):
             assert b.coface(4, 5).strands == 5
             for ps in ((1, 9), (4, 6), (0,), (5,), (1, 2, 0)):
                 with pytest.raises(ValueError):
@@ -140,12 +128,11 @@ class TestPureGeneratorTables:
     def test_face_kills_own_band(self):
         for n in (3, 4, 5):
             for (s, t) in [(1, 2), (1, n), (n - 1, n)]:
-                assert face_on_pure_gen(s, (s, t), n).is_identity()
-                assert face_on_pure_gen(t, (s, t), n).is_identity()
+                assert face_on_pure_gen(s, (s, t), n) is None
+                assert face_on_pure_gen(t, (s, t), n) is None
 
     def test_face_shifts_disjoint_band(self):
-        out = face_on_pure_gen(1, (2, 4), 5)
-        assert format_aword(out) == "a1.3"
+        assert face_on_pure_gen(1, (2, 4), 5) == (1, 3)
 
     def test_face_table_agrees_with_strand_deletion(self):
         for n in (3, 4):
@@ -153,8 +140,11 @@ class TestPureGeneratorTables:
                 for t in range(s + 1, n + 1):
                     for i in range(1, n + 1):
                         table = face_on_pure_gen(i, (s, t), n)
-                        walked = a_gen(s, t, n).face(i)
-                        assert same_braid(realize_bands(table, n - 1), walked)
+                        walked = band_braid(s, t, n).face(i)
+                        if table is None:
+                            assert same_braid(walked, BraidWord.identity(n - 1))
+                        else:
+                            assert same_braid(band_braid(*table, n - 1), walked)
 
     def test_coface_on_band_matches_insertion(self):
         for n in (2, 3, 4):
@@ -163,5 +153,5 @@ class TestPureGeneratorTables:
                     for i in range(1, n + 2):
                         s2, t2 = coface_on_pure_gen(i, (s, t))
                         assert same_braid(
-                            a_gen(s2, t2, n + 1), a_gen(s, t, n).coface(i)
+                            band_braid(s2, t2, n + 1), band_braid(s, t, n).coface(i)
                         )

@@ -1,6 +1,7 @@
 """Coface images, spreads, James-Hopf products, decomposition, and the solver."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -34,11 +35,11 @@ from braidcalc.lifting import (
     tau_spread,
 )
 
-from conftest import braid_pow, signed_brunnian
+from conftest import aword, braid_pow, signed_brunnian
 
 
 def aw(n, *pairs):
-    return PureAWord.from_pairs(n, list(pairs))
+    return aword(n, list(pairs))
 
 
 class TestSkips:
@@ -48,8 +49,8 @@ class TestSkips:
         assert format_aword(out) == "a1.4 a3.4'"
 
     def test_apply_skip_rejects_early_columns(self):
-        with pytest.raises(ValueError):
-            tau_spread(3, 4, aw(3, (1, 2, 1)), check=False)
+        with pytest.raises(ValueError, match="expected a word in the bands"):
+            tau_spread(3, 4, aw(3, (1, 2, 1)))
 
 
 class TestCohenLift:
@@ -152,6 +153,10 @@ class TestDecomposition:
             a = braid_pow(half_twist(n), 2)
             assert same_braid(reassemble(hopf_decompose(a), n), a)
 
+    def test_reassemble_needs_a_layer(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            reassemble([], 3)
+
     def test_planted_layers_recovered(self):
         delta2 = aw(2, (1, 2, 2))
         delta3 = band_commutator(1, -1)
@@ -242,8 +247,13 @@ class TestLiftReferences:
     def test_full_lift_is_the_nested_spread_product(self, w, extra):
         m = w.strands
         n = m + extra
-        spreads = (PureAWord(n, tau_spread(m, k, w, check=False).word)
-                   for k in range(m, n + 1))
+
+        def spread(k):
+            # tau_(m,k)(w), read on n strands: lexicographic insertions
+            factors = (w.coface(*ins) for ins in combinations(range(1, k), k - m))
+            return PureAWord(n, PureAWord.product(k, factors).word)
+
+        spreads = (spread(k) for k in range(m, n + 1))
         assert full_lift(m, n, w, check=False) == PureAWord.product(n, spreads)
 
     def test_checks_come_in_their_order(self):

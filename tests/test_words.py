@@ -125,5 +125,6 @@ class TestRawBands:
             a_sym(1, 5, 4)
 
     def test_only_band_alphabets_name_a_range(self):
-        with pytest.raises(ValueError):
-            GroupWord.from_letters("x4", [((1, 2), 1)])
+        for alphabet in ("x4", "A", "Ax", "A-1", "A 4"):
+            with pytest.raises(ValueError, match="is not a band alphabet A<r>"):
+                GroupWord.from_letters(alphabet, [])
