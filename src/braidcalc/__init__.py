@@ -18,7 +18,6 @@ from .braids import (
 from .cohen import (
     Braidlike,
     NotCohenError,
-    NotUnaryError,
     StrandPartition,
     all_faces,
     band_commutator,
@@ -80,7 +79,6 @@ __all__ = [
     "GroupWord",
     "NotAWordError",
     "NotCohenError",
-    "NotUnaryError",
     "ParseError",
     "Perm",
     "PureAWord",

@@ -87,14 +87,12 @@ class BraidWord:
 
     Its members besides letters are those of combing.PureAWord: strands,
     identity, product, *, inverse, face, coface, to_braid, perm,
-    letter_count, exponent_sum, products_reduce.
+    letter_count and exponent_sum.  As there, a product cancels letters
+    where two factors meet, and nowhere else.
     """
 
     strands: int
     letters: tuple[tuple[int, int], ...] = ()
-
-    # products only concatenate: no letters cancel where factors meet
-    products_reduce = False
 
     def __post_init__(self) -> None:
         if self.strands < 0:
@@ -120,13 +118,23 @@ class BraidWord:
 
     @classmethod
     def product(cls, strands: int, factors: Iterable[BraidWord]) -> BraidWord:
-        """The ordered product of the factors, concatenated in one pass."""
-        letters: list[tuple[int, int]] = []
+        """The ordered product of the factors, in one pass.
+
+        Where two factors meet, the head of the next one cancels against
+        the top of the stack while they are inverse letters; the rest is
+        copied across.
+        """
+        stack: list[tuple[int, int]] = []
         for f in factors:
             if f.strands != strands:
                 raise ValueError(f"strand mismatch: {strands} vs {f.strands}")
-            letters.extend(f.letters)
-        return cls._unchecked(strands, tuple(letters))
+            run = f.letters
+            k = 0
+            while k < len(run) and stack and stack[-1] == (run[k][0], -run[k][1]):
+                stack.pop()
+                k += 1
+            stack.extend(run[k:] if k else run)
+        return cls._unchecked(strands, tuple(stack))
 
     def letter_count(self) -> int:
         return len(self.letters)
@@ -136,10 +144,8 @@ class BraidWord:
         return sum(sign for _, sign in self.letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
-        """Concatenation: self happens first, then other."""
-        if self.strands != other.strands:
-            raise ValueError(f"strand mismatch: {self.strands} vs {other.strands}")
-        return BraidWord._unchecked(self.strands, self.letters + other.letters)
+        """self happens first, then other."""
+        return BraidWord.product(self.strands, (self, other))
 
     def inverse(self) -> BraidWord:
         return BraidWord._unchecked(

@@ -18,7 +18,6 @@ from .braids import BudgetExceededError, Perm, is_pure, same_braid
 from .cohen import (
     Braidlike,
     NotCohenError,
-    NotUnaryError,
     StrandPartition,
     all_faces,
     common_face,
@@ -138,6 +137,8 @@ def _parse_blocks(spec: str, n: int) -> StrandPartition:
             raise ValueError(
                 f"--blocks: block {chunk!r} is not a comma-separated list of strands"
             ) from None
+    if not blocks:
+        raise ValueError(f"--blocks: {spec!r} names no strand")
     return StrandPartition(n, blocks)
 
 
@@ -161,15 +162,15 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
     }
     try:
         code = _dispatch(args, payload)
-    except (NotCohenError, NotUnaryError) as e:
+    except NotCohenError as e:
+        i, j = e.witness_indices
+        fi, fj = e.witness_faces
         payload["result"] = "refused"
-        witnesses = {"reason": str(e)}
-        if isinstance(e, NotCohenError):
-            i, j = e.witness_indices
-            fi, fj = e.witness_faces
-            witnesses["violating_pair"] = [i, j]
-            witnesses["faces"] = {f"d{i}": _fmt(fi), f"d{j}": _fmt(fj)}
-        payload["witnesses"] = witnesses
+        payload["witnesses"] = {
+            "reason": str(e),
+            "violating_pair": [i, j],
+            "faces": {f"d{i}": _fmt(fi), f"d{j}": _fmt(fj)},
+        }
         code = 1
     except BudgetExceededError as e:
         payload["result"] = "resource limit"

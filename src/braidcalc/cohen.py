@@ -23,7 +23,6 @@ from .words import GroupWord, _band_name, a_sym, commutator
 __all__ = [
     "Braidlike",
     "NotCohenError",
-    "NotUnaryError",
     "StrandPartition",
     "all_faces",
     "band_commutator",
@@ -50,10 +49,6 @@ class NotCohenError(ValueError):
         self.witness_indices = (i, j)
         self.witness_faces = (face_i, face_j)
         super().__init__(f"faces d_{i} and d_{j} differ")
-
-
-class NotUnaryError(ValueError):
-    pass
 
 
 def all_faces(b: Braidlike) -> list[Braidlike]:
@@ -145,7 +140,7 @@ def is_unary(b: BraidWord) -> bool:
 def unary_factor(b: BraidWord) -> BraidWord:
     """The pure part b0 with b = b0 sigma_1 sigma_2 .. sigma_{n-1}."""
     if not is_unary(b):
-        raise NotUnaryError("not a unary braid")
+        raise ValueError("not a unary braid")
     n = b.strands
     staircase = BraidWord(n, tuple((i, 1) for i in range(1, n)))
     factor = b * staircase.inverse()

@@ -93,7 +93,6 @@ def _pattern(r: int, s: int, i: int) -> str:
     return "linked"
 
 
-@lru_cache(maxsize=None)
 def conj_rule(g_sym: Band, g_sign: int, h_sym: Band) -> GroupWord:
     """Reduced U_j word equal to g^{-1} h g for g = A_{r,s}^{g_sign}.
 
@@ -131,15 +130,13 @@ class PureAWord:
     """A word in the bands of B_n, representing a pure braid.
 
     Has the members of braids.BraidWord: strands, identity, product, *,
-    inverse, face, coface, to_braid, perm, letter_count, exponent_sum,
-    products_reduce; and also word and is_identity.
+    inverse, face, coface, to_braid, perm, letter_count and
+    exponent_sum; and also word and is_identity.  As there, a product
+    cancels letters where two factors meet, and nowhere else.
     """
 
     strands: int
     word: GroupWord
-
-    # products are freely reduced where factors meet
-    products_reduce = True
 
     def __post_init__(self) -> None:
         if self.strands < 0:
@@ -196,9 +193,7 @@ class PureAWord:
         return BraidWord._unchecked(self.strands, tuple(letters))
 
     def __mul__(self, other: PureAWord) -> PureAWord:
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch")
-        return PureAWord._unchecked(self.strands, self.word * other.word)
+        return PureAWord.product(self.strands, (self, other))
 
     def inverse(self) -> PureAWord:
         return PureAWord._unchecked(self.strands, self.word.inverse())

@@ -3,15 +3,14 @@
 The constructions here all follow one mechanism: push a word through
 coface (trivial-strand insertion) maps and multiply the images in a
 fixed order with one product call.  A factor with several insertions
-is one coface(i_1, .., i_r) call.  Every band-word factor is reduced,
-so a product of them reduces only where two factors meet.  The
-James-Hopf product does this over all index combinations, on any
-braid.  The full lift of a last-column band word of P_m is by
-definition its James-Hopf product in spread order, and the one-strand
-lift, whose every face is the original word, is full_lift(m, m+1, .).
-On top of these sit the Hopf decomposition of a pure Cohen braid into
-Brunnian layers and the solver for the face system
-d_1(beta) = ... = d_n(beta) = alpha.
+is one coface(i_1, .., i_r) call.  A product of either word type
+cancels letters only where two factors meet.  The James-Hopf product
+does this over all index combinations, on any braid.  The full lift of
+a last-column band word of P_m is by definition its James-Hopf product
+in spread order, and the one-strand lift, whose every face is the
+original word, is full_lift(m, m+1, .).  On top of these sit the Hopf
+decomposition of a pure Cohen braid into Brunnian layers and the
+solver for the face system d_1(beta) = ... = d_n(beta) = alpha.
 
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
@@ -24,9 +23,8 @@ Order conventions (pinned by worked examples in the test suite):
     spreads tau_(m,k) for k = m .. n;
   - the solver decomposes band words in both orders and reassembles the
     one whose bound sum_k C(n, k) letters(delta_k) on the answer is
-    shorter; ties go to colex.  Crossing-word products never reduce, so
-    there the bounds always tie and the solver runs colex alone.
-    james_hopf, reassemble and hopf_decompose are colex.
+    shorter; ties go to colex.  james_hopf, reassemble and
+    hopf_decompose are colex.
 """
 
 from __future__ import annotations
@@ -200,13 +198,11 @@ def _solve_pure(a: Braidlike, n: int) -> Braidlike:
     orders decompose the same face chain, and each step advances the
     one whose running bound is smaller (colex on a tie), so the first to
     run out of layers has the smaller final bound and the other stops
-    at most one layer past it.  Where products do not reduce, the layers
-    of both orders have equal lengths, so colex runs alone.
+    at most one layer past it.
     """
     chain = _face_chain(a)
-    orders = (_colex, _spread) if a.products_reduce else (_colex,)
-    runs = [(order, _hopf_layers(chain, order), []) for order in orders]
-    bounds = [0] * len(runs)
+    runs = [(order, _hopf_layers(chain, order), []) for order in (_colex, _spread)]
+    bounds = [0, 0]
     while True:
         side = bounds.index(min(bounds))
         order, layers, done = runs[side]

@@ -1,4 +1,4 @@
-"""Every seed-1 benchmark query is answered correctly.
+"""Every benchmark query of seeds 1 and 2 is answered correctly.
 
 Builds the queries of each workload with perfbench/workloads.py, answers
 them in this process with braidcalc.cli.run and judges each answer with
@@ -19,12 +19,14 @@ from braidcalc import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+# the seeds of scripts/payload_digest.py
+@pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["band-solve", "band-comb", "crossing-eq"])
-def test_seed_one_answers_pass_the_checker(workload, monkeypatch):
+def test_answers_pass_the_checker(workload, seed, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    checker = importlib.import_module("checker").Checker(1)
-    queries = workloads.build(workload, 1)
+    checker = importlib.import_module("checker").Checker(seed)
+    queries = workloads.build(workload, seed)
     wrong = []
     for k, q in enumerate(queries):
         # the benchmark judges the report as it reads back from JSON

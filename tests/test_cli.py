@@ -173,6 +173,12 @@ class TestPredicates:
         reason = payload["witnesses"]["reason"]
         assert reason == "--blocks: block '1,x' is not a comma-separated list of strands"
 
+    @pytest.mark.parametrize("spec", ["", ";"])
+    def test_gcohen_refuses_blocks_that_name_no_strand(self, spec):
+        code, payload = run(["gcohen", "-n", "3", "--blocks", spec, "s1"])
+        assert code == 2 and payload["result"] == "error"
+        assert payload["witnesses"]["reason"] == f"--blocks: {spec!r} names no strand"
+
     def test_cohen_on_zero_strands_is_vacuously_true(self):
         # no faces to compare, as for brunnian -n 0, and no common face
         code, payload = run(["cohen", "-n", "0", "e"])
@@ -183,7 +189,8 @@ class TestPredicates:
         code, payload = run(["unary", "-n", "3", "s1 s2"])
         assert code == 0
         assert payload["result"] is True
-        assert payload["witnesses"]["pure_factor"] == "s1 s2 s2' s1'"
+        # s1 s2 (s1 s2)^-1: the product cancels where the factors meet
+        assert payload["witnesses"]["pure_factor"] == "e"
 
     def test_unary_false(self):
         code, payload = run(["unary", "-n", "3", "s1 s1"])

@@ -231,6 +231,10 @@ class TestUnary:
     def test_zero_strands_are_not_unary(self):
         assert not is_unary(BraidWord(0))
 
+    def test_unary_factor_refuses_a_braid_that_is_not_unary(self):
+        with pytest.raises(ValueError, match="^not a unary braid$"):
+            unary_factor(BraidWord(3, ((1, 1), (1, 1))))
+
 
 class TestConstructors:
     def test_delta_square_word_matches_half_twist(self):

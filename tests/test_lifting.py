@@ -17,7 +17,6 @@ from braidcalc.cohen import (
     is_brunnian,
     is_cohen,
 )
-from braidcalc import lifting
 from braidcalc.combing import PureAWord
 from braidcalc.expr import format_aword
 from braidcalc.lifting import (
@@ -310,15 +309,17 @@ class TestSolverOrder:
         else:
             assert beta == reassemble(colex, n + 1)
 
-    def test_crossing_words_run_colex_alone(self, monkeypatch):
-        # crossing products never reduce, so the spread bound always ties
-        def no_spread(n, r):
-            raise AssertionError("spread order used on a crossing word")
-
-        monkeypatch.setattr(lifting, "_spread", no_spread)
-        a = reassemble(_signed_layers(7, 4), 4).to_braid()
-        beta = solve_cohen_system(a, 5)
-        assert beta == reassemble(hopf_decompose(a), 5)
+    @pytest.mark.parametrize("a,shorter", [
+        (reassemble(_signed_layers(7, 4), 4).to_braid(), _colex),
+        (full_lift(3, 4, band_commutator(2, -1)).to_braid(), _spread),
+    ], ids=["colex-shorter", "spread-shorter"])
+    def test_crossing_words_race_both_orders(self, a, shorter):
+        n = a.strands + 1
+        colex = hopf_decompose(a)
+        spread = tuple(_hopf_layers(_face_chain(a), _spread))
+        assert (_bound(spread, n) < _bound(colex, n)) == (shorter is _spread)
+        beta = solve_cohen_system(a, n)
+        assert beta == _reassemble(colex if shorter is _colex else spread, n, shorter)
         assert all(same_braid(f, a) for f in all_faces(beta))
 
     def test_refusal_names_the_top_faces(self):

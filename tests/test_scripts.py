@@ -115,7 +115,7 @@ PINNED_DIGESTS = [
     "band-comb: 16 queries, sha256 "
     "90f2ae2b10c18dbcb59bfd53bc58b55df5349d4953068f0837f8f7b4d3433d2f",
     "crossing-eq: 16 queries, sha256 "
-    "ce726ca6619e234632abf3376f0b65529d29f902ee8287d82ab0aa2cbad908f6",
+    "ca9aa500c18c4cf10e0d0c458f03a689d421f545e67720e093552ff228bdd87c",
 ]
 
 
