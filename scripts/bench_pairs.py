@@ -25,23 +25,44 @@ the parent commit and the change's diff hash, the number of pairs, every
 run's metrics, the median, quartiles and IQR of each end-to-end metric
 named in BENCHMARK.json for each side, the number of pairs the change won
 per metric, and the correct flags and failed-query counts.
+
+    python3 scripts/bench_pairs.py --pr N --interleaved --seed 1
+
+With --interleaved, one child process per workload loads the two trees'
+src/braidcalc as the packages bc_parent and bc_change, builds the seeded
+queries once with the parent's perfbench/workloads.py, and alternates
+whole passes of cli.run over them, the first side swapped each pair,
+until each side has run for run_seconds and at least MIN_PAIRS pairs.
+Both sides share one interpreter, so a slower or faster machine moves
+both passes of a pair alike.  Every pass's payloads must match the other
+side's byte for byte, or the run stops with the first query that
+differs.  BENCH_<label>.json then holds, per workload, the median,
+quartiles and IQR of the per-pair ratio of pass times (change over
+parent) and of each side's pass time.  Peak memory, answer sizes and
+failed counts cannot be split inside one process, so they come from the
+paired runs alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib
+import importlib.util
 import json
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("band-solve", "band-comb", "crossing-eq")
 MEASURED = ("src", "perfbench")
+MIN_PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -93,6 +114,65 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _load_cli(tree: Path, name: str):
+    """The cli module of tree's src/braidcalc, imported as package name."""
+    init = tree / "src" / "braidcalc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def _alternate_passes(trees: dict[str, Path], workload: str, seed: int, seconds: float) -> dict:
+    """Alternate whole passes of both trees in this process, as the module
+    docstring describes, and summarise the per-pair ratios."""
+    sys.path[:0] = [str(trees["parent"] / "src"), str(trees["parent"] / "perfbench")]
+    import workloads  # builds its inputs with the parent's braidcalc
+
+    queries = [q["argv"] for q in workloads.build(workload, seed)]
+    runs = {side: _load_cli(tree, f"bc_{side}").run for side, tree in trees.items()}
+
+    def answer(side: str) -> tuple[float, list]:
+        gc.collect()
+        run = runs[side]
+        t0 = time.perf_counter()
+        payloads = [run(argv) for argv in queries]
+        return time.perf_counter() - t0, payloads
+
+    expected = [json.dumps(a, sort_keys=True) for a in answer("parent")[1]]
+    times: dict[str, list[float]] = {"parent": [], "change": []}
+    while len(times["change"]) < MIN_PAIRS or min(map(sum, times.values())) < seconds:
+        order = ("parent", "change") if len(times["change"]) % 2 == 0 else ("change", "parent")
+        for side in order:
+            elapsed, payloads = answer(side)
+            for argv, want, got in zip(queries, expected, payloads):
+                if json.dumps(got, sort_keys=True) != want:
+                    raise SystemExit(f"{workload}: the {side} answers {argv} differently")
+            times[side].append(elapsed)
+    return {
+        "pairs": len(times["change"]),
+        "queries": len(queries),
+        "ratio": _summary([c / p for p, c in zip(times["parent"], times["change"])]),
+        "pass_s": {side: _summary(t) for side, t in times.items()},
+    }
+
+
+def _spawn_alternating(trees: dict[str, Path], workload: str, seed: int, seconds: float) -> dict:
+    cmd = [
+        sys.executable, str(Path(__file__).resolve()), "--child",
+        str(trees["parent"]), str(trees["change"]), str(seconds),
+        "--workload", workload, "--seed", str(seed),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"interleaved {workload} exited with {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
 def _summary(values: list[float]) -> dict:
     if len(values) < 2:
         q1 = median = q3 = values[0]
@@ -127,15 +207,41 @@ def _report(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     return out
 
 
+def _pairs(
+    trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float,
+    end_to_end: list[dict],
+) -> dict:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(_run(trees[side], workload, seed, seconds))
+        print(f"{workload} pair {i + 1}/{pairs}: queries_per_s "
+              f"{runs['parent'][-1]['metrics']['queries_per_s']['value']:.1f} -> "
+              f"{runs['change'][-1]['metrics']['queries_per_s']['value']:.1f}",
+              file=sys.stderr)
+    return {"pairs": pairs, **_report(runs, end_to_end)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--pr", required=True, help="label of the change; the output is BENCH_<label>.json")
+    ap.add_argument("--pr", help="label of the change; the output is BENCH_<label>.json")
     ap.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat for several; default all three")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--interleaved", action="store_true",
+                    help="alternate passes of both trees in one process per workload")
+    ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.child:
+        parent, change, seconds = args.child
+        trees = {"parent": Path(parent), "change": Path(change)}
+        print(json.dumps(_alternate_passes(trees, args.workload[0], args.seed, float(seconds))))
+        return 0
+    if args.pr is None:
+        ap.error("the following arguments are required: --pr")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -149,23 +255,21 @@ def main() -> int:
         _unpack(args.parent, trees["parent"])
         _copy_worktree(ROOT, trees["change"])
 
-        result: dict = {"seconds": seconds, "workloads": {}}
+        result: dict = {"seconds": seconds, "interleaved": args.interleaved, "workloads": {}}
         for workload in args.workload or WORKLOADS:
-            runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(_run(trees[side], workload, args.seed, seconds))
-                print(f"{workload} pair {i + 1}/{args.pairs}: queries_per_s "
-                      f"{runs['parent'][-1]['metrics']['queries_per_s']['value']:.1f} -> "
-                      f"{runs['change'][-1]['metrics']['queries_per_s']['value']:.1f}",
+            if args.interleaved:
+                report = _spawn_alternating(trees, workload, args.seed, seconds)
+                print(f"{workload}: pass time ratio {report['ratio']['median']:.3f} "
+                      f"[IQR {report['ratio']['iqr']:.3f}] over {report['pairs']} pairs",
                       file=sys.stderr)
+            else:
+                report = _pairs(trees, workload, args.seed, args.pairs, seconds,
+                                bench["end_to_end"])
             result["workloads"][workload] = {
                 "seed": args.seed,
                 "parent_commit": parent_commit,
                 "change_diff_sha256": change_diff,
-                "pairs": args.pairs,
-                **_report(runs, bench["end_to_end"]),
+                **report,
             }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .braids import (
     BraidWord,
@@ -201,17 +200,22 @@ class PureAWord:
     def face(self, i: int) -> PureAWord:
         """Delete strand i, letterwise on bands.
 
-        The bands that survive map injectively, so a kept syllable can
-        merge with or cancel the one before it only across deleted ones.
+        Bands are read through the band map of (n, i), cached across
+        words.  The bands that survive map injectively, so a kept
+        syllable can merge with or cancel the one before it only across
+        deleted ones.
         """
         n = self.strands
         if not 1 <= i <= n:
             raise ValueError(f"strand {i} out of range for {n} strands")
-        image = _face_table(n, i)
+        image, rule = _face_map(n, i)
         out: list[Syllable] = []
         gap = False
         for sym, exp in self.word.syllables:
-            faced = image[sym]
+            try:
+                faced = image[sym]
+            except KeyError:
+                faced = image[sym] = rule(sym)
             if faced is None:
                 gap = True
             elif gap and out and out[-1][0] == faced:
@@ -230,7 +234,8 @@ class PureAWord:
         """Insert trivial strands at the positions in turn, leftmost first.
 
         Each insertion is injective on bands, so reduced syllables copy
-        straight across through one composed map.
+        straight across through one band map, cached across words per
+        position sequence.
         """
         n = self.strands
         for k, i in enumerate(positions):
@@ -238,17 +243,17 @@ class PureAWord:
                 raise ValueError(
                     f"insertion position {i} out of range for {n + k} strands"
                 )
-        m = n + len(positions)
-        image: dict[Band, Band] = {}
-        for sym, _ in self.word.syllables:
-            if sym not in image:
-                pair = sym
-                for i in positions:
-                    pair = coface_on_pure_gen(i, pair)
-                image[sym] = pair
-        return PureAWord._unchecked(m, GroupWord._unchecked(tuple(
-            (image[sym], exp) for sym, exp in self.word.syllables
-        )))
+        image, rule = _coface_map(positions)
+        out: list[Syllable] = []
+        for sym, exp in self.word.syllables:
+            try:
+                out.append((image[sym], exp))
+            except KeyError:
+                image[sym] = band = rule(sym)
+                out.append((band, exp))
+        return PureAWord._unchecked(
+            n + len(positions), GroupWord._unchecked(tuple(out))
+        )
 
 
 @dataclass(frozen=True)
@@ -371,13 +376,34 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
     ))
 
 
+# A band map: the images of the bands looked up so far under one
+# letterwise map, and the rule that fills in a band on its first lookup.
+# So a map holds the bands that words bring, not all C(n, 2) bands.  The
+# callers fill it in an except KeyError clause: a plain dict keeps
+# Python's fast dict lookup, which a dict subclass with __missing__ loses
+# (a band-solve pass took 8% longer that way on CPython 3.11).
+_BandMap = tuple[dict[Band, Band | None], Callable[[Band], Band | None]]
+
+
 @lru_cache(maxsize=256)
-def _face_table(n: int, i: int) -> dict[Band, Band | None]:
-    """The image of every band of P_n under deleting strand i; None if it dies."""
-    return {
-        band: face_on_pure_gen(i, band, n)
-        for band in combinations(range(1, n + 1), 2)
-    }
+def _face_map(n: int, i: int) -> _BandMap:
+    """Bands of P_n under deleting strand i; None where the band dies."""
+    return {}, lambda band: face_on_pure_gen(i, band, n)
+
+
+@lru_cache(maxsize=1024)
+def _coface_map(positions: tuple[int, ...]) -> _BandMap:
+    """Bands under inserting trivial strands at the positions in turn.
+
+    A band's image does not depend on the strand count, so one map
+    serves every word; PureAWord.coface checks the positions.
+    """
+    def rule(band: Band) -> Band:
+        for i in positions:
+            band = coface_on_pure_gen(i, band)
+        return band
+
+    return {}, rule
 
 
 def _conjugate(

@@ -3,9 +3,10 @@
 On crossing words the two maps are BraidWord.face and BraidWord.coface,
 and on band words PureAWord.face and PureAWord.coface.  This module
 holds the rules on single band generators, which combing.PureAWord
-applies letterwise: the face through a table over every band of P_n,
-the coface through one composed index map per band of the word, however
-many strands are inserted.  Both maps are injective on the bands that
+applies letterwise through band maps cached per deleted strand (n, i)
+and per insertion sequence, however many strands it inserts.  A map is
+filled with the bands that words bring, so it holds the bands in use,
+not every band of P_n.  Both maps are injective on the bands that
 survive, so a reduced band word stays reduced under a coface, and under
 a face it can reduce only across the letters that die.
 

@@ -5,12 +5,14 @@ coface (trivial-strand insertion) maps and multiply the images in a
 fixed order with one product call.  A factor with several insertions
 is one coface(i_1, .., i_r) call.  A product of either word type
 cancels letters only where two factors meet.  The James-Hopf product
-does this over all index combinations, on any braid.  The full lift of
-a last-column band word of P_m is by definition its James-Hopf product
-in spread order, and the one-strand lift, whose every face is the
-original word, is full_lift(m, m+1, .).  On top of these sit the Hopf
-decomposition of a pure Cohen braid into Brunnian layers and the
-solver for the face system d_1(beta) = ... = d_n(beta) = alpha.
+does this over all index combinations, on any braid; an empty word
+contributes no factors, and most Hopf layers of a lifted Brunnian word
+are empty.  The full lift of a last-column band word of P_m is by
+definition its James-Hopf product in spread order, and the one-strand
+lift, whose every face is the original word, is full_lift(m, m+1, .).
+On top of these sit the Hopf decomposition of a pure Cohen braid into
+Brunnian layers and the solver for the face system d_1(beta) = ... =
+d_n(beta) = alpha.
 
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
@@ -112,6 +114,8 @@ def _spread(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _james_hopf(k: int, n: int, b: Braidlike, order: _Order) -> Braidlike:
+    if not b.letter_count():
+        return b.identity(n)  # every factor is a coface of the empty word
     # on fewer than k strands there are C(n, k) = 0 factors
     indices = order(n, n - k) if k <= n else ()
     return b.product(n, (b.coface(*ins) for ins in indices))
@@ -143,6 +147,9 @@ def reassemble(deltas: Sequence[Braidlike], n: int) -> Braidlike:
     """Product of james_hopf(k, n, delta_k) for k = 1 .. len(deltas)."""
     if not deltas:
         raise ValueError("reassemble needs at least one layer")
+    for k, d in enumerate(deltas, start=1):
+        if d.strands != k:
+            raise ValueError(f"layer {k} has {d.strands} strands, not {k}")
     return _reassemble(deltas, n, _colex)
 
 
@@ -163,7 +170,8 @@ def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlik
 
     The layers of a_(k-1) determine delta_1 .. delta_(k-1), and delta_k
     is what remains of a_k after dividing out their James-Hopf images,
-    taken in the given order.  Each layer is Brunnian (asserted).
+    taken in the given order.  Each layer is Brunnian (asserted; the
+    empty word is, so its faces are not taken).
     """
     bottom = chain[0]
     if bottom.strands <= 1:
@@ -174,7 +182,7 @@ def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlik
     yield from layers
     for a in chain[1:]:
         top = _reassemble(layers, a.strands, order).inverse() * a
-        if not is_brunnian(top):
+        if top.letter_count() and not is_brunnian(top):
             raise AssertionError("residual top layer is not Brunnian")
         layers.append(top)
         yield top

@@ -432,37 +432,55 @@ class TestConsoleScript:
         assert "false" in proc.stdout
 
 
+CAP = 400 * 2**20
+
+
+def run_capped(argv):
+    """Run the CLI in a subprocess whose address space is capped at CAP,
+    so a regression fails the test instead of taking the machine's memory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidcalc.cli", *argv, "--json"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    assert proc.stdout, proc.stderr[-2000:]
+    return proc.returncode, json.loads(proc.stdout)
+
+
 class TestMemoryRefusal:
-    """An input too large to build refuses like a cap, not with a traceback.
-
-    Each run is a subprocess whose address space is capped at 400 MB, so
-    a regression fails the test instead of taking the machine's memory.
-    """
-
-    LIMIT = 400 * 2**20
-
-    def run_capped(self, argv):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "braidcalc.cli", *argv, "--json"],
-            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr[-2000:]
-        return json.loads(proc.stdout)
+    """An input too large to build refuses like a cap, not with a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["pure", "-n", "4", "( a1.2 a1.3 )^1000000000"],
         ["eq", "-n", "4", "( s1 s2' )^1000000000", "e"],
     ])
     def test_huge_power_is_a_resource_refusal(self, argv):
-        payload = self.run_capped(argv)
+        code, payload = run_capped(argv)
+        assert code == 2
         assert payload["result"] == "resource limit"
         assert payload["witnesses"] == {
             "reason": "out of memory", "limit": None, "observed": None, "stage": argv[0],
         }
+
+
+class TestWideBraids:
+    """Faces of a short word on many strands cost what the word brings.
+
+    A face map holds the bands looked up, not all C(n, 2) bands of P_n,
+    which would not fit under the cap at these strand counts.
+    """
+
+    @pytest.mark.parametrize("argv, result", [
+        (["del", "-n", "3000", "1", "a1.2 a2.3"], "a1.2"),
+        (["brunnian", "-n", "600", "a1.2"], False),
+    ], ids=["del", "brunnian"])
+    def test_answers_under_the_cap(self, argv, result):
+        code, payload = run_capped(argv)
+        assert payload["result"] == result
+        assert code == (0 if result else 1)

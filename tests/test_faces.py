@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidcalc.braids import BraidWord, Perm, same_braid
+from braidcalc.combing import PureAWord
 from braidcalc.faces import (
     coface_on_pure_gen,
     face_on_pure_gen,
@@ -110,6 +111,19 @@ class TestMultiCoface:
                     for i in ps:
                         chained = chained.coface(i)
                     assert b.coface(*ps) == chained
+
+    @given(braid_letters, band_triples, st.lists(st.integers(1, 5), max_size=4))
+    def test_any_position_sequence_matches_chain(self, pairs, triples, ps):
+        # band maps are cached per position sequence, so sequences that
+        # repeat or fall, and the same sequence on other strand counts,
+        # must each get their own images
+        crossing, band = some_braids(pairs, triples)
+        for b in (crossing, band, PureAWord(5, band.word), PureAWord(7, band.word)):
+            chained = b
+            for i in ps:
+                chained = chained.coface(i)
+            assert b.coface(*ps) == chained  # fills the map, unless chained did
+            assert b.coface(*ps) == chained  # reads it
 
     @given(braid_letters, band_triples)
     def test_no_positions_is_the_word_itself(self, pairs, triples):

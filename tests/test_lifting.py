@@ -125,6 +125,17 @@ class TestJamesHopf:
         assert isinstance(out, BraidWord)
         assert out.strands == 3
 
+    @pytest.mark.parametrize("order", [_colex, _spread])
+    def test_empty_layer_takes_no_coface(self, order, monkeypatch):
+        def refuse(self, *positions):
+            raise AssertionError("a coface of the empty word was taken")
+
+        for cls in (BraidWord, PureAWord):
+            monkeypatch.setattr(cls, "coface", refuse)
+            for k in range(1, 5):
+                for n in range(k, 7):
+                    assert _james_hopf(k, n, cls.identity(k), order) == cls.identity(n)
+
 
 class TestDecomposition:
     def test_half_twist_square_layers(self):
@@ -155,6 +166,13 @@ class TestDecomposition:
     def test_reassemble_needs_a_layer(self):
         with pytest.raises(ValueError, match="at least one layer"):
             reassemble([], 3)
+
+    def test_reassemble_checks_each_layer_strand_count(self):
+        # an empty layer contributes no factors, so its strand count is
+        # checked before the product
+        for empty in (PureAWord.identity(3), BraidWord(3, ())):
+            with pytest.raises(ValueError, match="layer 2 has 3 strands"):
+                reassemble([empty.identity(1), empty], 3)
 
     def test_planted_layers_recovered(self):
         delta2 = aw(2, (1, 2, 2))
@@ -210,6 +228,17 @@ class TestSpreadOrder:
                     assert same_braid(f, f.identity(f.strands))
                 else:
                     assert same_braid(f, lower)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_spread_layers_of_a_full_lift_are_empty_but_the_source(self, m):
+        for w in (brunnian_generator(m), signed_brunnian(random.Random(m), m)):
+            for n in range(m, 7):
+                layers = list(_hopf_layers(_face_chain(full_lift(m, n, w)), _spread))
+                assert len(layers) == n
+                assert layers[m - 1] == w
+                for k, layer in enumerate(layers, start=1):
+                    if k != m:
+                        assert layer == PureAWord.identity(k)
 
     def test_spread_and_colex_hold_the_same_factors(self):
         for n in range(1, 7):

@@ -2,10 +2,12 @@
 
 Each script asserts its own findings, so exit status 0 means they still
 hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
-and its copy of the change's tree on a small repository.
+its copy of the change's tree on a small repository, and its
+interleaved child on two small trees.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -104,6 +106,48 @@ def test_bench_pairs_copies_what_git_add_would_commit(tmp_path):
         "src/edited.py": "edited\n",
         "src/new.py": "untracked\n",
     }
+
+
+def fake_tree(root, answer):
+    """A tree whose braidcalc.cli answers through a sibling module."""
+    files = {
+        "src/braidcalc/__init__.py": "",
+        "src/braidcalc/cli.py": "from .answer import answer\n\n"
+                                "def run(argv):\n    return 0, answer(argv)\n",
+        "src/braidcalc/answer.py": f"def answer(argv):\n    return {answer}\n",
+        "perfbench/workloads.py": "def build(workload, seed):\n"
+                                  "    return [{'argv': [workload, seed, k]} for k in range(3)]\n",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def run_interleaved_child(parent, change):
+    cmd = [
+        sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--child",
+        str(parent), str(change), "0", "--workload", "band-solve", "--seed", "2",
+    ]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+
+
+def test_bench_pairs_interleaved_child(tmp_path):
+    parent = fake_tree(tmp_path / "parent", "{'result': argv}")
+    same = fake_tree(tmp_path / "same", "{'result': list(argv)}")
+    proc = run_interleaved_child(parent, same)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["queries"] == 3
+    assert report["pairs"] == load_bench_pairs().MIN_PAIRS
+    assert set(report["ratio"]) == {"median", "q1", "q3", "iqr"}
+    assert set(report["pass_s"]) == {"parent", "change"}
+
+    # each tree's relative imports resolve inside its own package
+    other = fake_tree(tmp_path / "other", "{'result': argv if argv[2] != 1 else None}")
+    proc = run_interleaved_child(parent, other)
+    assert proc.returncode != 0
+    assert "the change answers ['band-solve', 2, 1] differently" in proc.stderr
 
 
 # The --limit 8 digests: the first 8 queries of seeds 1 and 2 of each
