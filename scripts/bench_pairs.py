@@ -27,6 +27,7 @@ named in BENCHMARK.json for each side, the number of pairs the change won
 per metric, and the correct flags and failed-query counts.
 
     python3 scripts/bench_pairs.py --pr N --interleaved --seed 1
+    python3 scripts/bench_pairs.py --pr N --interleaved --seed 1 --seed 2 --seed 3
 
 With --interleaved, one child process per workload loads the two trees'
 src/braidcalc as the packages bc_parent and bc_change, builds the seeded
@@ -41,6 +42,12 @@ quartiles and IQR of the per-pair ratio of pass times (change over
 parent) and of each side's pass time.  Peak memory, answer sizes and
 failed counts cannot be split inside one process, so they come from the
 paired runs alone.
+
+--seed may be given more than once, in either mode.  Each seed is run in
+turn on the same two trees and written to its own BENCH_<label>_seed<s>.json
+as soon as it is done; with a single seed the file is BENCH_<label>.json.
+One interleaved run can misread unchanged code by several percent, so a
+claim should rest on the agreement of several seeds.
 """
 
 from __future__ import annotations
@@ -223,22 +230,24 @@ def _pairs(
     return {"pairs": pairs, **_report(runs, end_to_end)}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", help="label of the change; the output is BENCH_<label>.json")
     ap.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat for several; default all three")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="repeat for several, one BENCH file each; default 1")
     ap.add_argument("--interleaved", action="store_true",
                     help="alternate passes of both trees in one process per workload")
     ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    seeds = args.seed or [1]
     if args.child:
         parent, change, seconds = args.child
         trees = {"parent": Path(parent), "change": Path(change)}
-        print(json.dumps(_alternate_passes(trees, args.workload[0], args.seed, float(seconds))))
+        print(json.dumps(_alternate_passes(trees, args.workload[0], seeds[0], float(seconds))))
         return 0
     if args.pr is None:
         ap.error("the following arguments are required: --pr")
@@ -255,28 +264,30 @@ def main() -> int:
         _unpack(args.parent, trees["parent"])
         _copy_worktree(ROOT, trees["change"])
 
-        result: dict = {"seconds": seconds, "interleaved": args.interleaved, "workloads": {}}
-        for workload in args.workload or WORKLOADS:
-            if args.interleaved:
-                report = _spawn_alternating(trees, workload, args.seed, seconds)
-                print(f"{workload}: pass time ratio {report['ratio']['median']:.3f} "
-                      f"[IQR {report['ratio']['iqr']:.3f}] over {report['pairs']} pairs",
-                      file=sys.stderr)
-            else:
-                report = _pairs(trees, workload, args.seed, args.pairs, seconds,
-                                bench["end_to_end"])
-            result["workloads"][workload] = {
-                "seed": args.seed,
-                "parent_commit": parent_commit,
-                "change_diff_sha256": change_diff,
-                **report,
-            }
+        for seed in seeds:
+            result: dict = {"seconds": seconds, "interleaved": args.interleaved, "workloads": {}}
+            for workload in args.workload or WORKLOADS:
+                if args.interleaved:
+                    report = _spawn_alternating(trees, workload, seed, seconds)
+                    print(f"{workload} seed {seed}: pass time ratio "
+                          f"{report['ratio']['median']:.3f} "
+                          f"[IQR {report['ratio']['iqr']:.3f}] over {report['pairs']} pairs",
+                          file=sys.stderr)
+                else:
+                    report = _pairs(trees, workload, seed, args.pairs, seconds,
+                                    bench["end_to_end"])
+                result["workloads"][workload] = {
+                    "seed": seed,
+                    "parent_commit": parent_commit,
+                    "change_diff_sha256": change_diff,
+                    **report,
+                }
+            label = args.pr if len(seeds) == 1 else f"{args.pr}_seed{seed}"
+            out = ROOT / f"BENCH_{label}.json"
+            out.write_text(json.dumps(result, indent=1) + "\n")
+            print(f"wrote {out}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

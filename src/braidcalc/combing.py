@@ -14,6 +14,11 @@ the already combed letters that have level below j.  comb conjugates
 through the shorter of the two, and memoises each band's image until a
 letter of lower level is combed.
 
+A pure braid sends each free generator of U_j to a conjugate of itself
+(E. Artin, "Theory of braids", 1947), so the reduced image of a band A
+is X A X^-1 with A at its centre.  Conjugation rewrites only X, and a
+power of the image is X A^e X^-1: the image with its centre set to A^e.
+
 The conjugation of a band A_{i,j} by A_{r,s}^{+-1} with s < j depends
 only on the order pattern of (r, s, i); the case table below was
 derived by scripts/derive_conj_rules.py (a bounded brute-force search)
@@ -48,7 +53,7 @@ from .braids import (
     band_power_letters,
 )
 from .faces import coface_on_pure_gen, face_on_pure_gen
-from .words import Band, GroupWord, Syllable, _band_name, _invert, _join, _pow, _push
+from .words import Band, GroupWord, Syllable, _band_name, _invert, _join, _push
 
 __all__ = [
     "DEFAULT_COMPONENT_BUDGET",
@@ -116,7 +121,11 @@ def _conj_runs(
     g_sym: Band, g_sign: int, j: int
 ) -> dict[Band, tuple[tuple[Syllable, ...], tuple[Syllable, ...], int]]:
     """For each band h of level j: conj_rule's syllables for h and for
-    h^-1, and their letter count, the length, as every exponent is +-1."""
+    h^-1, and their letter count, the length, as every exponent is +-1.
+
+    Each run is a reduced conjugate Y h Y^-1 of its band: it has odd
+    length, h at its centre and Y as its first half.
+    """
     runs = {}
     for i in range(1, j):
         run = conj_rule(g_sym, g_sign, (i, j)).syllables
@@ -318,6 +327,10 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
     the components refuses it.  No size is recounted: an image comes with
     its letter count, a power of it is counted from its exponent, and a
     component's count moves by the letters _join cancels.
+
+    Every image is a reduced conjugate X A X^-1 of its band (see
+    _conjugate), so its e-th power is X A^e X^-1: the reversed image with
+    its centre set to A^e, |e| - 1 letters more than the image.
     """
     n = w.strands
     syllables = w.word.syllables
@@ -353,18 +366,14 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
                     raise refuse(memo[1], f"image of {_band_name(sym)}", done)
             images[j][sym] = memo
         image, size = memo
-        # the stack is reversed, so the image joins it read backwards
-        if exp == 1:
-            run = image[::-1]
-        elif exp == -1:
-            run = [(band, -e) for band, e in image]
-        else:
-            # a reduced conjugate w^-1 A w of one band has the power
-            # w^-1 A^e w, so |e| - 1 letters more
+        # the stack is reversed, so the image joins it read backwards; the
+        # image is X A X^-1, so its power is X A^e X^-1, |e| - 1 letters more
+        run = image[::-1]
+        if exp != 1:
+            run[len(run) // 2] = (sym, exp)
             size += abs(exp) - 1
             if size > component_budget:
                 raise refuse(size, f"image of {_band_name(sym)}", done)
-            run = _pow(image[::-1], exp)
         sizes[j - 2] += size - 2 * _join(stacks[j - 2], run)
         if sizes[j - 2] > component_budget:
             raise refuse(sizes[j - 2], f"u_{j}", done + 1, f" in u_{j}")
@@ -412,31 +421,60 @@ def _conjugate(
     """The band conjugated by the prefix syllables, leftmost first, and its
     letter count.
 
-    Each conjugator letter rewrites the image syllable by syllable from
-    the conjugation-rule runs.  The count is the runs' letters less twice
-    what _join cancels, so nothing is recounted.  Stops at the first
-    image that passes the budget and returns it.
+    The image is a reduced conjugate X A X^-1 of its band A, so only X
+    is rewritten.  A conjugator letter g acts as the automorphism
+    phi(w) = g^-1 w g, and A's own rule run is phi(A) = Y A Y^-1, so
+    phi(X A X^-1) = phi(X) Y A (phi(X) Y)^-1.  Each letter therefore
+    rewrites X syllable by syllable from the conjugation-rule runs,
+    appends Y and drops a trailing power of A; that leaves X reduced and
+    not ending in A, so X A X^-1 is reduced.  A syllable B^e with
+    |e| > 1 takes its run Z B Z^-1 with the centre set to B^e.  The runs
+    join inline, cancelling where they meet, and the count moves by the
+    letters cancelled, so nothing is recounted.  After each conjugator
+    letter the image's 2|X| + 1 letters are checked against the budget,
+    and the first image that passes it is returned.
     """
-    image: list[Syllable] = [(band, 1)]
-    letters = 1
+    x: list[Syllable] = []
+    letters = 0  # of X
     j = band[1]
     for g_sym, g_exp in prefix:
         rules = _conj_runs(g_sym, 1 if g_exp > 0 else -1, j)
+        own = rules[band][0]
+        half = own[:len(own) // 2]
         for _ in range(abs(g_exp)):
             stack: list[Syllable] = []
             letters = 0
-            for sym, exp in image:
+            for sym, exp in x:
                 plus, minus, size = rules[sym]
                 if exp == 1:
                     run = plus
                 elif exp == -1:
                     run = minus
                 else:
-                    # each rule is a reduced conjugate of one band
-                    run = _pow(plus, exp)
+                    run = list(plus)
+                    run[size // 2] = (sym, exp)
                     size += abs(exp) - 1
-                letters += size - 2 * _join(stack, run)
-            image = stack
-            if letters > budget:
-                return image, letters
-    return image, letters
+                letters += size
+                if stack and stack[-1][0] == run[0][0]:
+                    # cancel while the top of the stack meets the head of
+                    # the run, then extend: _join, inline
+                    k = 0
+                    while k < len(run) and stack and stack[-1][0] == run[k][0]:
+                        head, e = run[k]
+                        old = stack.pop()[1]
+                        k += 1
+                        if old + e:
+                            stack.append((head, old + e))
+                            letters -= abs(old) + abs(e) - abs(old + e)
+                            break
+                        letters -= 2 * abs(e)
+                    stack.extend(run[k:])
+                else:
+                    stack.extend(run)
+            letters += len(half) - 2 * _join(stack, half)
+            if stack and stack[-1][0] == band:
+                letters -= abs(stack.pop()[1])
+            x = stack
+            if 2 * letters + 1 > budget:
+                return [*x, (band, 1), *_invert(x)], 2 * letters + 1
+    return [*x, (band, 1), *_invert(x)], 2 * letters + 1

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidcalc import combing
 from braidcalc.braids import BudgetExceededError, same_braid
 from braidcalc.combing import (
     CombedForm,
     PureAWord,
+    _conjugate,
     comb,
     conj_rule,
 )
@@ -223,6 +225,97 @@ REFUSAL_WITNESSES = [
         None,
     )),
 ]
+
+
+def letterwise_conjugate(band, prefix, budget):
+    """The band conjugated through the prefix syllables one letter at a
+    time, rewriting the whole image from conj_rule with GroupWord
+    products; stops at the first image past the budget.  Returns the
+    image and the number of prefix syllables read."""
+    image = GroupWord.single(band)
+    for read, (g_sym, g_exp) in enumerate(prefix, start=1):
+        sign = 1 if g_exp > 0 else -1
+        for _ in range(abs(g_exp)):
+            rewritten = GroupWord()
+            for sym, exp in image.syllables:
+                rule = conj_rule(g_sym, sign, sym)
+                for _ in range(abs(exp)):
+                    rewritten = rewritten * (rule if exp > 0 else rule.inverse())
+            image = rewritten
+            if image.letter_count() > budget:
+                return image, read
+    return image, len(prefix)
+
+
+def letterwise_comb(w):
+    """Comb w with every power written out as +-1 letters: each letter
+    is conjugated through the lower components by letterwise_conjugate
+    and multiplied onto its own component."""
+    comps = [GroupWord() for _ in range(w.strands - 1)]
+    for sym, exp in reversed(w.word.syllables):
+        j = sym[1]
+        prefix = [syl for comp in comps[:j - 2] for syl in comp.syllables]
+        image, _ = letterwise_conjugate(sym, prefix, float("inf"))
+        letter = image if exp > 0 else image.inverse()
+        for _ in range(abs(exp)):
+            comps[j - 2] = letter * comps[j - 2]
+    return comps
+
+
+@st.composite
+def conjugations(draw):
+    """A band on 3-7 strands, a prefix of up to 8 lower-level syllables
+    with exponents +-1..+-3, and a budget that often stops mid-prefix."""
+    n = draw(st.integers(3, 7))
+    j = draw(st.integers(3, n))
+    band = (draw(st.integers(1, j - 1)), j)
+    lower = st.integers(2, j - 1).flatmap(lambda s: st.tuples(st.integers(1, s - 1), st.just(s)))
+    exponents = st.sampled_from([1, -1, 2, -2, 3, -3])
+    prefix = draw(st.lists(st.tuples(lower, exponents), max_size=8))
+    budget = draw(st.integers(1, 400))
+    return band, prefix, budget
+
+
+class TestConjugation:
+    @settings(max_examples=300, deadline=None)
+    @given(conjugations())
+    def test_conjugate_matches_letterwise_rewrite(self, case):
+        band, prefix, budget = case
+        read = []
+
+        def counted():
+            for syl in prefix:
+                read.append(syl)
+                yield syl
+
+        image, letters = _conjugate(band, counted(), budget)
+        expected, expected_read = letterwise_conjugate(band, prefix, budget)
+        assert GroupWord(tuple(image)) == expected
+        assert letters == expected.letter_count()
+        assert len(read) == expected_read
+        # the image is X A X^-1 with the band at its centre, which is
+        # what lets a power of it be set at the centre
+        mid = len(image) // 2
+        assert len(image) % 2 == 1 and image[mid] == (band, 1)
+        assert GroupWord(tuple(image[mid + 1:])) == GroupWord(tuple(image[:mid])).inverse()
+
+    def test_memoised_image_takes_every_power(self, monkeypatch):
+        # combed right to left, A1,4 meets the exponents -3, 2, -1 and 1
+        # with only level-4 bands between, so its one image is reused
+        w = parse("a1.4 a2.4 a1.4' a3.4 a1.4^2 a2.4' a1.4^-3 a1.3' a2.3^2 a1.2", 4)
+        calls = []
+
+        def conjugate(band, prefix, budget):
+            calls.append(band)
+            return _conjugate(band, prefix, budget)
+
+        monkeypatch.setattr(combing, "_conjugate", conjugate)
+        form = comb(w)
+        assert calls.count((1, 4)) == 1
+        assert [e for sym, e in w.word.syllables if sym == (1, 4)] == [1, -1, 2, -3]
+        assert list(form.components) == letterwise_comb(w)
+        assert same_braid(form.as_single_word(), w)
+        assert not same_braid(form.as_single_word(), w * parse("a1.4", 4))
 
 
 class TestRefusalWitnesses:

@@ -3,7 +3,7 @@
 Each script asserts its own findings, so exit status 0 means they still
 hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
 its copy of the change's tree on a small repository, and its
-interleaved child on two small trees.
+interleaved child and its one file per seed on two small trees.
 """
 
 import importlib.util
@@ -148,6 +148,32 @@ def test_bench_pairs_interleaved_child(tmp_path):
     proc = run_interleaved_child(parent, other)
     assert proc.returncode != 0
     assert "the change answers ['band-solve', 2, 1] differently" in proc.stderr
+
+
+def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch):
+    # the parent is the committed fake tree, the change its edited copy
+    repo = fake_tree(tmp_path / "repo", "{'result': argv}")
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 0, "end_to_end": []}\n')
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "parent"], cwd=repo, check=True)
+    fake_tree(repo, "{'result': list(argv)}")
+
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    argv = ["--pr", "7", "--interleaved", "--workload", "band-solve", "--seed", "1", "--seed", "3"]
+    assert bench_pairs.main(argv) == 0
+
+    assert sorted(p.name for p in repo.glob("BENCH_*.json")) == [
+        "BENCH_7_seed1.json", "BENCH_7_seed3.json",
+    ]
+    for seed in (1, 3):
+        result = json.loads((repo / f"BENCH_7_seed{seed}.json").read_text())
+        report = result["workloads"]["band-solve"]
+        assert result["interleaved"] is True
+        assert report["seed"] == seed
+        assert report["pairs"] == bench_pairs.MIN_PAIRS
 
 
 # The --limit 8 digests: the first 8 queries of seeds 1 and 2 of each
