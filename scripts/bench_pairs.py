@@ -37,11 +37,15 @@ until each side has run for run_seconds and at least MIN_PAIRS pairs.
 Both sides share one interpreter, so a slower or faster machine moves
 both passes of a pair alike.  Every pass's payloads must match the other
 side's byte for byte, or the run stops with the first query that
-differs.  BENCH_<label>.json then holds, per workload, the median,
-quartiles and IQR of the per-pair ratio of pass times (change over
-parent) and of each side's pass time.  Peak memory, answer sizes and
-failed counts cannot be split inside one process, so they come from the
-paired runs alone.
+differs.  Each query is timed as well, and each pass yields its p50 and
+p90 query times, the p90 taken as perfbench/run.py takes it.
+BENCH_<label>.json then holds, per workload, the median, quartiles and
+IQR of the per-pair ratio of pass times (change over parent), of each
+side's pass time, of the per-pair ratio of p90 query times (p90_ratio)
+and of each side's per-pass p50 and p90 (query_p50_ms, query_p90_ms), so
+a latency claim can rest on interleaved pairs too.  Peak memory, answer
+sizes and failed counts cannot be split inside one process, so they come
+from the paired runs alone.
 
 --seed may be given more than once, in either mode.  Each seed is run in
 turn on the same two trees and written to its own BENCH_<label>_seed<s>.json
@@ -142,29 +146,49 @@ def _alternate_passes(trees: dict[str, Path], workload: str, seed: int, seconds:
     queries = [q["argv"] for q in workloads.build(workload, seed)]
     runs = {side: _load_cli(tree, f"bc_{side}").run for side, tree in trees.items()}
 
-    def answer(side: str) -> tuple[float, list]:
+    def answer(side: str) -> tuple[float, list[float], list]:
         gc.collect()
         run = runs[side]
+        latencies, payloads = [], []
         t0 = time.perf_counter()
-        payloads = [run(argv) for argv in queries]
-        return time.perf_counter() - t0, payloads
+        for argv in queries:
+            start = time.perf_counter()
+            payloads.append(run(argv))
+            latencies.append(time.perf_counter() - start)
+        return time.perf_counter() - t0, latencies, payloads
 
-    expected = [json.dumps(a, sort_keys=True) for a in answer("parent")[1]]
-    times: dict[str, list[float]] = {"parent": [], "change": []}
+    expected = [json.dumps(a, sort_keys=True) for a in answer("parent")[2]]
+    sides = ("parent", "change")
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    p50: dict[str, list[float]] = {side: [] for side in sides}
+    p90: dict[str, list[float]] = {side: [] for side in sides}
     while len(times["change"]) < MIN_PAIRS or min(map(sum, times.values())) < seconds:
-        order = ("parent", "change") if len(times["change"]) % 2 == 0 else ("change", "parent")
+        order = sides if len(times["change"]) % 2 == 0 else sides[::-1]
         for side in order:
-            elapsed, payloads = answer(side)
+            elapsed, latencies, payloads = answer(side)
             for argv, want, got in zip(queries, expected, payloads):
                 if json.dumps(got, sort_keys=True) != want:
                     raise SystemExit(f"{workload}: the {side} answers {argv} differently")
             times[side].append(elapsed)
+            ms = [1000.0 * x for x in latencies]
+            p50[side].append(statistics.median(ms))
+            p90[side].append(_p90(ms))
     return {
         "pairs": len(times["change"]),
         "queries": len(queries),
         "ratio": _summary([c / p for p, c in zip(times["parent"], times["change"])]),
         "pass_s": {side: _summary(t) for side, t in times.items()},
+        "p90_ratio": _summary([c / p for p, c in zip(p90["parent"], p90["change"])]),
+        "query_p50_ms": {side: _summary(v) for side, v in p50.items()},
+        "query_p90_ms": {side: _summary(v) for side, v in p90.items()},
     }
+
+
+def _p90(ms: list[float]) -> float:
+    """The 90th percentile of one pass's query times, as perfbench/run.py takes it."""
+    if len(ms) < 2:
+        return ms[0]
+    return statistics.quantiles(ms, n=10, method="inclusive")[8]
 
 
 def _spawn_alternating(trees: dict[str, Path], workload: str, seed: int, seconds: float) -> dict:
@@ -271,7 +295,9 @@ def main(argv: list[str] | None = None) -> int:
                     report = _spawn_alternating(trees, workload, seed, seconds)
                     print(f"{workload} seed {seed}: pass time ratio "
                           f"{report['ratio']['median']:.3f} "
-                          f"[IQR {report['ratio']['iqr']:.3f}] over {report['pairs']} pairs",
+                          f"[IQR {report['ratio']['iqr']:.3f}], p90 ratio "
+                          f"{report['p90_ratio']['median']:.3f} "
+                          f"[IQR {report['p90_ratio']['iqr']:.3f}] over {report['pairs']} pairs",
                           file=sys.stderr)
                 else:
                     report = _pairs(trees, workload, seed, args.pairs, seconds,

@@ -19,7 +19,6 @@ from .cohen import (
     Braidlike,
     NotCohenError,
     StrandPartition,
-    all_faces,
     band_commutator,
     brunnian_generator,
     common_face,
@@ -84,7 +83,6 @@ __all__ = [
     "PureAWord",
     "StrandPartition",
     "a_sym",
-    "all_faces",
     "band_commutator",
     "brunnian_generator",
     "build_p1_rp2",

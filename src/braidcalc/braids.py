@@ -86,9 +86,9 @@ class BraidWord:
     """A word in the Artin generators of B_n; letters are (index, sign).
 
     Its members besides letters are those of combing.PureAWord: strands,
-    identity, product, *, inverse, face, coface, to_braid, perm,
-    letter_count and exponent_sum.  As there, a product cancels letters
-    where two factors meet, and nowhere else.
+    identity, product, *, inverse, face, faces, coface, to_braid, perm,
+    is_identity, letter_count and exponent_sum.  As there, a product
+    cancels letters where two factors meet, and nowhere else.
     """
 
     strands: int
@@ -135,6 +135,10 @@ class BraidWord:
                 k += 1
             stack.extend(run[k:] if k else run)
         return cls._unchecked(strands, tuple(stack))
+
+    def is_identity(self) -> bool:
+        """The word is empty (an identity braid may have other words)."""
+        return not self.letters
 
     def letter_count(self) -> int:
         return len(self.letters)
@@ -188,6 +192,10 @@ class BraidWord:
             else:
                 out.append((j, sign))
         return BraidWord._unchecked(n - 1, tuple(out))
+
+    def faces(self) -> tuple[BraidWord, ...]:
+        """The faces d_1, .., d_n, one walk of the word each."""
+        return tuple(self.face(i) for i in range(1, self.strands + 1))
 
     def coface(self, *positions: int) -> BraidWord:
         """Insert trivial strands at the positions in turn, leftmost first.

@@ -19,7 +19,6 @@ from .cohen import (
     Braidlike,
     NotCohenError,
     StrandPartition,
-    all_faces,
     common_face,
     is_brunnian,
     is_cohen,
@@ -241,7 +240,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             lower = tau_spread(lo, hi - 1, w) if hi > lo else None
             payload["witnesses"]["faces_checked"] = all(
                 same_braid(f, lower if lower is not None and i < hi else f.identity(f.strands))
-                for i, f in enumerate(all_faces(result), start=1)
+                for i, f in enumerate(result.faces(), start=1)
             )
         elif args.verify:
             payload["witnesses"]["faces_checked"] = is_cohen(result)
@@ -294,7 +293,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             i, j = e.witness_indices
             payload["witnesses"] = {
                 "violating_pair": [i, j],
-                "faces": {f"d{k}": _fmt(f) for k, f in enumerate(all_faces(b), start=1)},
+                "faces": {f"d{k}": _fmt(f) for k, f in enumerate(b.faces(), start=1)},
             }
             return 1
         payload["result"] = True
@@ -305,7 +304,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         b = parse(args.expr, n)
         bad = [
             k
-            for k, f in enumerate(all_faces(b), start=1)
+            for k, f in enumerate(b.faces(), start=1)
             if not same_braid(f, f.identity(f.strands))
         ]
         payload["result"] = not bad
@@ -368,7 +367,7 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
         out = solve_cohen_system(b, n)
         payload["result"] = _fmt(out)
         if args.verify:
-            faces_ok = all(same_braid(f, b) for f in all_faces(out))
+            faces_ok = all(same_braid(f, b) for f in out.faces())
             payload["witnesses"]["faces_equal_input"] = faces_ok
             if not faces_ok:
                 raise AssertionError("solver output failed face verification")

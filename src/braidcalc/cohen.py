@@ -2,9 +2,10 @@
 
 A braid is Cohen when all of its strand-deletion faces agree, and
 Brunnian when every face is trivial.  The predicates here accept either
-a BraidWord or a PureAWord and take faces through their shared face
-member.  Every equality goes through braids.same_braid, which compares
-Dynnikov coordinates; equal band words answer before any expansion.
+a BraidWord or a PureAWord and take faces through their shared faces
+member, which gives d_1 .. d_n together.  Every equality
+goes through braids.same_braid, which compares Dynnikov coordinates;
+equal band words answer before any expansion.
 
 Also provided: the generator families used throughout the test suite
 (band commutators, conjugated iterated commutators, full-twist product
@@ -24,7 +25,6 @@ __all__ = [
     "Braidlike",
     "NotCohenError",
     "StrandPartition",
-    "all_faces",
     "band_commutator",
     "brunnian_generator",
     "common_face",
@@ -51,22 +51,17 @@ class NotCohenError(ValueError):
         super().__init__(f"faces d_{i} and d_{j} differ")
 
 
-def all_faces(b: Braidlike) -> list[Braidlike]:
-    """The strand-deletion images d_1(b), ..., d_n(b)."""
-    return [b.face(i) for i in range(1, b.strands + 1)]
-
-
 def is_cohen(b: Braidlike) -> bool:
     """All faces of b agree.  Vacuously true for fewer than two strands."""
     if b.strands <= 1:
         return True
-    faces = all_faces(b)
+    faces = b.faces()
     return all(same_braid(faces[0], f) for f in faces[1:])
 
 
 def common_face(b: Braidlike) -> Braidlike:
     """The shared face of a Cohen braid; raises NotCohenError with a witness."""
-    faces = all_faces(b)
+    faces = b.faces()
     for k, f in enumerate(faces[1:], start=2):
         if not same_braid(faces[0], f):
             raise NotCohenError(1, k, faces[0], f)
@@ -77,7 +72,7 @@ def common_face(b: Braidlike) -> Braidlike:
 
 def is_brunnian(b: Braidlike) -> bool:
     """Every face of b is trivial."""
-    return all(same_braid(f, f.identity(f.strands)) for f in all_faces(b))
+    return all(same_braid(f, f.identity(f.strands)) for f in b.faces())
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ def is_generalized_cohen(b: Braidlike, partition: StrandPartition) -> bool:
     """Within each block of strand indices, all faces of b agree."""
     if partition.n != b.strands:
         raise ValueError("partition is for a different strand count")
-    faces = all_faces(b)
+    faces = b.faces()
     for block in partition.blocks:
         indices = sorted(block)
         first = faces[indices[0] - 1]

@@ -52,7 +52,7 @@ from .braids import (
     Perm,
     band_power_letters,
 )
-from .faces import coface_on_pure_gen, face_on_pure_gen
+from .faces import _surviving_faces, coface_on_pure_gen, face_on_pure_gen
 from .words import Band, GroupWord, Syllable, _band_name, _invert, _join, _push
 
 __all__ = [
@@ -138,8 +138,8 @@ class PureAWord:
     """A word in the bands of B_n, representing a pure braid.
 
     Has the members of braids.BraidWord: strands, identity, product, *,
-    inverse, face, coface, to_braid, perm, letter_count and
-    exponent_sum; and also word and is_identity.  As there, a product
+    inverse, face, faces, coface, to_braid, perm, is_identity,
+    letter_count and exponent_sum; and also word.  As there, a product
     cancels letters where two factors meet, and nowhere else.
     """
 
@@ -238,6 +238,38 @@ class PureAWord:
                 out.append((faced, exp))
                 gap = False
         return PureAWord._unchecked(n - 1, GroupWord._unchecked(tuple(out)))
+
+    def faces(self) -> tuple[PureAWord, ...]:
+        """The faces d_1, .., d_n, from one walk of the word.
+
+        Each syllable is looked up once, in the band table of n, which
+        gives the faces where its band survives and its image there.
+        The image is pushed onto each of those faces; as in face, it
+        can merge with or cancel the top only across deleted bands.
+        """
+        n = self.strands
+        table, rule = _faces_map(n)
+        outs: list[list[Syllable]] = [[] for _ in range(n)]
+        for sym, exp in self.word.syllables:
+            try:
+                runs = table[sym]
+            except KeyError:
+                runs = table[sym] = rule(sym)
+            for kept, faced in runs:
+                syllable = (faced, exp)
+                for k in kept:
+                    out = outs[k]
+                    if out and out[-1][0] == faced:
+                        total = out[-1][1] + exp
+                        if total:
+                            out[-1] = (faced, total)
+                        else:
+                            out.pop()
+                    else:
+                        out.append(syllable)
+        return tuple(
+            PureAWord._unchecked(n - 1, GroupWord._unchecked(tuple(out))) for out in outs
+        )
 
     def coface(self, *positions: int) -> PureAWord:
         """Insert trivial strands at the positions in turn, leftmost first.
@@ -398,6 +430,16 @@ _BandMap = tuple[dict[Band, Band | None], Callable[[Band], Band | None]]
 def _face_map(n: int, i: int) -> _BandMap:
     """Bands of P_n under deleting strand i; None where the band dies."""
     return {}, lambda band: face_on_pure_gen(i, band, n)
+
+
+# The faces a band survives, in runs of face positions with one image each.
+_FaceRuns = tuple[tuple[range, Band], ...]
+
+
+@lru_cache(maxsize=256)
+def _faces_map(n: int) -> tuple[dict[Band, _FaceRuns], Callable[[Band], _FaceRuns]]:
+    """Bands of P_n under all n deletions at once, for PureAWord.faces."""
+    return {}, lambda band: _surviving_faces(band, n)
 
 
 @lru_cache(maxsize=1024)

@@ -1,14 +1,17 @@
 """Strand deletion (faces) and trivial-strand insertion (cofaces).
 
 On crossing words the two maps are BraidWord.face and BraidWord.coface,
-and on band words PureAWord.face and PureAWord.coface.  This module
-holds the rules on single band generators, which combing.PureAWord
-applies letterwise through band maps cached per deleted strand (n, i)
-and per insertion sequence, however many strands it inserts.  A map is
-filled with the bands that words bring, so it holds the bands in use,
-not every band of P_n.  Both maps are injective on the bands that
-survive, so a reduced band word stays reduced under a coface, and under
-a face it can reduce only across the letters that die.
+and on band words PureAWord.face and PureAWord.coface; faces() on
+either type gives all of d_1 .. d_n at once, and PureAWord.faces reads
+each syllable once for all of them.  This module holds the rules on
+single band generators, which combing.PureAWord applies letterwise
+through band maps cached per deleted strand (n, i), per strand count
+for all faces at once, and per insertion sequence, however many strands
+it inserts.  A map is filled with the bands that words bring, so it
+holds the bands in use, not every band of P_n.  Both maps are injective
+on the bands that survive, so a reduced band word stays reduced under a
+coface, and under a face it can reduce only across the letters that
+die.
 
 Both maps are homomorphisms on words by construction; the test suite
 checks the simplicial-style identities they satisfy with
@@ -51,3 +54,22 @@ def coface_on_pure_gen(i: int, pair: tuple[int, int]) -> tuple[int, int]:
     if i <= t:
         return (s, t + 1)
     return (s, t)
+
+
+def _surviving_faces(
+    pair: tuple[int, int], n: int
+) -> tuple[tuple[range, tuple[int, int]], ...]:
+    """The faces of P_n in which A_{s,t} survives, in runs of one image.
+
+    A run is a range of face positions i - 1 (so 0-based) and the image
+    of the band under each of those deletions: face_on_pure_gen for the
+    strands below s, between s and t, and above t.  Empty runs are left
+    out.
+    """
+    s, t = pair
+    runs = (
+        (range(s - 1), (s - 1, t - 1)),
+        (range(s, t - 1), (s, t - 1)),
+        (range(t, n), (s, t)),
+    )
+    return tuple(run for run in runs if run[0])

@@ -14,6 +14,13 @@ On top of these sit the Hopf decomposition of a pure Cohen braid into
 Brunnian layers and the solver for the face system d_1(beta) = ... =
 d_n(beta) = alpha.
 
+Both take faces down a chain a_n = a, a_(n-1), .., a_2.  All faces are
+compared at the top rank only: d_j d_1 = d_1 d_(j+1), so once the faces
+of a agree, every rank below is Cohen and its first face is its common
+face.  A layer is checked to be Brunnian only where it is kept:
+hopf_decompose checks all its layers, the solver those of the order it
+reassembles.
+
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
     position most significant, and the leftmost index is applied first;
@@ -31,6 +38,7 @@ Order conventions (pinned by worked examples in the test suite):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -98,23 +106,25 @@ def full_lift(m: int, n: int, w: PureAWord, check: bool = True) -> PureAWord:
 _Order = Callable[[int, int], Sequence[tuple[int, ...]]]
 
 
-def _colex(n: int, r: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def _colex(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The r-insertion tuples on n strands, rightmost position most significant."""
-    return sorted(combinations(range(1, n + 1), r), key=lambda t: t[::-1])
+    return tuple(sorted(combinations(range(1, n + 1), r), key=lambda t: t[::-1]))
 
 
-def _spread(n: int, r: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def _spread(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The r-insertion tuples on n strands, in spread order."""
     kept = n - r
-    return [
+    return tuple(
         (*below, *range(top + 1, n + 1))
         for top in range(kept, n + 1)
         for below in combinations(range(1, top), top - kept)
-    ]
+    )
 
 
 def _james_hopf(k: int, n: int, b: Braidlike, order: _Order) -> Braidlike:
-    if not b.letter_count():
+    if b.is_identity():
         return b.identity(n)  # every factor is a coface of the empty word
     # on fewer than k strands there are C(n, k) = 0 factors
     indices = order(n, n - k) if k <= n else ()
@@ -154,24 +164,31 @@ def reassemble(deltas: Sequence[Braidlike], n: int) -> Braidlike:
 
 
 def _face_chain(a: Braidlike) -> list[Braidlike]:
-    """a_2, .., a_n: a_n = a and a_(k-1) = common_face(a_k), bottom-up.
+    """a_2, .., a_n: a_n = a and a_(k-1) = d_1(a_k), bottom-up.
 
-    The faces are taken top-down, so NotCohenError names the highest
-    rank whose faces disagree.
+    Only the top rank has its faces compared: a_(n-1) = common_face(a),
+    so NotCohenError names the faces of a.  Below it one face suffices.
+    The faces satisfy d_j d_1 = d_1 d_(j+1), and a_(n-1) = d_1(a), so
+    d_j(a_(n-1)) = d_1(d_(j+1)(a)) = d_1(a_(n-1)) as braids for every
+    j: a_(n-1) is Cohen again, and by induction so is every rank below,
+    whose common face is its first.
     """
     chain = [a]
+    if a.strands > 2:
+        chain.append(common_face(a))
     while chain[-1].strands > 2:
-        chain.append(common_face(chain[-1]))
+        chain.append(chain[-1].face(1))
     return chain[::-1]
 
 
 def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlike]:
-    """Yield the Brunnian layers delta_1, delta_2, .. of the chain's top.
+    """Yield the layers delta_1, delta_2, .. of the chain's top.
 
     The layers of a_(k-1) determine delta_1 .. delta_(k-1), and delta_k
     is what remains of a_k after dividing out their James-Hopf images,
-    taken in the given order.  Each layer is Brunnian (asserted; the
-    empty word is, so its faces are not taken).
+    taken in the given order.  The layers are not checked here: the
+    callers check that the ones they keep are Brunnian, with
+    _check_layers.
     """
     bottom = chain[0]
     if bottom.strands <= 1:
@@ -182,21 +199,28 @@ def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlik
     yield from layers
     for a in chain[1:]:
         top = _reassemble(layers, a.strands, order).inverse() * a
-        if top.letter_count() and not is_brunnian(top):
-            raise AssertionError("residual top layer is not Brunnian")
         layers.append(top)
         yield top
+
+
+def _check_layers(layers: Sequence[Braidlike]) -> None:
+    """Assert that every layer is Brunnian; an empty one is, unread."""
+    for k, layer in enumerate(layers, start=1):
+        if not layer.is_identity() and not is_brunnian(layer):
+            raise AssertionError(f"Hopf layer delta_{k} is not Brunnian")
 
 
 def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """Split a pure Cohen braid into Brunnian layers delta_1 .. delta_n.
 
     Reassembling the layers (colex order) reproduces a, and each layer
-    is Brunnian (asserted).
+    is Brunnian (asserted, all of them).
     """
     if not is_pure(a):
         raise ValueError("hopf_decompose requires a pure braid")
-    return tuple(_hopf_layers(_face_chain(a), _colex))
+    layers = tuple(_hopf_layers(_face_chain(a), _colex))
+    _check_layers(layers)
+    return layers
 
 
 def _solve_pure(a: Braidlike, n: int) -> Braidlike:
@@ -206,7 +230,9 @@ def _solve_pure(a: Braidlike, n: int) -> Braidlike:
     orders decompose the same face chain, and each step advances the
     one whose running bound is smaller (colex on a tie), so the first to
     run out of layers has the smaller final bound and the other stops
-    at most one layer past it.
+    at most one layer past it.  Only the winner's layers are checked to
+    be Brunnian, just before they are reassembled: the loser's never
+    reach the answer.
     """
     chain = _face_chain(a)
     runs = [(order, _hopf_layers(chain, order), []) for order in (_colex, _spread)]
@@ -216,6 +242,7 @@ def _solve_pure(a: Braidlike, n: int) -> Braidlike:
         order, layers, done = runs[side]
         layer = next(layers, None)
         if layer is None:
+            _check_layers(done)
             return _reassemble(done, n, order)
         done.append(layer)
         bounds[side] += comb(n, len(done)) * layer.letter_count()

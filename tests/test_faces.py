@@ -169,3 +169,66 @@ class TestPureGeneratorTables:
                         assert same_braid(
                             band_braid(s2, t2, n + 1), band_braid(s, t, n).coface(i)
                         )
+
+
+@st.composite
+def band_words(draw):
+    """A band word on 2-7 strands over a few bands, so kept syllables
+    often meet again across deleted ones; exponents +-1..+-3."""
+    n = draw(st.integers(2, 7))
+    bands = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    few = draw(st.lists(st.sampled_from(bands), min_size=1, max_size=4))
+    exps = st.integers(1, 3).flatmap(lambda e: st.sampled_from((e, -e)))
+    triples = draw(st.lists(st.tuples(st.sampled_from(few), exps), max_size=14))
+    return aword(n, [(i, j, e) for (i, j), e in triples])
+
+
+@st.composite
+def crossing_words(draw):
+    """A crossing word on 2-7 strands; each generator raised to +-1..+-3."""
+    n = draw(st.integers(2, 7))
+    powers = draw(st.lists(
+        st.tuples(st.integers(1, n - 1), st.integers(1, 3), st.sampled_from((1, -1))),
+        max_size=10,
+    ))
+    return BraidWord(n, tuple((i, sign) for i, k, sign in powers for _ in range(k)))
+
+
+def faces_one_by_one(b):
+    return tuple(b.face(i) for i in range(1, b.strands + 1))
+
+
+class TestAllFaces:
+    @given(band_words())
+    def test_band_word_faces_match_face_by_face(self, w):
+        faces = w.faces()
+        assert len(faces) == w.strands
+        for got, want in zip(faces, faces_one_by_one(w)):
+            assert got.strands == want.strands
+            assert got.word.syllables == want.word.syllables
+
+    @given(crossing_words())
+    def test_crossing_word_faces_match_face_by_face(self, b):
+        faces = b.faces()
+        assert len(faces) == b.strands
+        for got, want in zip(faces, faces_one_by_one(b)):
+            assert got.strands == want.strands
+            assert got.letters == want.letters
+
+    def test_empty_words(self):
+        for n in range(8):
+            for b in (BraidWord.identity(n), PureAWord.identity(n)):
+                assert b.faces() == faces_one_by_one(b)
+                assert all(f.is_identity() for f in b.faces())
+
+    @pytest.mark.parametrize("n, triples, i, want", [
+        # A1,3 A1,2 A1,3 less strand 2: the A1,3 images merge across A1,2
+        (3, [(1, 3, 1), (1, 2, 1), (1, 3, 1)], 2, [((1, 2), 2)]),
+        (3, [(1, 3, 2), (1, 2, -1), (1, 3, -2)], 2, []),
+        # A1,3 cancels across A3,4, and the two A1,2 then merge
+        (4, [(1, 2, 1), (1, 4, 1), (3, 4, 1), (1, 4, -1), (1, 2, 2)], 3, [((1, 2), 3)]),
+    ], ids=["merge", "cancel", "cancel-then-merge"])
+    def test_kept_syllables_meet_across_dead_ones(self, n, triples, i, want):
+        w = aword(n, triples)
+        assert w.faces()[i - 1].word.syllables == tuple(want)
+        assert w.faces() == faces_one_by_one(w)

@@ -7,12 +7,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcalc import lifting
 from braidcalc.braids import BraidWord, half_twist, is_pure, same_braid
 from braidcalc.cohen import (
     NotCohenError,
-    all_faces,
     band_commutator,
     brunnian_generator,
+    common_face,
     delta_square_word,
     is_brunnian,
     is_cohen,
@@ -194,7 +195,7 @@ class TestSolver:
         alpha = half_twist(2)  # single crossing; all faces empty
         beta = solve_cohen_system(alpha, 3)
         assert not is_pure(beta)
-        for f in all_faces(beta):
+        for f in beta.faces():
             assert same_braid(f, alpha)
 
     def test_refusal_names_a_face_pair(self):
@@ -223,7 +224,7 @@ class TestSpreadOrder:
             image = _james_hopf(m, n, w, _spread)
             assert image == full_lift(m, n, w)
             lower = _james_hopf(m, n - 1, w, _spread) if n > m else None
-            for f in all_faces(image):
+            for f in image.faces():
                 if lower is None:
                     assert same_braid(f, f.identity(f.strands))
                 else:
@@ -349,7 +350,7 @@ class TestSolverOrder:
         assert (_bound(spread, n) < _bound(colex, n)) == (shorter is _spread)
         beta = solve_cohen_system(a, n)
         assert beta == _reassemble(colex if shorter is _colex else spread, n, shorter)
-        assert all(same_braid(f, a) for f in all_faces(beta))
+        assert all(same_braid(f, a) for f in beta.faces())
 
     def test_refusal_names_the_top_faces(self):
         # the faces of the top rank disagree; the chain stops there
@@ -358,3 +359,85 @@ class TestSolverOrder:
             solve_cohen_system(a, 6)
         assert exc.value.witness_indices == (1, 4)
         assert exc.value.witness_faces[0].strands == 4
+
+
+class TestLayerChecks:
+    """The solver checks that the layers it keeps are Brunnian, and only those."""
+
+    @staticmethod
+    def counting(monkeypatch, verdict=lambda b: True):
+        seen = []
+
+        def is_brunnian(b):
+            seen.append(b)
+            return verdict(b)
+
+        monkeypatch.setattr(lifting, "is_brunnian", is_brunnian)
+        return seen
+
+    def test_solver_checks_only_the_winners_nonempty_layers(self, monkeypatch):
+        w = band_commutator(2, -1)
+        a, want = full_lift(3, 5, w), full_lift(3, 6, w)
+        seen = self.counting(monkeypatch)
+        # spread wins, and its only nonempty layer is w
+        assert solve_cohen_system(a, 6) == want
+        assert seen == [w]
+
+    def test_loser_layers_are_not_read(self, monkeypatch):
+        w = band_commutator(2, -1)
+        a, want = full_lift(3, 5, w), full_lift(3, 6, w)
+        colex = hopf_decompose(a)
+        assert sum(not d.is_identity() for d in colex) > 1
+        # every layer but w fails; only colex has such layers, and colex loses
+        seen = self.counting(monkeypatch, lambda b: b == w)
+        assert solve_cohen_system(a, 6) == want
+        assert seen == [w]
+
+    def test_decompose_checks_all_its_nonempty_layers(self, monkeypatch):
+        a = full_lift(3, 5, band_commutator(2, -1))
+        layers = hopf_decompose(a)
+        seen = self.counting(monkeypatch)
+        assert hopf_decompose(a) == layers
+        assert seen == [d for d in layers if not d.is_identity()]
+
+    def test_a_bad_winning_layer_still_raises(self, monkeypatch):
+        w = band_commutator(2, -1)
+        a = full_lift(3, 5, w)
+        layers = hopf_decompose(a)
+        self.counting(monkeypatch, lambda b: b != w)
+        with pytest.raises(AssertionError, match="delta_3 is not Brunnian"):
+            solve_cohen_system(a, 6)
+        self.counting(monkeypatch, lambda b: b != layers[-1])
+        with pytest.raises(AssertionError, match="delta_5 is not Brunnian"):
+            hopf_decompose(a)
+
+
+class TestFaceChain:
+    def test_one_face_per_rank_below_the_top(self, monkeypatch):
+        a = full_lift(3, 6, band_commutator(2, -1))
+        calls = []
+        face, faces = PureAWord.face, PureAWord.faces
+
+        def count_face(self, i):
+            calls.append(("face", self.strands, i))
+            return face(self, i)
+
+        def count_faces(self):
+            calls.append(("faces", self.strands))
+            return faces(self)
+
+        monkeypatch.setattr(PureAWord, "face", count_face)
+        monkeypatch.setattr(PureAWord, "faces", count_faces)
+        chain = _face_chain(a)
+        assert [c.strands for c in chain] == [2, 3, 4, 5, 6]
+        assert calls == [("faces", 6), ("face", 5, 1), ("face", 4, 1), ("face", 3, 1)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32), st.integers(3, 6))
+    def test_every_rank_below_a_cohen_top_is_cohen(self, seed, n):
+        a = reassemble(_signed_layers(seed, n), n)
+        chain = _face_chain(a)
+        assert chain[-1] == a
+        for lower, upper in zip(chain, chain[1:]):
+            assert is_cohen(lower)
+            assert common_face(upper) == lower

@@ -3,7 +3,8 @@
 Each script asserts its own findings, so exit status 0 means they still
 hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
 its copy of the change's tree on a small repository, and its
-interleaved child and its one file per seed on two small trees.
+interleaved child, with its per-pass p50 and p90 query times, and its
+one file per seed on two small trees.
 """
 
 import importlib.util
@@ -142,6 +143,17 @@ def test_bench_pairs_interleaved_child(tmp_path):
     assert report["pairs"] == load_bench_pairs().MIN_PAIRS
     assert set(report["ratio"]) == {"median", "q1", "q3", "iqr"}
     assert set(report["pass_s"]) == {"parent", "change"}
+    assert set(report["p90_ratio"]) == {"median", "q1", "q3", "iqr"}
+    assert report["p90_ratio"]["median"] > 0
+    for stat in ("query_p50_ms", "query_p90_ms"):
+        assert set(report[stat]) == {"parent", "change"}
+        for side in ("parent", "change"):
+            assert set(report[stat][side]) == {"median", "q1", "q3", "iqr"}
+            assert report[stat][side]["median"] > 0
+    assert all(
+        report["query_p50_ms"][side]["median"] <= report["query_p90_ms"][side]["median"]
+        for side in ("parent", "change")
+    )
 
     # each tree's relative imports resolve inside its own package
     other = fake_tree(tmp_path / "other", "{'result': argv if argv[2] != 1 else None}")
@@ -174,6 +186,14 @@ def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch)
         assert result["interleaved"] is True
         assert report["seed"] == seed
         assert report["pairs"] == bench_pairs.MIN_PAIRS
+        assert set(report["p90_ratio"]) == {"median", "q1", "q3", "iqr"}
+
+
+def test_bench_pairs_p90_is_taken_as_the_benchmark_takes_it():
+    p90 = load_bench_pairs()._p90
+    assert p90([float(k) for k in range(1, 11)]) == pytest.approx(9.1)
+    assert p90([4.0, 2.0]) == pytest.approx(3.8)
+    assert p90([5.0]) == 5.0
 
 
 # The --limit 8 digests: the first 8 queries of seeds 1 and 2 of each
