@@ -43,10 +43,7 @@ from .expr import (
     format_braid,
     parse,
 )
-from .faces import (
-    coface_on_pure_gen,
-    face_on_pure_gen,
-)
+from .faces import coface_on_pure_gen
 from .finite_models import (
     FiniteGroupModel,
     build_p1_rp2,
@@ -97,7 +94,6 @@ __all__ = [
     "derive_rp2_face_assignments",
     "enumerate_brunnian",
     "enumerate_cohen",
-    "face_on_pure_gen",
     "format_aword",
     "format_braid",
     "full_lift",

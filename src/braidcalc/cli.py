@@ -23,7 +23,6 @@ from .cohen import (
     is_brunnian,
     is_cohen,
     is_generalized_cohen,
-    is_unary,
     unary_factor,
 )
 from .combing import DEFAULT_COMPONENT_BUDGET, PureAWord, comb
@@ -290,10 +289,9 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
             shared = common_face(b)
         except NotCohenError as e:
             payload["result"] = False
-            i, j = e.witness_indices
             payload["witnesses"] = {
-                "violating_pair": [i, j],
-                "faces": {f"d{k}": _fmt(f) for k, f in enumerate(b.faces(), start=1)},
+                "violating_pair": list(e.witness_indices),
+                "faces": {f"d{k}": _fmt(f) for k, f in enumerate(e.faces, start=1)},
             }
             return 1
         payload["result"] = True
@@ -321,11 +319,14 @@ def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
 
     if cmd == "unary":
         b = parse(args.expr, n).to_braid()
-        value = is_unary(b)
-        payload["result"] = value
-        if value:
-            payload["witnesses"]["pure_factor"] = format_braid(unary_factor(b))
-        return 0 if value else 1
+        try:
+            factor = unary_factor(b)
+        except ValueError:  # b is not unary
+            payload["result"] = False
+            return 1
+        payload["result"] = True
+        payload["witnesses"]["pure_factor"] = format_braid(factor)
+        return 0
 
     if cmd == "comb":
         w = parse_bands(args.expr, n, "comb consumes band words only")

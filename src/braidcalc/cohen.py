@@ -42,29 +42,37 @@ Braidlike = Union[BraidWord, PureAWord]
 class NotCohenError(ValueError):
     """Raised when an operation requires a Cohen braid and the faces differ.
 
-    Carries the indices and the two disagreeing face words as a witness.
+    Carries the faces d_1 .. d_n it found, and as a witness the indices
+    and words of the first pair that differs, d_1 and d_j.
     """
 
-    def __init__(self, i: int, j: int, face_i: Braidlike, face_j: Braidlike):
-        self.witness_indices = (i, j)
-        self.witness_faces = (face_i, face_j)
-        super().__init__(f"faces d_{i} and d_{j} differ")
+    def __init__(self, faces: Sequence[Braidlike], j: int):
+        self.faces = tuple(faces)
+        self.witness_indices = (1, j)
+        self.witness_faces = (self.faces[0], self.faces[j - 1])
+        super().__init__(f"faces d_1 and d_{j} differ")
 
 
 def is_cohen(b: Braidlike) -> bool:
-    """All faces of b agree.  Vacuously true for fewer than two strands."""
-    if b.strands <= 1:
+    """All faces of b agree: common_face without the witness.
+
+    Vacuously true on zero strands, which have no faces.
+    """
+    if not b.strands:
         return True
-    faces = b.faces()
-    return all(same_braid(faces[0], f) for f in faces[1:])
+    try:
+        common_face(b)
+    except NotCohenError:
+        return False
+    return True
 
 
 def common_face(b: Braidlike) -> Braidlike:
     """The shared face of a Cohen braid; raises NotCohenError with a witness."""
     faces = b.faces()
-    for k, f in enumerate(faces[1:], start=2):
+    for j, f in enumerate(faces[1:], start=2):
         if not same_braid(faces[0], f):
-            raise NotCohenError(1, k, faces[0], f)
+            raise NotCohenError(faces, j)
     if faces:
         return faces[0]
     raise ValueError("a braid on zero strands has no faces")

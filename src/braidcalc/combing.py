@@ -52,7 +52,7 @@ from .braids import (
     Perm,
     band_power_letters,
 )
-from .faces import _surviving_faces, coface_on_pure_gen, face_on_pure_gen
+from .faces import _surviving_faces, coface_on_pure_gen
 from .words import Band, GroupWord, Syllable, _band_name, _invert, _join, _push
 
 __all__ = [
@@ -209,34 +209,23 @@ class PureAWord:
     def face(self, i: int) -> PureAWord:
         """Delete strand i, letterwise on bands.
 
-        Bands are read through the band map of (n, i), cached across
-        words.  The bands that survive map injectively, so a kept
-        syllable can merge with or cancel the one before it only across
-        deleted ones.
+        Reads the band table of n that faces fills, and keeps a syllable
+        where a run of its band holds face i - 1.  As in faces, the
+        image can merge with or cancel the top only across deleted bands.
         """
         n = self.strands
         if not 1 <= i <= n:
             raise ValueError(f"strand {i} out of range for {n} strands")
-        image, rule = _face_map(n, i)
+        table, rule = _faces_map(n)
         out: list[Syllable] = []
-        gap = False
         for sym, exp in self.word.syllables:
             try:
-                faced = image[sym]
+                runs = table[sym]
             except KeyError:
-                faced = image[sym] = rule(sym)
-            if faced is None:
-                gap = True
-            elif gap and out and out[-1][0] == faced:
-                total = out[-1][1] + exp
-                if total:
-                    out[-1] = (faced, total)
-                    gap = False
-                else:
-                    out.pop()  # the new top may meet the next kept syllable
-            else:
-                out.append((faced, exp))
-                gap = False
+                runs = table[sym] = rule(sym)
+            for kept, faced in runs:
+                if i - 1 in kept:
+                    _push(out, faced, exp)
         return PureAWord._unchecked(n - 1, GroupWord._unchecked(tuple(out)))
 
     def faces(self) -> tuple[PureAWord, ...]:
@@ -244,8 +233,9 @@ class PureAWord:
 
         Each syllable is looked up once, in the band table of n, which
         gives the faces where its band survives and its image there.
-        The image is pushed onto each of those faces; as in face, it
-        can merge with or cancel the top only across deleted bands.
+        The image is pushed onto each of those faces.  The surviving
+        bands map injectively, so it can merge with or cancel the top
+        only across deleted bands.
         """
         n = self.strands
         table, rule = _faces_map(n)
@@ -423,13 +413,7 @@ def comb(w: PureAWord, component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Comb
 # callers fill it in an except KeyError clause: a plain dict keeps
 # Python's fast dict lookup, which a dict subclass with __missing__ loses
 # (a band-solve pass took 8% longer that way on CPython 3.11).
-_BandMap = tuple[dict[Band, Band | None], Callable[[Band], Band | None]]
-
-
-@lru_cache(maxsize=256)
-def _face_map(n: int, i: int) -> _BandMap:
-    """Bands of P_n under deleting strand i; None where the band dies."""
-    return {}, lambda band: face_on_pure_gen(i, band, n)
+_BandMap = tuple[dict[Band, Band], Callable[[Band], Band]]
 
 
 # The faces a band survives, in runs of face positions with one image each.
@@ -438,7 +422,7 @@ _FaceRuns = tuple[tuple[range, Band], ...]
 
 @lru_cache(maxsize=256)
 def _faces_map(n: int) -> tuple[dict[Band, _FaceRuns], Callable[[Band], _FaceRuns]]:
-    """Bands of P_n under all n deletions at once, for PureAWord.faces."""
+    """Bands of P_n under all n deletions at once, for PureAWord.face and faces."""
     return {}, lambda band: _surviving_faces(band, n)
 
 

@@ -5,13 +5,13 @@ and on band words PureAWord.face and PureAWord.coface; faces() on
 either type gives all of d_1 .. d_n at once, and PureAWord.faces reads
 each syllable once for all of them.  This module holds the rules on
 single band generators, which combing.PureAWord applies letterwise
-through band maps cached per deleted strand (n, i), per strand count
-for all faces at once, and per insertion sequence, however many strands
-it inserts.  A map is filled with the bands that words bring, so it
-holds the bands in use, not every band of P_n.  Both maps are injective
-on the bands that survive, so a reduced band word stays reduced under a
-coface, and under a face it can reduce only across the letters that
-die.
+through two band maps: one per strand count, which gives a band's
+images in all n faces at once and serves both face and faces, and one
+per insertion sequence, however many strands it inserts.  A map is
+filled with the bands that words bring, so it holds the bands in use,
+not every band of P_n.  Both maps are injective on the bands that
+survive, so a reduced band word stays reduced under a coface, and under
+a face it can reduce only across the letters that die.
 
 Both maps are homomorphisms on words by construction; the test suite
 checks the simplicial-style identities they satisfy with
@@ -22,24 +22,7 @@ from __future__ import annotations
 
 __all__ = [
     "coface_on_pure_gen",
-    "face_on_pure_gen",
 ]
-
-
-def face_on_pure_gen(i: int, pair: tuple[int, int], n: int) -> tuple[int, int] | None:
-    """Image index pair of A_{s,t} under strand-i deletion.
-
-    The band dies (None) when the deleted strand is one of its two ends
-    and is renumbered otherwise, to a band on n-1 strands.
-    """
-    s, t = pair
-    if not 1 <= s < t <= n:
-        raise ValueError(f"band A_{s},{t} out of range for {n} strands")
-    if not 1 <= i <= n:
-        raise ValueError(f"strand {i} out of range for {n} strands")
-    if i in (s, t):
-        return None
-    return (s - 1 if s > i else s, t - 1 if t > i else t)
 
 
 def coface_on_pure_gen(i: int, pair: tuple[int, int]) -> tuple[int, int]:
@@ -61,10 +44,11 @@ def _surviving_faces(
 ) -> tuple[tuple[range, tuple[int, int]], ...]:
     """The faces of P_n in which A_{s,t} survives, in runs of one image.
 
-    A run is a range of face positions i - 1 (so 0-based) and the image
-    of the band under each of those deletions: face_on_pure_gen for the
-    strands below s, between s and t, and above t.  Empty runs are left
-    out.
+    Deleting strand s or t kills the band; deleting any other strand
+    renumbers the ends above it down by one.  A run is a range of face
+    positions i - 1 (so 0-based) and the band's image under each of
+    those deletions: for the strands below s, between s and t, and
+    above t.  Empty runs are left out.
     """
     s, t = pair
     runs = (

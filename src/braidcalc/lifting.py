@@ -14,12 +14,13 @@ On top of these sit the Hopf decomposition of a pure Cohen braid into
 Brunnian layers and the solver for the face system d_1(beta) = ... =
 d_n(beta) = alpha.
 
-Both take faces down a chain a_n = a, a_(n-1), .., a_2.  All faces are
-compared at the top rank only: d_j d_1 = d_1 d_(j+1), so once the faces
-of a agree, every rank below is Cohen and its first face is its common
-face.  A layer is checked to be Brunnian only where it is kept:
-hopf_decompose checks all its layers, the solver those of the order it
-reassembles.
+Both take faces down a chain a_n = a, a_(n-1), .., a_2.  The faces of
+each input are compared once, by common_face, at the top rank only:
+d_j d_1 = d_1 d_(j+1), so once the faces of a agree, every rank below
+is Cohen and its first face is its common face.  A non-pure input is
+solved through its half twist, whose faces need no second comparison.
+A layer is checked to be Brunnian only where it is kept: hopf_decompose
+checks all its layers, the solver those of the order it reassembles.
 
 Order conventions (pinned by worked examples in the test suite):
   - spread multi-indices are enumerated lexicographically, leftmost
@@ -163,19 +164,18 @@ def reassemble(deltas: Sequence[Braidlike], n: int) -> Braidlike:
     return _reassemble(deltas, n, _colex)
 
 
-def _face_chain(a: Braidlike) -> list[Braidlike]:
-    """a_2, .., a_n: a_n = a and a_(k-1) = d_1(a_k), bottom-up.
+def _face_chain(a: Braidlike, below: Braidlike | None) -> list[Braidlike]:
+    """a_2, .., a_n: a_n = a, a_(n-1) = below and a_(k-1) = d_1(a_k) under it.
 
-    Only the top rank has its faces compared: a_(n-1) = common_face(a),
-    so NotCohenError names the faces of a.  Below it one face suffices.
-    The faces satisfy d_j d_1 = d_1 d_(j+1), and a_(n-1) = d_1(a), so
-    d_j(a_(n-1)) = d_1(d_(j+1)(a)) = d_1(a_(n-1)) as braids for every
-    j: a_(n-1) is Cohen again, and by induction so is every rank below,
-    whose common face is its first.
+    No face is compared here.  The caller passes as below the common
+    face of a, taken once by common_face, or None when a has two strands
+    or fewer and so no rank between it and a_2.  The faces satisfy
+    d_j d_1 = d_1 d_(j+1), so a_(n-1) = d_1(a) gives d_j(a_(n-1)) =
+    d_1(d_(j+1)(a)) = d_1(a_(n-1)) as braids for every j: a_(n-1) is
+    Cohen again, and by induction so is every rank below, whose common
+    face is its first.
     """
-    chain = [a]
-    if a.strands > 2:
-        chain.append(common_face(a))
+    chain = [a] if below is None else [a, below]
     while chain[-1].strands > 2:
         chain.append(chain[-1].face(1))
     return chain[::-1]
@@ -210,6 +210,14 @@ def _check_layers(layers: Sequence[Braidlike]) -> None:
             raise AssertionError(f"Hopf layer delta_{k} is not Brunnian")
 
 
+def _compared_face(a: Braidlike) -> Braidlike | None:
+    """The common face of a, or None on two strands or fewer.
+
+    A braid on so few strands is Cohen: its faces lie in B_1 or B_0.
+    """
+    return common_face(a) if a.strands > 2 else None
+
+
 def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """Split a pure Cohen braid into Brunnian layers delta_1 .. delta_n.
 
@@ -218,23 +226,22 @@ def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """
     if not is_pure(a):
         raise ValueError("hopf_decompose requires a pure braid")
-    layers = tuple(_hopf_layers(_face_chain(a), _colex))
+    layers = tuple(_hopf_layers(_face_chain(a, _compared_face(a)), _colex))
     _check_layers(layers)
     return layers
 
 
-def _solve_pure(a: Braidlike, n: int) -> Braidlike:
+def _solve_pure(chain: Sequence[Braidlike], n: int) -> Braidlike:
     """Reassemble on n strands the layers of the order with the smaller bound.
 
-    The answer has at most sum_k C(n, k) letters(delta_k) letters.  Both
-    orders decompose the same face chain, and each step advances the
-    one whose running bound is smaller (colex on a tie), so the first to
-    run out of layers has the smaller final bound and the other stops
-    at most one layer past it.  Only the winner's layers are checked to
-    be Brunnian, just before they are reassembled: the loser's never
-    reach the answer.
+    The layers are those of the chain's top.  The answer has at most
+    sum_k C(n, k) letters(delta_k) letters.  Both orders decompose the
+    same face chain, and each step advances the one whose running bound
+    is smaller (colex on a tie), so the first to run out of layers has
+    the smaller final bound and the other stops at most one layer past
+    it.  Only the winner's layers are checked to be Brunnian, just
+    before they are reassembled: the loser's never reach the answer.
     """
-    chain = _face_chain(a)
     runs = [(order, _hopf_layers(chain, order), []) for order in (_colex, _spread)]
     bounds = [0, 0]
     while True:
@@ -252,22 +259,23 @@ def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
     """A braid on n strands whose every face equals the given a.
 
     Requires all faces of a to agree (NotCohenError with a witness pair
-    otherwise).  Pure inputs are rebuilt from their Brunnian layers one
-    rank up, in colex or spread order, whichever bounds the answer
-    shorter; a non-pure input is reduced to the pure case by a half
-    twist, whose own faces are again half twists.
+    otherwise); they are compared once, here.  Pure inputs are rebuilt
+    from their Brunnian layers one rank up, in colex or spread order,
+    whichever bounds the answer shorter.  A non-pure input is reduced to
+    the pure case by a half twist, whose own faces are again half
+    twists: d_i(Delta_m a) = Delta_(m-1) d_(m+1-i)(a), so the twisted
+    braid is Cohen with a, and its chain starts from its first face.
     """
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
+    below = _compared_face(a)
     pm = a.perm()
     if pm.is_identity():
-        # the face chain raises NotCohenError through common_face; a pure
-        # braid on two strands or fewer has its faces in the trivial B_1 or B_0
-        return _solve_pure(a, n)
-    common_face(a)  # the witness names the faces of a, not of the twisted braid
+        return _solve_pure(_face_chain(a, below), n)
     if pm != Perm.order_reversal(a.strands):
         raise AssertionError(
             "a Cohen braid permutation must be the identity or the reversal"
         )
-    gamma = solve_cohen_system(half_twist(a.strands) * a, n)
-    return half_twist(n).inverse() * gamma
+    twisted = half_twist(a.strands) * a
+    below = None if below is None else twisted.face(1)
+    return half_twist(n).inverse() * _solve_pure(_face_chain(twisted, below), n)

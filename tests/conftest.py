@@ -36,6 +36,19 @@ def band_braid(i: int, j: int, n: int) -> BraidWord:
     return PureAWord(n, GroupWord.single((i, j))).to_braid()
 
 
+def band_face(i: int, pair: tuple[int, int], n: int) -> tuple[int, int] | None:
+    """A_{s,t} on n strands less strand i, one strand at a time.
+
+    The band dies (None) when strand i is one of its two ends; otherwise
+    each end above i moves down by one.
+    """
+    s, t = pair
+    assert 1 <= s < t <= n and 1 <= i <= n
+    if i in (s, t):
+        return None
+    return (s - (s > i), t - (t > i))
+
+
 def abelianize(w: GroupWord) -> dict[tuple[int, int], int]:
     """Exponent vector; symbols with total exponent zero are omitted."""
     totals: dict[tuple[int, int], int] = {}

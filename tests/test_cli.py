@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from braidcalc.braids import BraidWord, half_twist
 from braidcalc.cli import run
 from braidcalc.combing import PureAWord, comb
 from braidcalc.expr import format_aword
@@ -328,6 +329,44 @@ class TestLiftingCommands:
             assert code == 1
             assert payload["result"] == "refused"
             assert len(payload["witnesses"]["violating_pair"]) == 2
+
+
+class TestFacesTakenOnce:
+    """Each input's faces are taken and compared once per query."""
+
+    @staticmethod
+    def counting(monkeypatch, cls, method):
+        seen = []
+        original = getattr(cls, method)
+
+        def wrapped(self, *args):
+            seen.append((self, *args))
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, wrapped)
+        return seen
+
+    def test_nonpure_solve_takes_the_input_faces_only(self, monkeypatch):
+        seen = self.counting(monkeypatch, BraidWord, "faces")
+        code, payload = run(["solve", "-n", "4", "s1 s2 s1"])
+        assert code == 0
+        a = BraidWord(3, ((1, 1), (2, 1), (1, 1)))
+        # the other calls are the solver's layer checks
+        assert seen.count((a,)) == 1
+        assert (half_twist(3) * a,) not in seen
+
+    def test_cohen_refusal_takes_the_faces_once(self, monkeypatch):
+        seen = self.counting(monkeypatch, PureAWord, "faces")
+        code, payload = run(["cohen", "-n", "4", "a1.2"])
+        assert code == 1 and payload["result"] is False
+        assert payload["witnesses"]["faces"] == {"d1": "e", "d2": "e", "d3": "a1.2", "d4": "a1.2"}
+        assert len(seen) == 1
+
+    def test_unary_deletes_strand_one_once(self, monkeypatch):
+        seen = self.counting(monkeypatch, BraidWord, "face")
+        code, payload = run(["unary", "-n", "3", "s1 s2"])
+        assert code == 0 and payload["witnesses"]["pure_factor"] == "e"
+        assert [args for _, *args in seen] == [[1]]
 
 
 class TestFiniteModelCommands:

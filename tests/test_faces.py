@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 
 from braidcalc.braids import BraidWord, Perm, same_braid
 from braidcalc.combing import PureAWord
-from braidcalc.faces import (
-    coface_on_pure_gen,
-    face_on_pure_gen,
-)
+from braidcalc.faces import _surviving_faces, coface_on_pure_gen
 
-from conftest import aword, band_braid
+from conftest import aword, band_braid, band_face
 
 braid_letters = st.lists(
     st.tuples(st.integers(1, 4), st.sampled_from([1, -1])), max_size=16
@@ -142,23 +139,34 @@ class TestPureGeneratorTables:
     def test_face_kills_own_band(self):
         for n in (3, 4, 5):
             for (s, t) in [(1, 2), (1, n), (n - 1, n)]:
-                assert face_on_pure_gen(s, (s, t), n) is None
-                assert face_on_pure_gen(t, (s, t), n) is None
+                assert aword(n, [(s, t, 1)]).face(s).is_identity()
+                assert aword(n, [(s, t, 1)]).face(t).is_identity()
 
     def test_face_shifts_disjoint_band(self):
-        assert face_on_pure_gen(1, (2, 4), 5) == (1, 3)
+        assert aword(5, [(2, 4, 1)]).face(1).word.syllables == (((1, 3), 1),)
 
     def test_face_table_agrees_with_strand_deletion(self):
         for n in (3, 4):
             for s in range(1, n):
                 for t in range(s + 1, n + 1):
                     for i in range(1, n + 1):
-                        table = face_on_pure_gen(i, (s, t), n)
+                        image = band_face(i, (s, t), n)
                         walked = band_braid(s, t, n).face(i)
-                        if table is None:
+                        if image is None:
                             assert same_braid(walked, BraidWord.identity(n - 1))
                         else:
-                            assert same_braid(band_braid(*table, n - 1), walked)
+                            assert same_braid(band_braid(*image, n - 1), walked)
+
+    def test_surviving_faces_follow_the_strand_rule(self):
+        # face and faces both read these runs, so they are checked here
+        # against the per-strand rule, which neither of them uses
+        for n in range(2, 9):
+            for s, t in combinations(range(1, n + 1), 2):
+                runs = _surviving_faces((s, t), n)
+                for i in range(1, n + 1):
+                    holding = [image for kept, image in runs if i - 1 in kept]
+                    want = band_face(i, (s, t), n)
+                    assert holding == ([] if want is None else [want])
 
     def test_coface_on_band_matches_insertion(self):
         for n in (2, 3, 4):

@@ -38,19 +38,19 @@ from braidcalc.combing import (
     conj_rule,
 )
 from braidcalc.expr import format_aword, parse
-from braidcalc.faces import coface_on_pure_gen, face_on_pure_gen
+from braidcalc.faces import coface_on_pure_gen
 from braidcalc.lifting import _colex, _james_hopf
 from braidcalc.words import GroupWord, a_sym, commutator
 
 from artin_oracle import substitute
-from conftest import aword
+from conftest import aword, band_face
 
 
 def face_reference(w: PureAWord, i: int) -> GroupWord:
     n = w.strands
     letters = []
     for sym, exp in w.word.syllables:
-        faced = face_on_pure_gen(i, sym, n)
+        faced = band_face(i, sym, n)
         if faced is not None:
             letters.append((faced, exp))
     return GroupWord.from_letters(f"A{n - 1}", letters)

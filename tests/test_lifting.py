@@ -234,7 +234,8 @@ class TestSpreadOrder:
     def test_spread_layers_of_a_full_lift_are_empty_but_the_source(self, m):
         for w in (brunnian_generator(m), signed_brunnian(random.Random(m), m)):
             for n in range(m, 7):
-                layers = list(_hopf_layers(_face_chain(full_lift(m, n, w)), _spread))
+                a = full_lift(m, n, w)
+                layers = list(_hopf_layers(_face_chain(a, common_face(a)), _spread))
                 assert len(layers) == n
                 assert layers[m - 1] == w
                 for k, layer in enumerate(layers, start=1):
@@ -333,7 +334,7 @@ class TestSolverOrder:
         a = reassemble(_signed_layers(seed, n), n)
         beta = solve_cohen_system(a, n + 1)
         colex = hopf_decompose(a)
-        spread = tuple(_hopf_layers(_face_chain(a), _spread))
+        spread = tuple(_hopf_layers(_face_chain(a, common_face(a)), _spread))
         if _bound(spread, n + 1) < _bound(colex, n + 1):
             assert beta == _reassemble(spread, n + 1, _spread)
         else:
@@ -346,7 +347,7 @@ class TestSolverOrder:
     def test_crossing_words_race_both_orders(self, a, shorter):
         n = a.strands + 1
         colex = hopf_decompose(a)
-        spread = tuple(_hopf_layers(_face_chain(a), _spread))
+        spread = tuple(_hopf_layers(_face_chain(a, common_face(a)), _spread))
         assert (_bound(spread, n) < _bound(colex, n)) == (shorter is _spread)
         beta = solve_cohen_system(a, n)
         assert beta == _reassemble(colex if shorter is _colex else spread, n, shorter)
@@ -428,15 +429,34 @@ class TestFaceChain:
 
         monkeypatch.setattr(PureAWord, "face", count_face)
         monkeypatch.setattr(PureAWord, "faces", count_faces)
-        chain = _face_chain(a)
+        below = common_face(a)
+        assert calls == [("faces", 6)]
+        chain = _face_chain(a, below)
         assert [c.strands for c in chain] == [2, 3, 4, 5, 6]
-        assert calls == [("faces", 6), ("face", 5, 1), ("face", 4, 1), ("face", 3, 1)]
+        assert calls[1:] == [("face", 5, 1), ("face", 4, 1), ("face", 3, 1)]
+
+    @pytest.mark.parametrize("a", [
+        half_twist(3),
+        half_twist(4) * full_lift(3, 4, band_commutator(2, -1)).to_braid(),
+        full_lift(3, 5, band_commutator(2, -1)),
+    ], ids=["twist-3", "twisted-lift-4", "lift-5"])
+    def test_the_solver_compares_the_input_faces_once(self, monkeypatch, a):
+        seen = []
+
+        def counting(b):
+            seen.append(b)
+            return common_face(b)
+
+        monkeypatch.setattr(lifting, "common_face", counting)
+        beta = solve_cohen_system(a, a.strands + 1)
+        assert seen == [a]
+        assert all(same_braid(f, a) for f in beta.faces())
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32), st.integers(3, 6))
     def test_every_rank_below_a_cohen_top_is_cohen(self, seed, n):
         a = reassemble(_signed_layers(seed, n), n)
-        chain = _face_chain(a)
+        chain = _face_chain(a, common_face(a))
         assert chain[-1] == a
         for lower, upper in zip(chain, chain[1:]):
             assert is_cohen(lower)
