@@ -24,7 +24,13 @@ Writes BENCH_<label>.json in the repository root: per workload, the seed,
 the parent commit and the change's diff hash, the number of pairs, every
 run's metrics, the median, quartiles and IQR of each end-to-end metric
 named in BENCHMARK.json for each side, the number of pairs the change won
-per metric, and the correct flags and failed-query counts.
+per metric, and the correct flags and failed-query counts.  After a
+workload's pairs, SETUP_CHILDREN set-up children of perfbench/run.py
+(`--child setup`) run on each side, the first side alternating, and the
+report holds the median, quartiles and IQR of their set-up times under
+setup_children.  A median of ten runs' setup_s can land in either of
+two clusters of set-up times on the same code, so a set-up claim should
+rest on these.
 
     python3 scripts/bench_pairs.py --pr N --interleaved --seed 1
     python3 scripts/bench_pairs.py --pr N --interleaved --seed 1 --seed 2 --seed 3
@@ -74,6 +80,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("band-solve", "band-comb", "crossing-eq")
 MEASURED = ("src", "perfbench")
 MIN_PAIRS = 10
+SETUP_CHILDREN = 16
 
 
 def _git(*args: str) -> str:
@@ -113,16 +120,31 @@ def _copy_worktree(root: Path, into: Path) -> None:
         shutil.copy2(source, target)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _perfbench(tree: Path, workload: str, seed: int, *args: str) -> dict:
+    """The JSON line that tree's perfbench/run.py prints last."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), *args,
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} in {tree} exited with {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _setup_children(trees: dict[str, Path], workload: str, seed: int) -> dict:
+    """Summarise SETUP_CHILDREN set-up times per side, the first side alternating."""
+    times: dict[str, list[float]] = {"parent": [], "change": []}
+    for i in range(SETUP_CHILDREN):
+        for side in _pair_order(i):
+            child = _perfbench(trees[side], workload, seed, "--child", "setup")
+            times[side].append(child["setup_s"])
+    return {side: _summary(t) for side, t in times.items()}
+
+
+def _pair_order(i: int) -> tuple[str, str]:
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def _load_cli(tree: Path, name: str):
@@ -163,8 +185,7 @@ def _alternate_passes(trees: dict[str, Path], workload: str, seed: int, seconds:
     p50: dict[str, list[float]] = {side: [] for side in sides}
     p90: dict[str, list[float]] = {side: [] for side in sides}
     while len(times["change"]) < MIN_PAIRS or min(map(sum, times.values())) < seconds:
-        order = sides if len(times["change"]) % 2 == 0 else sides[::-1]
-        for side in order:
+        for side in _pair_order(len(times["change"])):
             elapsed, latencies, payloads = answer(side)
             for argv, want, got in zip(queries, expected, payloads):
                 if json.dumps(got, sort_keys=True) != want:
@@ -243,15 +264,18 @@ def _pairs(
     end_to_end: list[dict],
 ) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    args = ("--seconds", str(seconds), "--trace", "0")
     for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(_run(trees[side], workload, seed, seconds))
+        for side in _pair_order(i):
+            runs[side].append(_perfbench(trees[side], workload, seed, *args))
         print(f"{workload} pair {i + 1}/{pairs}: queries_per_s "
               f"{runs['parent'][-1]['metrics']['queries_per_s']['value']:.1f} -> "
               f"{runs['change'][-1]['metrics']['queries_per_s']['value']:.1f}",
               file=sys.stderr)
-    return {"pairs": pairs, **_report(runs, end_to_end)}
+    setup = _setup_children(trees, workload, seed)
+    print(f"{workload} set-up children: setup_s {setup['parent']['median']:.4f} -> "
+          f"{setup['change']['median']:.4f}", file=sys.stderr)
+    return {"pairs": pairs, **_report(runs, end_to_end), "setup_children": setup}
 
 
 def main(argv: list[str] | None = None) -> int:

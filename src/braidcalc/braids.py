@@ -262,6 +262,8 @@ class Perm:
         return cls(tuple(range(n, 0, -1)))
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.images):
+            raise ValueError(f"{i} is not in 1..{len(self.images)}")
         return self.images[i - 1]
 
     def is_identity(self) -> bool:
@@ -357,7 +359,8 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
     a*b^-1 is reduced freely and cyclically to a core, a conjugate of
     it.  An empty core is the trivial braid; otherwise the braids are
     equal exactly when the core permutes no strand and fixes the start
-    vector of the Dynnikov action.
+    vector of the Dynnikov action, as wide as the core: a word whose
+    strands are fewer than its expansion's compares as that expansion.
     """
     if a.strands != b.strands:
         raise ValueError(
@@ -372,5 +375,5 @@ def same_braid(a: BraidWord | PureAWord, b: BraidWord | PureAWord) -> bool:
         return True
     if not is_pure(core):
         return False
-    start = [0, 1] * a.strands
+    start = [0, 1] * core.strands
     return _dynnikov(start[:], core.letters) == start

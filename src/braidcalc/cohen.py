@@ -1,9 +1,11 @@
 """Cohen, Brunnian, generalized Cohen and unary braid predicates.
 
 A braid is Cohen when all of its strand-deletion faces agree, and
-Brunnian when every face is trivial.  The predicates here accept either
-a BraidWord or a PureAWord and take faces through their shared faces
-member, which gives d_1 .. d_n together.  Every equality
+Brunnian when every face is trivial.  The predicates here accept any
+word type with the members BraidWord and PureAWord share, and take
+faces through the shared faces member, which gives d_1 .. d_n
+together.  They assume no fact of the disk, so the tests run them on
+the disk less k points too (tests/punctured.py).  Every equality
 goes through braids.same_braid, which compares Dynnikov coordinates;
 equal band words answer before any expansion.
 

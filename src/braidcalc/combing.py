@@ -316,6 +316,8 @@ class CombedForm:
 
     def component(self, k: int) -> GroupWord:
         """u_k for 2 <= k <= n."""
+        if not 2 <= k <= self.strands:
+            raise ValueError(f"no component u_{k}: k runs over 2..{self.strands}")
         return self.components[k - 2]
 
     def as_single_word(self) -> PureAWord:

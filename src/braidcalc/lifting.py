@@ -14,10 +14,14 @@ On top of these sit the Hopf decomposition of a pure Cohen braid into
 Brunnian layers and the solver for the face system d_1(beta) = ... =
 d_n(beta) = alpha.
 
-Both take faces down a chain a_n = a, a_(n-1), .., a_2.  The faces of
-each input are compared once, by common_face, at the top rank only:
-d_j d_1 = d_1 d_(j+1), so once the faces of a agree, every rank below
-is Cohen and its first face is its common face.  A non-pure input is
+Both take faces down a chain a_n = a, a_(n-1), .., a_1, and delta_1 =
+a_1.  The faces of each input are compared once, by common_face, at the
+top rank only and from two strands up: d_j d_1 = d_1 d_(j+1), so once
+the faces of a agree, every rank below is Cohen and its first face is
+its common face.  No fact of the disk is used (there delta_1 is
+trivial, as P_1 is), so a pure input of any word type with the members
+BraidWord and PureAWord share is solved the same way; the tests solve
+on the disk less k points (tests/punctured.py).  A non-pure input is
 solved through its half twist, whose faces need no second comparison.
 A layer is checked to be Brunnian only where it is kept: hopf_decompose
 checks all its layers, the solver those of the order it reassembles.
@@ -165,18 +169,18 @@ def reassemble(deltas: Sequence[Braidlike], n: int) -> Braidlike:
 
 
 def _face_chain(a: Braidlike, below: Braidlike | None) -> list[Braidlike]:
-    """a_2, .., a_n: a_n = a, a_(n-1) = below and a_(k-1) = d_1(a_k) under it.
+    """a_1, .., a_n: a_n = a, a_(n-1) = below and a_(k-1) = d_1(a_k) under it.
 
     No face is compared here.  The caller passes as below the common
-    face of a, taken once by common_face, or None when a has two strands
-    or fewer and so no rank between it and a_2.  The faces satisfy
+    face of a, taken once by common_face, or None when a has at most one
+    strand and so is the whole chain.  The faces satisfy
     d_j d_1 = d_1 d_(j+1), so a_(n-1) = d_1(a) gives d_j(a_(n-1)) =
     d_1(d_(j+1)(a)) = d_1(a_(n-1)) as braids for every j: a_(n-1) is
     Cohen again, and by induction so is every rank below, whose common
     face is its first.
     """
     chain = [a] if below is None else [a, below]
-    while chain[-1].strands > 2:
+    while chain[-1].strands > 1:
         chain.append(chain[-1].face(1))
     return chain[::-1]
 
@@ -184,19 +188,16 @@ def _face_chain(a: Braidlike, below: Braidlike | None) -> list[Braidlike]:
 def _hopf_layers(chain: Sequence[Braidlike], order: _Order) -> Iterator[Braidlike]:
     """Yield the layers delta_1, delta_2, .. of the chain's top.
 
-    The layers of a_(k-1) determine delta_1 .. delta_(k-1), and delta_k
+    delta_1 = a_1 (the 1-strand identity for a 0-strand chain), and the
+    layers of a_(k-1) determine delta_1 .. delta_(k-1); delta_k
     is what remains of a_k after dividing out their James-Hopf images,
     taken in the given order.  The layers are not checked here: the
     callers check that the ones they keep are Brunnian, with
     _check_layers.
     """
     bottom = chain[0]
-    if bottom.strands <= 1:
-        # delta_1 lives on one strand, also when the chain is a 0-strand word
-        yield bottom.identity(1)
-        return
-    layers = [bottom.identity(1), bottom]
-    yield from layers
+    layers = [bottom if bottom.strands else bottom.identity(1)]
+    yield layers[0]
     for a in chain[1:]:
         top = _reassemble(layers, a.strands, order).inverse() * a
         layers.append(top)
@@ -210,23 +211,17 @@ def _check_layers(layers: Sequence[Braidlike]) -> None:
             raise AssertionError(f"Hopf layer delta_{k} is not Brunnian")
 
 
-def _compared_face(a: Braidlike) -> Braidlike | None:
-    """The common face of a, or None on two strands or fewer.
-
-    A braid on so few strands is Cohen: its faces lie in B_1 or B_0.
-    """
-    return common_face(a) if a.strands > 2 else None
-
-
 def hopf_decompose(a: Braidlike) -> tuple[Braidlike, ...]:
     """Split a pure Cohen braid into Brunnian layers delta_1 .. delta_n.
 
     Reassembling the layers (colex order) reproduces a, and each layer
-    is Brunnian (asserted, all of them).
+    is Brunnian (asserted, all of them).  delta_1 = a_1, the face of a
+    on one strand.
     """
     if not is_pure(a):
         raise ValueError("hopf_decompose requires a pure braid")
-    layers = tuple(_hopf_layers(_face_chain(a, _compared_face(a)), _colex))
+    below = common_face(a) if a.strands > 1 else None
+    layers = tuple(_hopf_layers(_face_chain(a, below), _colex))
     _check_layers(layers)
     return layers
 
@@ -264,11 +259,14 @@ def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
     whichever bounds the answer shorter.  A non-pure input is reduced to
     the pure case by a half twist, whose own faces are again half
     twists: d_i(Delta_m a) = Delta_(m-1) d_(m+1-i)(a), so the twisted
-    braid is Cohen with a, and its chain starts from its first face.
+    braid is Cohen with a, and its chain starts from its first face (a
+    non-pure input has two strands or more).  The half twist is a disk
+    braid; a pure input of any word type with the shared members is
+    solved on its own chain.
     """
     if n != a.strands + 1:
         raise ValueError("can only solve one strand up")
-    below = _compared_face(a)
+    below = common_face(a) if a.strands > 1 else None
     pm = a.perm()
     if pm.is_identity():
         return _solve_pure(_face_chain(a, below), n)
@@ -277,5 +275,5 @@ def solve_cohen_system(a: Braidlike, n: int) -> Braidlike:
             "a Cohen braid permutation must be the identity or the reversal"
         )
     twisted = half_twist(a.strands) * a
-    below = None if below is None else twisted.face(1)
-    return half_twist(n).inverse() * _solve_pure(_face_chain(twisted, below), n)
+    chain = _face_chain(twisted, twisted.face(1))
+    return half_twist(n).inverse() * _solve_pure(chain, n)

@@ -420,6 +420,13 @@ class TestPerm:
         c = BraidWord(n, tuple(reversed([(i, -e) for i, e in pairs])))
         assert (b * c).perm().is_identity()
 
+    def test_perm_is_defined_on_1_to_n_only(self):
+        p = sig(3, (1, 1), (2, 1)).perm()  # s1 s2
+        assert [p(i) for i in (1, 2, 3)] == [3, 1, 2]
+        for i in (-1, 0, 4):
+            with pytest.raises(ValueError, match=f"{i} is not in 1..3"):
+                p(i)
+
     def test_half_twist_perm_reverses(self):
         for n in (2, 3, 4, 5):
             assert half_twist(n).perm() == Perm.order_reversal(n)

@@ -136,6 +136,13 @@ class TestCombedForm:
         assert format_aword(form.component(3)) == "a1.3"
         assert format_aword(form.component(2)) == "e"
 
+    def test_component_is_named_by_its_column(self):
+        form = comb(parse("a1.2 a1.3 a2.4", 4))
+        assert [form.component(k) for k in (2, 3, 4)] == list(form.components)
+        for k in (-1, 0, 1, 5):
+            with pytest.raises(ValueError, match=f"u_{k}: k runs over 2..4"):
+                form.component(k)
+
     def test_comb_of_u2_word(self):
         form = comb(aw(3, (1, 2, -2)))
         assert format_aword(form.component(2)) == "a1.2^-2"

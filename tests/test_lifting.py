@@ -36,6 +36,7 @@ from braidcalc.lifting import (
 )
 
 from conftest import aword, braid_pow, signed_brunnian
+from punctured import Punctured, view
 
 
 def aw(n, *pairs):
@@ -300,11 +301,16 @@ class TestLiftReferences:
                 full_lift(*args)
 
 
-def _signed_layers(seed, n):
-    """Brunnian layers delta_1 .. delta_n, each drawn or trivial."""
+def _signed_layers(seed, n, k=0):
+    """Brunnian layers delta_1 .. delta_n, each drawn or trivial.
+
+    On the disk less k points, layer m is a disk-Brunnian word on m + k
+    strands, which all its faces kill.  On the disk, delta_1 is trivial.
+    """
     rng = random.Random(seed)
     return [
-        signed_brunnian(rng, m) if rng.random() < 0.8 else PureAWord.identity(m)
+        view(k, signed_brunnian(rng, m + k) if rng.random() < 0.8
+             else PureAWord.identity(m + k))
         for m in range(1, n + 1)
     ]
 
@@ -328,10 +334,10 @@ class TestSolverOrder:
         assert beta == james_hopf(3, 4, w)
         assert beta != full_lift(3, 4, w)
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2**32), st.integers(3, 5))
-    def test_the_smaller_bound_wins(self, seed, n):
-        a = reassemble(_signed_layers(seed, n), n)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(3, 5), st.integers(0, 2))
+    def test_the_smaller_bound_wins(self, seed, n, k):
+        a = reassemble(_signed_layers(seed, n, k), n)
         beta = solve_cohen_system(a, n + 1)
         colex = hopf_decompose(a)
         spread = tuple(_hopf_layers(_face_chain(a, common_face(a)), _spread))
@@ -432,14 +438,17 @@ class TestFaceChain:
         below = common_face(a)
         assert calls == [("faces", 6)]
         chain = _face_chain(a, below)
-        assert [c.strands for c in chain] == [2, 3, 4, 5, 6]
-        assert calls[1:] == [("face", 5, 1), ("face", 4, 1), ("face", 3, 1)]
+        assert [c.strands for c in chain] == [1, 2, 3, 4, 5, 6]
+        assert calls[1:] == [
+            ("face", 5, 1), ("face", 4, 1), ("face", 3, 1), ("face", 2, 1),
+        ]
 
     @pytest.mark.parametrize("a", [
         half_twist(3),
         half_twist(4) * full_lift(3, 4, band_commutator(2, -1)).to_braid(),
         full_lift(3, 5, band_commutator(2, -1)),
-    ], ids=["twist-3", "twisted-lift-4", "lift-5"])
+        solve_cohen_system(Punctured(1, aw(2, (1, 2, 1))), 2),
+    ], ids=["twist-3", "twisted-lift-4", "lift-5", "annulus-2"])
     def test_the_solver_compares_the_input_faces_once(self, monkeypatch, a):
         seen = []
 
@@ -452,12 +461,77 @@ class TestFaceChain:
         assert seen == [a]
         assert all(same_braid(f, a) for f in beta.faces())
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2**32), st.integers(3, 6))
-    def test_every_rank_below_a_cohen_top_is_cohen(self, seed, n):
-        a = reassemble(_signed_layers(seed, n), n)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(3, 6), st.integers(0, 2))
+    def test_every_rank_below_a_cohen_top_is_cohen(self, seed, n, k):
+        a = reassemble(_signed_layers(seed, n, k), n)
         chain = _face_chain(a, common_face(a))
         assert chain[-1] == a
         for lower, upper in zip(chain, chain[1:]):
             assert is_cohen(lower)
             assert common_face(upper) == lower
+
+
+def _punctured_word(rng, k, m):
+    """Up to 8 letters A_(i,j)^(+-1), j > k, on m moving strands less k points."""
+    n = m + k
+    bands = [(i, j) for j in range(max(k + 1, 2), n + 1) for i in range(1, j)]
+    letters = [] if not bands else [
+        (*rng.choice(bands), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))
+    ]
+    return view(k, aword(n, letters))
+
+
+def _is_trivial(b):
+    return same_braid(b, b.identity(b.strands))
+
+
+class TestPuncturedDisk:
+    """The solver on the disk less k points, through the Punctured view.
+
+    k = 0 is the disk and the plain word type; k = 1 is the annulus,
+    whose P_1 is Z, so its chain bottom delta_1 = a_1 need not be trivial.
+    """
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_solved_exactly_when_cohen(self, k, seed, m):
+        a = _punctured_word(random.Random(seed), k, m)
+        if not is_cohen(a):
+            with pytest.raises(NotCohenError) as exc:
+                solve_cohen_system(a, m + 1)
+            assert not same_braid(*exc.value.witness_faces)
+            return
+        beta = solve_cohen_system(a, m + 1)
+        assert all(same_braid(f, a) for f in beta.faces())
+        punctures = beta
+        while punctures.strands:
+            punctures = punctures.face(1)
+        assert _is_trivial(punctures)
+        assert same_braid(reassemble(hopf_decompose(a), m), a)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_draws_reach_past_the_disk(self, k):
+        # Cohen inputs that are not Cohen on the disk, and Cohen inputs
+        # whose common face is not trivial, both occur
+        rng = random.Random(k)
+        cohen = not_disk_cohen = nontrivial = 0
+        for _ in range(1000):
+            a = _punctured_word(rng, k, rng.randint(2, 4))
+            if is_cohen(a):
+                cohen += 1
+                not_disk_cohen += not is_cohen(a.word)
+                nontrivial += not _is_trivial(common_face(a))
+        assert min(cohen, not_disk_cohen, nontrivial) >= 10
+
+    @pytest.mark.parametrize("e", [1, -2, 3])
+    def test_a_loop_round_the_puncture_lifts_to_five_strands(self, e):
+        # A1,2^e is the 1-strand annulus braid that circles the puncture
+        a = Punctured(1, aw(2, (1, 2, e)))
+        for m in range(2, 6):
+            beta = solve_cohen_system(a, m)
+            assert beta.strands == m
+            assert all(same_braid(f, a) for f in beta.faces())
+            assert hopf_decompose(beta)[0] == Punctured(1, aw(2, (1, 2, e)))
+            a = beta

@@ -2,9 +2,9 @@
 
 Each script asserts its own findings, so exit status 0 means they still
 hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
-its copy of the change's tree on a small repository, and its
-interleaved child, with its per-pass p50 and p90 query times, and its
-one file per seed on two small trees.
+its copy of the change's tree on a small repository, its interleaved
+child, with its per-pass p50 and p90 query times, its one file per seed
+and its alternating set-up children on small fake trees.
 """
 
 import importlib.util
@@ -109,9 +109,31 @@ def test_bench_pairs_copies_what_git_add_would_commit(tmp_path):
     }
 
 
-def fake_tree(root, answer):
-    """A tree whose braidcalc.cli answers through a sibling module."""
+FAKE_RUN = """\
+import json
+import sys
+from pathlib import Path
+
+# logs each call beside the tree; the k-th set-up child of a tree takes k * SETUP_S
+tree = Path(__file__).resolve().parent.parent
+log = tree.parent / "log"
+calls = log.read_text().split("\\n") if log.exists() else []
+mode = "setup" if "--child" in sys.argv else "run"
+with open(log, "a") as out:
+    out.write(f"{tree.name} {mode}\\n")
+if mode == "setup":
+    print(json.dumps({"setup_s": (calls.count(f"{tree.name} setup") + 1) * SETUP_S}))
+else:
+    print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"queries_per_s": {"value": 1.0}}}))
+"""
+
+
+def fake_tree(root, answer, setup_s=0.1):
+    """A tree whose braidcalc.cli answers through a sibling module, and
+    whose perfbench/run.py is FAKE_RUN with the given set-up time."""
     files = {
+        "perfbench/run.py": FAKE_RUN.replace("SETUP_S", repr(setup_s)),
         "src/braidcalc/__init__.py": "",
         "src/braidcalc/cli.py": "from .answer import answer\n\n"
                                 "def run(argv):\n    return 0, answer(argv)\n",
@@ -187,6 +209,34 @@ def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch)
         assert report["seed"] == seed
         assert report["pairs"] == bench_pairs.MIN_PAIRS
         assert set(report["p90_ratio"]) == {"median", "q1", "q3", "iqr"}
+
+
+def test_bench_pairs_times_alternating_setup_children(tmp_path, monkeypatch):
+    trees = {
+        "parent": fake_tree(tmp_path / "parent", "{'result': argv}", setup_s=0.1),
+        "change": fake_tree(tmp_path / "change", "{'result': argv}", setup_s=0.2),
+    }
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.SETUP_CHILDREN == 16
+    n = 4  # fewer children, to keep the test short
+    monkeypatch.setattr(bench_pairs, "SETUP_CHILDREN", n)
+    end_to_end = [{"name": "queries_per_s", "better": "higher"}]
+    report = bench_pairs._pairs(trees, "band-solve", 1, 2, 0, end_to_end)
+
+    calls = (tmp_path / "log").read_text().splitlines()
+    assert calls[:4] == ["parent run", "change run", "change run", "parent run"]
+    first = ["parent", "change"] * (n // 2)
+    assert [c.split()[0] for c in calls[4::2]] == first
+    assert [c.split()[0] for c in calls[5::2]] == first[::-1]
+    assert all(c.endswith(" setup") for c in calls[4:]) and len(calls) == 4 + 2 * n
+
+    # the k-th child of a side read k * its setup_s, k = 1..4
+    for side, unit in (("parent", 0.1), ("change", 0.2)):
+        summary = report["setup_children"][side]
+        assert summary["median"] == pytest.approx(2.5 * unit)
+        assert summary["q1"] == pytest.approx(1.75 * unit)
+        assert summary["iqr"] == pytest.approx(1.5 * unit)
+    assert report["pairs"] == 2 and report["change_wins"] == {"queries_per_s": 0}
 
 
 def test_bench_pairs_p90_is_taken_as_the_benchmark_takes_it():
