@@ -47,9 +47,10 @@ differs.  Each query is timed as well, and each pass yields its p50 and
 p90 query times, the p90 taken as perfbench/run.py takes it.
 BENCH_<label>.json then holds, per workload, the median, quartiles and
 IQR of the per-pair ratio of pass times (change over parent), of each
-side's pass time, of the per-pair ratio of p90 query times (p90_ratio)
-and of each side's per-pass p50 and p90 (query_p50_ms, query_p90_ms), so
-a latency claim can rest on interleaved pairs too.  Peak memory, answer
+side's pass time, of the per-pair ratios of p50 and of p90 query times
+(p50_ratio, p90_ratio) and of each side's per-pass p50 and p90
+(query_p50_ms, query_p90_ms), so a latency claim can rest on
+interleaved pairs too.  Peak memory, answer
 sizes and failed counts cannot be split inside one process, so they come
 from the paired runs alone.
 
@@ -199,6 +200,7 @@ def _alternate_passes(trees: dict[str, Path], workload: str, seed: int, seconds:
         "queries": len(queries),
         "ratio": _summary([c / p for p, c in zip(times["parent"], times["change"])]),
         "pass_s": {side: _summary(t) for side, t in times.items()},
+        "p50_ratio": _summary([c / p for p, c in zip(p50["parent"], p50["change"])]),
         "p90_ratio": _summary([c / p for p, c in zip(p90["parent"], p90["change"])]),
         "query_p50_ms": {side: _summary(v) for side, v in p50.items()},
         "query_p90_ms": {side: _summary(v) for side, v in p90.items()},
@@ -319,7 +321,9 @@ def main(argv: list[str] | None = None) -> int:
                     report = _spawn_alternating(trees, workload, seed, seconds)
                     print(f"{workload} seed {seed}: pass time ratio "
                           f"{report['ratio']['median']:.3f} "
-                          f"[IQR {report['ratio']['iqr']:.3f}], p90 ratio "
+                          f"[IQR {report['ratio']['iqr']:.3f}], p50 ratio "
+                          f"{report['p50_ratio']['median']:.3f} "
+                          f"[IQR {report['p50_ratio']['iqr']:.3f}], p90 ratio "
                           f"{report['p90_ratio']['median']:.3f} "
                           f"[IQR {report['p90_ratio']['iqr']:.3f}] over {report['pairs']} pairs",
                           file=sys.stderr)

@@ -53,7 +53,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The braidcalc parser, and its subparsers by command name."""
     p = argparse.ArgumentParser(
         prog="braidcalc",
         description="Braid word calculus: faces, Cohen and Brunnian predicates, "
@@ -110,11 +111,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("comb", "lift", "tau", "bigT", "hopf", "solve"):
         sub.choices[name].add_argument("--verify", action="store_true",
                                        help="recheck the answer with braid equality")
-    return p
+    return p, sub.choices
 
 
-# argparse only reads the parser while parsing, so one instance serves every run().
-_PARSER = _build_parser()
+# argparse only reads the parsers while parsing, so one instance serves
+# every run().  _parse hands a command line straight to its command's
+# subparser: the parent would only pass that subparser everything after
+# the command name, so the namespace and any usage message the subparser
+# prints are the same.  A line with no known command, or with arguments
+# the subparser left over, falls back to the parent, which reports them.
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _fmt(b: Braidlike) -> str:
@@ -140,10 +146,26 @@ def _parse_blocks(spec: str, n: int) -> StrandPartition:
     return StrandPartition(n, blocks)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line; argparse prints a usage error and raises SystemExit."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
     """Execute a command line; returns (exit status, report payload)."""
+    return _run(argv)[:2]
+
+
+def _run(argv: list[str]) -> tuple[int, dict[str, Any], argparse.Namespace | None]:
+    """run, and the parsed arguments, None after a usage error."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return (code if code != 0 else 0), {
@@ -151,7 +173,7 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
             "inputs": {"argv": argv},
             "result": "usage",
             "witnesses": {},
-        }
+        }, None
     payload: dict[str, Any] = {
         "command": args.command,
         "inputs": {},
@@ -188,7 +210,7 @@ def run(argv: list[str]) -> tuple[int, dict[str, Any]]:
         payload["result"] = "error"
         payload["witnesses"] = {"reason": str(e)}
         code = 2
-    return code, payload
+    return code, payload, args
 
 
 def _dispatch(args: argparse.Namespace, payload: dict[str, Any]) -> int:
@@ -395,8 +417,11 @@ def _plain(value: Any) -> str:
 
 
 def main() -> None:
-    code, payload = run(sys.argv[1:])
-    if "--json" in sys.argv[1:]:
+    argv = sys.argv[1:]
+    code, payload, args = _run(argv)
+    # --json may be abbreviated; after a usage error nothing was parsed
+    as_json = args.json if args is not None else "--json" in argv
+    if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(_render(payload))

@@ -28,6 +28,15 @@ parse_bands, for commands that take band words only, runs the same
 loop but only checks crossing text, building nothing: a ParseError
 still comes first, then NotAWordError.
 
+Each atom token is read by its regexes once per strand count: _atom is
+a table of at most 4,096 entries keyed by (token, n).  It is keyed by n
+because the range check is: a1.4 is a band on 4 strands and a
+ParseError on 3.  A bad token never enters the table, so each read of
+it raises the same ParseError at its own offset.  Within one text the
+run that a token builds is kept as well, so a repeated token is joined,
+never built again.  format_aword reads its band tokens from a table of
+the same bound, cleared when full.
+
 Words are checked once, where they enter the library: here, token by
 token and again by the checked constructor that the reader returns through,
 and in the public constructors and from_letters.  Words the
@@ -77,6 +86,8 @@ _BAND = re.compile(r"a(\d+)\.(\d+)(?:(')|\^(-?\d+))?$")
 _TWIST = re.compile(r"D(?:(')|\^(-?\d+))?$")
 _CLOSE = re.compile(r"([)\]])(?:\^(-?\d+))?$")
 _NONZERO = "powers must be nonzero (use e for the empty word)"
+# entries in each of the atom and band-token tables
+_TABLE_SIZE = 4096
 
 
 def _offset(text: str, k: int) -> int:
@@ -97,10 +108,12 @@ def _repeat(letters: Sequence[tuple[int, int]], k: int) -> list[tuple[int, int]]
     return list(letters) * k
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
 def _atom(tok: str, n: int) -> tuple[str, tuple[int, ...], int]:
     """The kind ("s", "a" or "D"), indices and power of an atom token.
 
-    Raises _BadToken with the ParseError message when the token is bad.
+    Raises _BadToken with the ParseError message when the token is bad;
+    lru_cache keeps no exception, so a bad token is read afresh each time.
     """
     if m := _SIGMA.match(tok):
         i = int(m.group(1))
@@ -240,15 +253,30 @@ def format_braid(b: BraidWord) -> str:
     return " ".join(out) if out else "e"
 
 
+# the token of each band syllable printed so far; a word repeats few of them
+_BAND_TOKENS: dict[Syllable, str] = {}
+
+
 def format_aword(w: PureAWord | GroupWord) -> str:
     """Print a band word in the token grammar."""
-    word = w.word if isinstance(w, PureAWord) else w
-    return " ".join(map(_band_token, word.syllables)) if word.syllables else "e"
+    syllables = (w.word if isinstance(w, PureAWord) else w).syllables
+    if not syllables:
+        return "e"
+    try:
+        return " ".join(map(_BAND_TOKENS.__getitem__, syllables))
+    except KeyError:  # a syllable not printed yet
+        pass
+    distinct = set(syllables)
+    if len(distinct) > _TABLE_SIZE:  # more than the table holds: printed apart
+        return " ".join(map(_band_token, syllables))
+    if len(_BAND_TOKENS) + len(distinct) > _TABLE_SIZE:
+        _BAND_TOKENS.clear()
+    _BAND_TOKENS.update((s, _band_token(s)) for s in distinct.difference(_BAND_TOKENS))
+    return " ".join(map(_BAND_TOKENS.__getitem__, syllables))
 
 
-@lru_cache(maxsize=4096)
 def _band_token(syllable: Syllable) -> str:
-    """The token of one band syllable; a word repeats few of them."""
+    """The token of one band syllable."""
     (i, j), exp = syllable
     if exp == 1:
         return f"a{i}.{j}"

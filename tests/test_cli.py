@@ -1,6 +1,6 @@
 """End-to-end checks of the command line front end.
 
-Most tests drive run() directly and inspect the payload dict; two
+Most tests drive run() directly and inspect the payload dict; three
 subprocess tests confirm the installed console script renders the same
 payloads as JSON and as plain lines.
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from braidcalc.braids import BraidWord, half_twist
-from braidcalc.cli import run
+from braidcalc.cli import _PARSER, run
 from braidcalc.combing import PureAWord, comb
 from braidcalc.expr import format_aword
 from braidcalc.lifting import reassemble
@@ -443,6 +443,26 @@ class TestUsageErrors:
         assert in_turn == fresh
         assert "faces_equal_input" not in in_turn[1][1]["witnesses"]
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["badcmd"],
+        ["-h"],
+        ["eq", "-h"],
+        ["eq", "-n", "3", "s1"],
+        ["eq", "-n", "three", "s1", "s1"],
+        ["perm", "-n", "3", "s1", "--verify"],
+        ["comb", "-n", "3", "a1.3 a1.2", "--budget", "0"],
+        ["eq", "-n", "3", "s1", "s1", "--bogus"],
+    ], ids=["empty", "unknown-command", "help", "command-help", "missing-argument",
+            "non-integer-n", "verify-on-perm", "zero-budget", "unknown-option"])
+    def test_usage_is_the_parent_parsers_byte_for_byte(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _PARSER.parse_args(argv)
+        expected = (exc.value.code, *capsys.readouterr())
+        code, payload = run(argv)
+        assert (code, *capsys.readouterr()) == expected
+        assert payload["result"] == "usage"
+
     def test_parse_error_carries_offset_message(self):
         code, payload = run(["eq", "-n", "3", "s0", "e"])
         assert code == 2
@@ -460,6 +480,15 @@ class TestConsoleScript:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["result"] is True
+
+    def test_abbreviated_json_flag(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidcalc.cli", "eq", "-n", "3", "s1", "s1", "--js"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"] is True
 
     def test_plain_output_and_exit_code(self):
         proc = subprocess.run(

@@ -210,3 +210,47 @@ class TestPrinting:
         b = parse("s2 s1^3 s2' s1'", 4)
         again = parse(format_braid(b), 4)
         assert same_braid(b, again)
+
+
+def band_token(i, j, k):
+    return f"a{i}.{j}" + ("" if k == 1 else "'" if k == -1 else f"^{k}")
+
+
+class TestTables:
+    """An atom token is read once per strand count; both tables stay bounded."""
+
+    def test_a_second_read_reads_no_token_again(self):
+        text = "s1 s2' ( s1 a1.3^2 )^3 [ D , s2 ]"
+        first = parse(text, 3)
+        misses = expr._atom.cache_info().misses
+        assert parse(text, 3) == first
+        assert expr._atom.cache_info().misses == misses
+
+    def test_a_bad_token_raises_alike_on_every_read(self):
+        for text, offset in [("s9", 0), ("s1 s9", 3), ("s9", 0), ("( s1 s9 )^2", 5)]:
+            with pytest.raises(ParseError) as exc:
+                parse(text, 3)
+            assert exc.value.message == "crossing index 9 out of range for n=3"
+            assert exc.value.offset == offset
+
+    def test_a_band_read_on_more_strands_is_checked_again(self):
+        assert parse("a1.4", 4) == band_word(4, (1, 4, 1))
+        with pytest.raises(ParseError) as exc:
+            parse("a1.4", 3)
+        assert exc.value.message == "band (1,4) out of range for n=3"
+        assert exc.value.offset == 0
+
+    def test_the_atom_table_is_bounded(self):
+        for n in range(2, 5002):
+            parse("s1", n)
+        info = expr._atom.cache_info()
+        assert info.currsize == info.maxsize == 4096
+
+    def test_the_band_token_table_is_bounded(self):
+        # one word with more distinct syllables than the table holds, then many short ones
+        long = [(1, 2 + k % 2, k + 1) for k in range(5000)]
+        short = [[(1, 2, k), (2, 3, -k)] for k in range(2, 3000)]
+        for triples in [long, *short, long, [(1, 3, 2), (2, 3, -1)]]:
+            printed = format_aword(band_word(3, *triples))
+            assert printed == " ".join(band_token(*t) for t in triples)
+            assert len(expr._BAND_TOKENS) <= 4096

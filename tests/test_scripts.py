@@ -3,8 +3,9 @@
 Each script asserts its own findings, so exit status 0 means they still
 hold.  The summary of scripts/bench_pairs.py is checked on fixed runs,
 its copy of the change's tree on a small repository, its interleaved
-child, with its per-pass p50 and p90 query times, its one file per seed
-and its alternating set-up children on small fake trees.
+child, with its per-pass p50 and p90 query times and their per-pair
+ratios, its one file per seed and summary line, and its alternating
+set-up children on small fake trees.
 """
 
 import importlib.util
@@ -165,8 +166,9 @@ def test_bench_pairs_interleaved_child(tmp_path):
     assert report["pairs"] == load_bench_pairs().MIN_PAIRS
     assert set(report["ratio"]) == {"median", "q1", "q3", "iqr"}
     assert set(report["pass_s"]) == {"parent", "change"}
-    assert set(report["p90_ratio"]) == {"median", "q1", "q3", "iqr"}
-    assert report["p90_ratio"]["median"] > 0
+    for ratio in ("p50_ratio", "p90_ratio"):
+        assert set(report[ratio]) == {"median", "q1", "q3", "iqr"}
+        assert report[ratio]["median"] > 0
     for stat in ("query_p50_ms", "query_p90_ms"):
         assert set(report[stat]) == {"parent", "change"}
         for side in ("parent", "change"):
@@ -184,7 +186,7 @@ def test_bench_pairs_interleaved_child(tmp_path):
     assert "the change answers ['band-solve', 2, 1] differently" in proc.stderr
 
 
-def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch):
+def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch, capsys):
     # the parent is the committed fake tree, the change its edited copy
     repo = fake_tree(tmp_path / "repo", "{'result': argv}")
     (repo / "BENCHMARK.json").write_text('{"run_seconds": 0, "end_to_end": []}\n')
@@ -198,6 +200,9 @@ def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch)
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
     argv = ["--pr", "7", "--interleaved", "--workload", "band-solve", "--seed", "1", "--seed", "3"]
     assert bench_pairs.main(argv) == 0
+    summaries = [line for line in capsys.readouterr().err.splitlines() if "ratio" in line]
+    assert len(summaries) == 2
+    assert all(" p50 ratio " in line and " p90 ratio " in line for line in summaries)
 
     assert sorted(p.name for p in repo.glob("BENCH_*.json")) == [
         "BENCH_7_seed1.json", "BENCH_7_seed3.json",
@@ -208,7 +213,8 @@ def test_bench_pairs_writes_one_file_per_interleaved_seed(tmp_path, monkeypatch)
         assert result["interleaved"] is True
         assert report["seed"] == seed
         assert report["pairs"] == bench_pairs.MIN_PAIRS
-        assert set(report["p90_ratio"]) == {"median", "q1", "q3", "iqr"}
+        for ratio in ("p50_ratio", "p90_ratio"):
+            assert set(report[ratio]) == {"median", "q1", "q3", "iqr"}
 
 
 def test_bench_pairs_times_alternating_setup_children(tmp_path, monkeypatch):
